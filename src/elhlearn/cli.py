@@ -77,12 +77,11 @@ def cmd_reason(args: argparse.Namespace) -> int:
         print(f"{textio.serialize_query(q)[3:].strip()}: "
               f"{'ENTAILED' if verdict else 'NOT_ENTAILED'}")
         if args.explain:
-            print(json.dumps(_explanation(t, a, q, verdict), sort_keys=True))
+            print(json.dumps(_explanation(cache.get(t, a), q, verdict), sort_keys=True))
     return EXIT_OK if all_entailed else EXIT_NEGATIVE
 
 
-def _explanation(t, a, q, verdict: bool) -> dict:
-    model = reasoner.build_model(t, a)
+def _explanation(model: reasoner.RegularModel, q: Query, verdict: bool) -> dict:
     info: dict = {"verdict": "entailed" if verdict else "not-entailed"}
     if isinstance(q, ConceptQuery):
         el = ("n", q.ind)

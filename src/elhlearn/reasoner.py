@@ -11,6 +11,21 @@ closure of the role that introduced it), because conjunctive queries can
 constrain several roles between the same pair of elements while instance
 queries cannot.
 
+Saturation works from a compiled form of the TBox (``_compile``, cached per
+TBox): the inclusions with a name or ``top`` on the left, in sorted order,
+with their right-hand names and edges (role closures applied, targets
+resolved); the inclusions with a complex left side; the largest existential
+depth of those left sides; and the initial label and edges of every
+anonymous element.  ``C [= top`` with a complex ``C`` is dropped.  The
+firing order is fixed: each step fires all rules, in order, at the smallest
+element (in sorted order) that they still change.  This is what a rescan
+from the first element after every change would do, and it fixes the order
+of each element's edges.  A heap of candidate elements finds that element
+without the rescan.  It holds every element that might still change: after
+a change at an element, the element itself and every element at most
+``depth`` edges before it, since a left side of depth d reads labels at
+most d edges away, and name rules read only the element's own label.
+
 Unravelling the presentation from the named individuals reproduces the least
 model, so instance checking is plain recursive concept evaluation on the
 finite graph, rooted conjunctive queries match into a depth-bounded
@@ -21,9 +36,11 @@ query term), and query inseparability reduces to label agreement plus mutual
 
 from __future__ import annotations
 
+import functools
+import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Literal, Sequence, Union
+from typing import Callable, Iterable, Literal, Union
 
 from .syntax import (
     ABox,
@@ -47,6 +64,7 @@ from .syntax import (
     Var,
     abox_of_concept,
     canonical,
+    concept_depth,
     conj,
     is_existential_atom_query,
     is_rooted,
@@ -203,12 +221,13 @@ def _existential_fillers(t: TBox) -> dict[str, Concept]:
     return out
 
 
-def _eval_concept(
-    labels: dict[Element, frozenset[str] | set[str]],
-    edges: dict[Element, Sequence[Edge]],
-    el: Element,
-    c: Concept,
-) -> bool:
+def _eval_concept(labels, edges, el, c: Concept) -> bool:
+    """Does ``c`` hold at ``el``?
+
+    ``labels[el]`` holds the names of ``el`` and ``edges[el]`` its
+    ``(role set, target)`` edges: dicts keyed by element on a model, lists
+    indexed by position during saturation.
+    """
     if isinstance(c, Top):
         return True
     if isinstance(c, Atom):
@@ -223,76 +242,172 @@ def _eval_concept(
     raise TypeError(f"not a concept: {c!r}")
 
 
-def build_model(t: TBox, a: ABox) -> RegularModel:
-    """Saturate the regular presentation of the least model of ``(t, a)``."""
+# An edge during saturation: its role set and the index of its target.
+_IndexEdge = tuple[frozenset[str], int]
+
+
+@dataclass(frozen=True)
+class _Compiled:
+    """What ``build_model`` needs from a TBox, computed once per TBox.
+
+    Anonymous elements sort before named ones, so the index of an anonymous
+    element in the saturation order is the rank of its key among the
+    filler keys, whatever the ABox.
+    """
+
+    fillers: dict[str, Concept]
+    anon_keys: tuple[str, ...]  # sorted
+    # per filler, in ``fillers`` order: index, initial label, initial edges
+    templates: tuple[tuple[int, frozenset[str], tuple[_IndexEdge, ...]], ...]
+    # inclusions with a name (None for top) on the left, in firing order:
+    # left name, right-hand names, right-hand edges
+    name_rules: tuple[tuple[str | None, tuple[str, ...], tuple[_IndexEdge, ...]], ...]
+    # inclusions with a complex left side, in firing order: right name, left side
+    complex_rules: tuple[tuple[str, Concept], ...]
+    depth: int  # largest existential depth of a complex left side
+    closure: dict[str, frozenset[str]]  # superroles of every role of the TBox
+
+
+def _rule_order(ci) -> tuple[str, str]:
+    return canonical(ci.lhs), canonical(ci.rhs)
+
+
+# bounded: the learners make a new hypothesis TBox at nearly every step
+@functools.lru_cache(maxsize=128)
+def _compile(t: TBox) -> _Compiled:
     if not is_terminology(t):
         raise ContractViolationError("model construction expects a terminology")
+    closure = {r: superroles(t, r) for r in signature_of_tbox(t).role_names}
     fillers = _existential_fillers(t)
+    anon_keys = tuple(sorted(fillers))
+    index = {key: i for i, key in enumerate(anon_keys)}
 
-    labels: dict[Element, set[str]] = {}
-    edges: dict[Element, list[Edge]] = {}
+    def rule_edges(c: Concept) -> tuple[_IndexEdge, ...]:
+        return tuple(
+            (closure[ex.role], index[canonical(ex.filler)]) for ex in top_existentials(c)
+        )
 
-    for key, f in fillers.items():
-        el: Element = ("a", key)
-        labels[el] = set(top_atoms(f))
-        edges[el] = []
-        for ex in top_existentials(f):
-            edge = (superroles(t, ex.role), ("a", canonical(ex.filler)))
-            if edge not in edges[el]:
-                edges[el].append(edge)
+    name_cis = sorted((ci for ci in t.cis if isinstance(ci.lhs, (Atom, Top))), key=_rule_order)
+    # a complex left side has a name or top on the right; ``C [= top`` says
+    # nothing and is dropped
+    complex_cis = sorted(
+        (ci for ci in t.cis if not isinstance(ci.lhs, (Atom, Top)) and isinstance(ci.rhs, Atom)),
+        key=_rule_order,
+    )
+    return _Compiled(
+        fillers,
+        anon_keys,
+        tuple((index[key], top_atoms(f), rule_edges(f)) for key, f in fillers.items()),
+        tuple(
+            (
+                ci.lhs.name if isinstance(ci.lhs, Atom) else None,
+                tuple(top_atoms(ci.rhs)),
+                rule_edges(ci.rhs),
+            )
+            for ci in name_cis
+        ),
+        tuple((ci.rhs.name, ci.lhs) for ci in complex_cis),
+        max((concept_depth(ci.lhs) for ci in complex_cis), default=0),
+        closure,
+    )
 
-    for ind in sorted(a.individuals()):
-        el = ("n", ind)
-        labels[el] = {n for n, i in a.concept_assertions if i == ind}
-        edges[el] = []
+
+def build_model(t: TBox, a: ABox) -> RegularModel:
+    """Saturate the regular presentation of the least model of ``(t, a)``."""
+    comp = _compile(t)
+    n_anon = len(comp.anon_keys)
+
+    concepts_of: dict[str, set[str]] = {}
+    for name, ind in a.concept_assertions:
+        concepts_of.setdefault(ind, set()).add(name)
     pair_roles: dict[tuple[str, str], set[str]] = {}
     for role, x, y in a.role_assertions:
-        pair_roles.setdefault((x, y), set()).update(superroles(t, role))
+        # a role the TBox does not mention has no role above it
+        roles = comp.closure.get(role) or frozenset((role,))
+        pair_roles.setdefault((x, y), set()).update(roles)
+    inds = set(a.declared)
+    inds.update(concepts_of)
+    for x, y in pair_roles:
+        inds.add(x)
+        inds.add(y)
+    named = {ind: n_anon + k for k, ind in enumerate(sorted(inds))}
+    keys: list[Element] = [("a", key) for key in comp.anon_keys]
+    keys.extend(("n", ind) for ind in named)
+    size = len(keys)
+
+    # elements are indices into ``keys``, which is sorted; edges[i] lists
+    # (role set, target index) pairs, and preds[j] lists every i with an
+    # edge to j
+    labels: list[set[str]] = [set() for _ in range(size)]
+    edges: list[list[_IndexEdge]] = [[] for _ in range(size)]
+    preds: list[list[int]] = [[] for _ in range(size)]
+
+    def add_edge(i: int, edge: _IndexEdge) -> bool:
+        if edge in edges[i]:
+            return False
+        edges[i].append(edge)
+        preds[edge[1]].append(i)
+        return True
+
+    for i, atoms, rule_edges in comp.templates:
+        labels[i] = set(atoms)
+        for edge in rule_edges:
+            add_edge(i, edge)
+    for ind, i in named.items():
+        if ind in concepts_of:
+            labels[i] = concepts_of[ind]
     for (x, y), roles in sorted(pair_roles.items()):
-        edges[("n", x)].append((frozenset(roles), ("n", y)))
+        add_edge(named[x], (frozenset(roles), named[y]))
 
-    name_cis = sorted(
-        (ci for ci in t.cis if isinstance(ci.lhs, (Atom, Top))),
-        key=lambda ci: (canonical(ci.lhs), canonical(ci.rhs)),
-    )
-    complex_cis = sorted(
-        (ci for ci in t.cis if not isinstance(ci.lhs, (Atom, Top))),
-        key=lambda ci: (canonical(ci.lhs), canonical(ci.rhs)),
-    )
+    name_rules = comp.name_rules
+    complex_rules = comp.complex_rules
 
-    def fire(el: Element) -> bool:
+    def fire(i: int) -> bool:
+        lab = labels[i]
         changed = False
-        for ci in name_cis:
-            applies = isinstance(ci.lhs, Top) or ci.lhs.name in labels[el]
-            if not applies:
+        for lhs, atoms, rule_edges in name_rules:
+            if lhs is not None and lhs not in lab:
                 continue
-            for name in top_atoms(ci.rhs):
-                if name not in labels[el]:
-                    labels[el].add(name)
+            for name in atoms:
+                if name not in lab:
+                    lab.add(name)
                     changed = True
-            for ex in top_existentials(ci.rhs):
-                edge = (superroles(t, ex.role), ("a", canonical(ex.filler)))
-                if edge not in edges[el]:
-                    edges[el].append(edge)
-                    changed = True
-        for ci in complex_cis:
-            name = ci.rhs.name  # terminology: complex lhs forces atomic rhs
-            if name not in labels[el] and _eval_concept(labels, edges, el, ci.lhs):
-                labels[el].add(name)
+            for edge in rule_edges:
+                changed |= add_edge(i, edge)
+        for name, lhs in complex_rules:
+            if name not in lab and _eval_concept(labels, edges, i, lhs):
+                lab.add(name)
                 changed = True
         return changed
 
-    order = sorted(labels)
-    while True:
-        if not any(fire(el) for el in order):
-            break
+    # The heap holds every element that a firing may still change, so its
+    # smallest member that changes is the one the full rescan would fire.
+    # A firing at i can unsaturate only i and the elements whose complex
+    # left sides reach i: those at most ``depth`` edges before it.
+    heap = list(range(size))
+    queued = [True] * size
+    while heap:
+        i = heapq.heappop(heap)
+        queued[i] = False
+        if not fire(i):
+            continue
+        woken = {i}
+        frontier = [i]
+        for _ in range(comp.depth):
+            frontier = [p for j in frontier for p in preds[j] if p not in woken]
+            woken.update(frontier)
+        for j in woken:
+            if not queued[j]:
+                queued[j] = True
+                heapq.heappush(heap, j)
 
+    order = [i for i, _, _ in comp.templates] + list(range(n_anon, size))
     return RegularModel(
         t,
         a,
-        {el: frozenset(ls) for el, ls in labels.items()},
-        {el: tuple(es) for el, es in edges.items()},
-        fillers,
+        {keys[i]: frozenset(labels[i]) for i in order},
+        {keys[i]: tuple((roles, keys[j]) for roles, j in edges[i]) for i in order},
+        comp.fillers,
     )
 
 
@@ -322,10 +437,12 @@ def kb_key(t: TBox) -> tuple:
 
 
 def abox_key(a: ABox) -> tuple:
+    # the assertions fix the mentioned individuals, and ``declared`` holds
+    # exactly the others
     return (
         tuple(sorted(a.concept_assertions)),
         tuple(sorted(a.role_assertions)),
-        tuple(sorted(a.individuals())),
+        tuple(sorted(a.declared)),
     )
 
 
@@ -339,12 +456,7 @@ def canonical_abox_model(a: ABox) -> Interpretation:
 
 
 def concept_holds(model: RegularModel, ind: str, c: Concept) -> bool:
-    el = model.named(ind)
-    if el not in model.labels:
-        # unmentioned individual: behaves like a fresh unconstrained element
-        fresh = build_model(model.tbox, ABox(declared=frozenset({ind})))
-        return _eval_concept(fresh.labels, fresh.edges, ("n", ind), c)
-    return _eval_concept(model.labels, model.edges, el, c)
+    return _eval_concept(model.labels, model.edges, model.named(ind), c)
 
 
 def entails_ci(t: TBox, c: Concept, d: Concept, cache: ModelCache | None = None) -> bool:
@@ -471,9 +583,12 @@ def answers_query(t: TBox, a: ABox, q: Query, cache: ModelCache | None = None) -
     if isinstance(q, RoleQuery):
         return role_assertion_holds(t, a, q.role, q.subj, q.obj)
     if isinstance(q, ConceptQuery):
-        if q.ind not in a.individuals():
-            a = ABox(a.concept_assertions, a.role_assertions, a.declared | {q.ind})
         model = cache.get(t, a) if cache else build_model(t, a)
+        if not model.has_individual(q.ind):
+            # an individual without assertions is connected to nothing, so
+            # the data cannot change what holds at it
+            alone = ABox(declared=frozenset({q.ind}))
+            model = cache.get(t, alone) if cache else build_model(t, alone)
         return concept_holds(model, q.ind, q.concept)
     if isinstance(q, ConjunctiveQuery):
         model = cache.get(t, a) if cache else build_model(t, a)
@@ -863,5 +978,6 @@ def inseparable(
     if not gap:
         return None
     sep = gap[0]
-    assert answers_query(t, a, sep.query, cache) != answers_query(h, a, sep.query, cache)
+    if answers_query(t, a, sep.query, cache) == answers_query(h, a, sep.query, cache):
+        raise ContractViolationError(f"separating query does not separate: {sep.query!r}")
     return sep

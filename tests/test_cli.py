@@ -63,6 +63,61 @@ def test_reason_explain(workdir, capsys):
     assert "individualLabel" in out
 
 
+EXPLAIN_TBOX = (
+    "CI: B [= some s. (B and some r. top)\n"
+    "CI: some r. some s. B [= A\n"
+    "CI: A [= some t. C\n"
+    "RI: s [= r\n"
+)
+EXPLAIN_ABOX = "A: r(a,b)\nA: B(b)\nA: s(b,c)\nIND: d\n"
+EXPLAIN_QUERIES = (
+    "Q: AQ A(a)\nQ: IQ b: some s. B\nQ: IQ a: some t. C\nQ: AQ B(c)\n"
+    "Q: IQ d: top\nQ: IQ ghost: B\nQ: AQ B(ghost)\nQ: AQ r(b,c)\n"
+)
+# the output of ``elh reason --explain`` before the model came from the cache
+EXPLAIN_OUT = """\
+AQ A(a): ENTAILED
+{"individualLabel": ["A"], "verdict": "entailed"}
+IQ b : some s. B: ENTAILED
+{"individualEdges": [{"roles": ["r", "s"], "target": ["n", "c"]}, \
+{"roles": ["r", "s"], "target": ["a", "B\\u2293\\u2203r.\\u22a4"]}, \
+{"roles": ["t"], "target": ["a", "C"]}], "individualLabel": ["A", "B"], "verdict": "entailed"}
+IQ a : some t. C: ENTAILED
+{"individualEdges": [{"roles": ["r"], "target": ["n", "b"]}, \
+{"roles": ["t"], "target": ["a", "C"]}], "individualLabel": ["A"], "verdict": "entailed"}
+AQ B(c): NOT_ENTAILED
+{"individualLabel": [], "verdict": "not-entailed"}
+IQ d : top: ENTAILED
+{"individualEdges": [], "individualLabel": [], "verdict": "entailed"}
+IQ ghost : B: NOT_ENTAILED
+{"verdict": "not-entailed"}
+AQ B(ghost): NOT_ENTAILED
+{"verdict": "not-entailed"}
+AQ r(b,c): ENTAILED
+{"verdict": "entailed"}
+"""
+
+
+def test_reason_explain_output_is_unchanged(workdir, capsys):
+    for name, text in (("e.tbox", EXPLAIN_TBOX), ("e.abox", EXPLAIN_ABOX), ("e.q", EXPLAIN_QUERIES)):
+        (workdir / name).write_text(text)
+    code = main(["reason", "--explain"] + [str(workdir / n) for n in ("e.tbox", "e.abox", "e.q")])
+    assert code == 1
+    assert capsys.readouterr().out == EXPLAIN_OUT
+
+
+def test_reason_ignores_complex_left_side_below_top(workdir, capsys):
+    (workdir / "q.q").write_text("Q: AQ A(a)\nQ: IQ b : some s. B\nQ: IQ a : some r. B\n")
+    (workdir / "taut.tbox").write_text(EX1_TBOX + "CI: some r. B [= top\n")
+    verdicts = []
+    for tbox in ("t.tbox", "taut.tbox"):
+        code = main(["reason", str(workdir / tbox), str(workdir / "a.abox"), str(workdir / "q.q")])
+        assert code == 0
+        verdicts.append(capsys.readouterr().out)
+    assert verdicts[0] == verdicts[1]
+    assert verdicts[0].count(": ENTAILED") == 3
+
+
 def test_learn_writes_hypothesis_and_stats(workdir, capsys):
     out_file = workdir / "h.tbox"
     stats_file = workdir / "stats.json"

@@ -30,6 +30,7 @@ from elhlearn.syntax import (
     ConceptAtom,
     ConceptQuery,
     ConjunctiveQuery,
+    ContractViolationError,
     Exists,
     RI,
     RoleAtom,
@@ -336,6 +337,16 @@ class TestInseparability:
                 right = answers_query(h, a, sep.query)
                 assert left != right
                 assert left if sep.first_entails else right
+
+    def test_a_separation_that_does_not_separate_is_a_contract_violation(self, monkeypatch):
+        import elhlearn.reasoner as reasoner_module
+
+        t = terminology([CI(Exists("r", Atom("A1")), Atom("B"))])
+        a = abox(concepts=[("A1", "b")], roles=[("r", "a", "b")])
+        assert inseparable(t, TBox(), a, LANG_IQ) is not None
+        monkeypatch.setattr(reasoner_module, "answers_query", lambda *args, **kw: True)
+        with pytest.raises(ContractViolationError):
+            inseparable(t, TBox(), a, LANG_IQ)
 
     def test_iq_inseparable_means_random_queries_agree(self):
         rng = random.Random(17)
