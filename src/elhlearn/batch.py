@@ -58,10 +58,6 @@ def _require_signature(target: TBox, a0: ABox) -> None:
         raise ConfigurationError("batch construction needs the target signature in the ABox")
 
 
-class _RecordingSession(teacher.OracleSession):
-    """Oracle session that also exposes the target for recording runs."""
-
-
 def build_batch(target: TBox, a0: ABox, lang: str, seed: int = 0) -> list[BatchItem]:
     """Classified positive examples sufficient to reconstruct a hypothesis."""
     _require_signature(target, a0)
@@ -186,16 +182,16 @@ def dump_batch(items: list[BatchItem]) -> str:
 
 def load_batch(text: str) -> list[BatchItem]:
     items = []
-    for line in text.splitlines():
-        if not line.strip():
+    for line, raw in enumerate(text.splitlines(), start=1):
+        if not raw.strip():
             continue
-        obj = json.loads(line)
+        obj = textio.parse_json(raw, line)
         items.append(
             BatchItem(
-                obj["kind"],
-                textio.parse_abox(obj["abox"]),
-                textio.parse_query(obj["query"]),
-                int(obj["label"]),
+                textio.json_field(obj, "kind", str, line),
+                textio.parse_abox(textio.json_field(obj, "abox", str, line)),
+                textio.parse_query(textio.json_field(obj, "query", str, line)),
+                textio.json_field(obj, "label", int, line),
             )
         )
     return items

@@ -28,7 +28,6 @@ from .syntax import (
     ConceptQuery,
     ElhError,
     Query,
-    RoleQuery,
     UnsupportedQueryError,
     size_of,
 )
@@ -53,14 +52,6 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
-
-
-def _query_name(q: Query) -> str:
-    if isinstance(q, AtomicQuery):
-        return "AQ"
-    if isinstance(q, (ConceptQuery, RoleQuery)):
-        return "IQ"
-    return "CQ"
 
 
 def cmd_reason(args: argparse.Namespace) -> int:
@@ -183,14 +174,19 @@ def cmd_pac_run(args: argparse.Namespace) -> int:
     a0 = textio.parse_abox(_read(args.abox))
     lang = LANGS[args.mode]
     if args.dist:
-        payload = json.loads(_read(args.dist))
+        payload = textio.parse_json(_read(args.dist))
         support = tuple(
-            (textio.parse_abox(e["abox"]), textio.parse_query(e["query"]))
-            for e in payload["examples"]
+            (
+                textio.parse_abox(textio.json_field(e, "abox", str)),
+                textio.parse_query(textio.json_field(e, "query", str)),
+            )
+            for e in textio.json_field(payload, "examples", list)
         )
-        dist = pacmod.Distribution(
-            support, tuple(payload["weights"]), int(payload.get("seed", 0))
-        )
+        weights = textio.json_field(payload, "weights", list)
+        if not all(isinstance(w, (int, float)) for w in weights):
+            raise ParseError("weights must be numbers")
+        seed = textio.json_field(payload, "seed", int) if "seed" in payload else 0
+        dist = pacmod.Distribution(support, tuple(weights), seed)
     else:
         queries = textio.parse_queries(_read(args.queries))
         dist = pacmod.uniform_distribution([(a0, q) for q in queries], seed=args.seed)

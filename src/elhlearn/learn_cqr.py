@@ -28,7 +28,6 @@ from .learn_iq import (
     role_classes,
 )
 from .syntax import (
-    ABox,
     Atom,
     AtomicQuery,
     BudgetExceededError,
@@ -83,13 +82,6 @@ def _replace_atom(q: ConjunctiveQuery, old: QueryAtom, new: QueryAtom) -> Conjun
 
 def _var_key(v: Var) -> str:
     return v.name
-
-
-def _is_counterexample(oracle: CachedOracle, h: TBox, a: ABox, q: ConjunctiveQuery) -> bool:
-    """Positive for the target, negative for the hypothesis; MQ only if needed."""
-    if oracle.holds_locally(h, a, q):
-        return False
-    return oracle.membership(a, q)
 
 
 def rewrite_query_roles(q: ConjunctiveQuery, classes) -> ConjunctiveQuery:

@@ -32,6 +32,14 @@ finite graph, rooted conjunctive queries match into a depth-bounded
 unravelling (a match moves at most one step away from the named part per
 query term), and query inseparability reduces to label agreement plus mutual
 (bundle) simulations anchored at each individual.
+
+All simulations come from one refinement, ``_refine``: it removes pairs
+from a relation between two graphs until the rest is a (bundle) simulation,
+or with ``back`` a bisimulation, and records why each pair went.
+``simulation``, ``bisimilar`` and ``is_simulation`` read the pairs kept;
+``separating_witness`` turns the reasons of removed anchor pairs into the
+distinguishing tree queries, and ``inseparability_gap`` asks it once per
+direction between the two models.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ import functools
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Literal, Union
+from typing import Iterable, Literal, Union
 
 from .syntax import (
     ABox,
@@ -451,10 +459,6 @@ def abox_key(a: ABox) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def canonical_abox_model(a: ABox) -> Interpretation:
-    return abox_interpretation(a)
-
-
 def concept_holds(model: RegularModel, ind: str, c: Concept) -> bool:
     return _eval_concept(model.labels, model.edges, model.named(ind), c)
 
@@ -648,162 +652,97 @@ def abox_homomorphism(src: ABox, dst: ABox) -> dict[str, str] | None:
 
 
 # ---------------------------------------------------------------------------
-# Simulations and bisimulations
+# Simulations, bisimulations and distinguishing witnesses
 # ---------------------------------------------------------------------------
 
 
-def _graph(view) -> tuple[list, Callable, Callable]:
+def _read(view, bundles: bool) -> tuple[list, dict, dict, dict]:
+    """Sorted elements, labels, edges and the edges to match, read once.
+
+    Without bundles an edge is matched role by role, so it is split into one
+    singleton edge per role, in sorted role order.
+    """
     els = sorted(view.elements(), key=repr)
-    return els, view.label_of, view.successors
+    labels = {x: view.label_of(x) for x in els}
+    edges = {x: tuple(view.successors(x)) for x in els}
+    if bundles:
+        return els, labels, edges, edges
+    wants = {
+        x: tuple((frozenset({r}), x1) for roles, x1 in out for r in sorted(roles))
+        for x, out in edges.items()
+    }
+    return els, labels, edges, wants
 
 
-def _greatest_simulation(gi, gj, bundles: bool) -> set[tuple]:
-    ei, li, si = _graph(gi)
-    ej, lj, sj = _graph(gj)
-    sim = {(d, e) for d in ei for e in ej if li(d) <= lj(e)}
+def _refine(
+    gi, gj, bundles: bool = False, back: bool = False, start: Iterable[tuple] | None = None
+) -> tuple[set[tuple], dict[tuple, tuple]]:
+    """The greatest (bi)simulation inside a seed relation, and why the rest went.
 
-    def matches(d, e) -> bool:
-        for roles, d1 in si(d):
-            if bundles:
-                ok = any(
-                    roles <= roles2 and (d1, e1) in sim for roles2, e1 in sj(e)
-                )
-                if not ok:
-                    return False
-            else:
-                for r in roles:
-                    ok = any(r in roles2 and (d1, e1) in sim for roles2, e1 in sj(e))
-                    if not ok:
-                        return False
-        return True
+    The seed is ``start``, or every pair of elements of ``gi`` and ``gj``;
+    ``start`` may only pair elements of ``gi`` with elements of ``gj``.
+    A pair ``(d, e)`` is removed when ``d`` has a name that ``e`` lacks, or
+    an edge (without ``bundles``: a role of an edge) that no edge of ``e``
+    matches inside the relation; with ``back`` also when the same holds
+    the other way round.  Sweeps visit the surviving pairs in ``repr`` order
+    and remove in place, until a sweep removes nothing.  Returns the pairs
+    kept and, for every removed pair, its reason: ``("atom", name)`` or
+    ``("edge", roles, d1, targets)``, where ``d1`` is reached from ``d`` by
+    the unmatched ``roles`` and ``targets`` lists every element that ``e``
+    reaches by them.  ``_witness`` turns a reason into a query.
+    """
+    ei, li, si, wi = _read(gi, bundles)
+    ej, lj, sj, wj = _read(gj, bundles)
+    reason: dict[tuple, tuple] = {}
+    order = []
+    for d, e in sorted(itertools.product(ei, ej) if start is None else start, key=repr):
+        missing = li[d] - lj[e]
+        if back and not missing:
+            missing = lj[e] - li[d]
+        if missing:
+            reason[(d, e)] = ("atom", min(missing))
+        else:
+            order.append((d, e))
+    kept = set(order)
+    flipped = {(e, d) for d, e in order} if back else set()
 
-    changed = True
-    while changed:
-        changed = False
-        for pair in sorted(sim, key=repr):
-            if not matches(*pair):
-                sim.discard(pair)
-                changed = True
-    return sim
-
-
-def simulation(gi, d, gj, e, bundles: bool = False) -> frozenset | None:
-    """Greatest simulation containing ``(d, e)``, or None if there is none."""
-    sim = _greatest_simulation(gi, gj, bundles)
-    return frozenset(sim) if (d, e) in sim else None
-
-
-def bisimilar(gi, d, gj, e) -> frozenset | None:
-    """Greatest bisimulation containing ``(d, e)``, or None."""
-    ei, li, si = _graph(gi)
-    ej, lj, sj = _graph(gj)
-    rel = {(x, y) for x in ei for y in ej if li(x) == lj(y)}
-
-    def matches(x, y) -> bool:
-        for roles, x1 in si(x):
-            for r in roles:
-                if not any(r in roles2 and (x1, y1) in rel for roles2, y1 in sj(y)):
-                    return False
-        for roles, y1 in sj(y):
-            for r in roles:
-                if not any(r in roles2 and (x1, y1) in rel for roles2, x1 in si(x)):
-                    return False
-        return True
+    def unmatched(wants, cands, rel) -> tuple | None:
+        for roles, x1 in wants:
+            if not any(roles <= roles2 and (x1, y1) in rel for roles2, y1 in cands):
+                return ("edge", roles, x1, tuple(y1 for roles2, y1 in cands if roles <= roles2))
+        return None
 
     changed = True
     while changed:
         changed = False
-        for pair in sorted(rel, key=repr):
-            if not matches(*pair):
-                rel.discard(pair)
+        for d, e in order:
+            if (d, e) not in kept:
+                continue
+            why = unmatched(wi[d], sj[e], kept)
+            if why is None and back:
+                why = unmatched(wj[e], si[d], flipped)
+            if why is not None:
+                reason[(d, e)] = why
+                kept.discard((d, e))
+                flipped.discard((e, d))
                 changed = True
-    return frozenset(rel) if (d, e) in rel else None
+    return kept, reason
+
+
+def simulation(gi, gj, bundles: bool = False) -> frozenset:
+    """The greatest (bundle) simulation from ``gi`` to ``gj``."""
+    return frozenset(_refine(gi, gj, bundles)[0])
+
+
+def bisimilar(gi, gj) -> frozenset:
+    """The greatest bisimulation between ``gi`` and ``gj``."""
+    return frozenset(_refine(gi, gj, back=True)[0])
 
 
 def is_simulation(rel: Iterable[tuple], gi, gj) -> bool:
-    """Verify the simulation conditions for an explicit relation."""
+    """Is the non-empty relation ``rel``, between elements of ``gi`` and ``gj``, a simulation?"""
     rel = set(rel)
-    if not rel:
-        return False
-    _, li, si = _graph(gi)
-    _, lj, sj = _graph(gj)
-    for d, e in rel:
-        if not li(d) <= lj(e):
-            return False
-        for roles, d1 in si(d):
-            for r in roles:
-                if not any(r in roles2 and (d1, e1) in rel for roles2, e1 in sj(e)):
-                    return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# Distinguishing witnesses from failed simulations
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _Rounds:
-    eliminated: dict[tuple, int]
-    reason: dict[tuple, object]
-
-
-def _elimination_rounds(gi, gj, bundles: bool) -> _Rounds:
-    ei, li, si = _graph(gi)
-    ej, lj, sj = _graph(gj)
-    eliminated: dict[tuple, int] = {}
-    reason: dict[tuple, object] = {}
-    for d in ei:
-        for e in ej:
-            extra = sorted(li(d) - lj(e))
-            if extra:
-                eliminated[(d, e)] = 0
-                reason[(d, e)] = ("atom", extra[0])
-    alive = {(d, e) for d in ei for e in ej if (d, e) not in eliminated}
-    rnd = 0
-    changed = True
-    while changed:
-        changed = False
-        rnd += 1
-        for d, e in sorted(alive, key=repr):
-            for roles, d1 in si(d):
-                cands = sj(e)
-                if bundles:
-                    blocked = all(
-                        not (roles <= roles2) or ((d1, e1) in eliminated)
-                        for roles2, e1 in cands
-                    )
-                    if blocked:
-                        failures = [
-                            (roles2, e1) for roles2, e1 in cands if roles <= roles2
-                        ]
-                        eliminated[(d, e)] = rnd
-                        reason[(d, e)] = ("edge", roles, d1, tuple(failures))
-                        break
-                else:
-                    hit = False
-                    for r in sorted(roles):
-                        matched = any(
-                            r in roles2 and (d1, e1) not in eliminated
-                            for roles2, e1 in cands
-                        )
-                        if not matched:
-                            failures = [
-                                (frozenset({r}), e1)
-                                for roles2, e1 in cands
-                                if r in roles2
-                            ]
-                            eliminated[(d, e)] = rnd
-                            reason[(d, e)] = ("edge", frozenset({r}), d1, tuple(failures))
-                            hit = True
-                            break
-                    if hit:
-                        break
-            else:
-                continue
-            alive.discard((d, e))
-            changed = True
-    return _Rounds(eliminated, reason)
+    return bool(rel) and not _refine(gi, gj, start=rel)[1]
 
 
 @dataclass(frozen=True)
@@ -851,20 +790,19 @@ class BundleTree:
         return ConjunctiveQuery((ind,), frozenset(variables), frozenset(atoms))
 
 
-def _witness(rounds: _Rounds, pair: tuple, memo: dict | None = None) -> BundleTree:
-    if memo is None:
-        memo = {}
+def _witness(reason: dict[tuple, tuple], pair: tuple, memo: dict) -> BundleTree:
+    """The tree query that the removal of ``pair`` by ``_refine`` records."""
     if pair in memo:
         return memo[pair]
-    kind = rounds.reason[pair]
+    kind = reason[pair]
     if kind[0] == "atom":
         tree = BundleTree(frozenset({kind[1]}))
     else:
-        _, roles, d1, failures = kind
+        _, roles, d1, targets = kind
         merged_labels: set[str] = set()
         children: list[tuple[frozenset[str], BundleTree]] = []
-        for _, e1 in failures:
-            sub = _witness(rounds, (d1, e1), memo)
+        for e1 in targets:
+            sub = _witness(reason, (d1, e1), memo)
             merged_labels |= sub.labels
             children.extend(sub.children)
         tree = BundleTree(
@@ -874,12 +812,15 @@ def _witness(rounds: _Rounds, pair: tuple, memo: dict | None = None) -> BundleTr
     return tree
 
 
-def separating_witness(gi, d, gj, e, bundles: bool = False) -> BundleTree | None:
-    """A tree query true at ``d`` in ``gi`` but not at ``e`` in ``gj``."""
-    rounds = _elimination_rounds(gi, gj, bundles)
-    if (d, e) not in rounds.eliminated:
-        return None
-    return _witness(rounds, (d, e))
+def separating_witness(gi, anchors: Iterable, gj, bundles: bool = False) -> dict:
+    """``{d: tree}`` for each anchor ``d`` at which ``gj`` does not simulate ``gi``.
+
+    The tree query is true at ``d`` in ``gi`` but not at ``d`` in ``gj``.
+    All witnesses are read from one refinement.
+    """
+    reason = _refine(gi, gj, bundles)[1]
+    memo: dict = {}
+    return {d: _witness(reason, (d, d), memo) for d in anchors if (d, d) in reason}
 
 
 # ---------------------------------------------------------------------------
@@ -952,17 +893,21 @@ def inseparability_gap(
     bundles = lang == LANG_CQR
     mt = cache.get(t, a) if cache else build_model(t, a)
     mh = cache.get(h, a) if cache else build_model(h, a)
-    for ind in sorted(a.individuals()):
-        el = ("n", ind)
+    anchors = [("n", ind) for ind in sorted(a.individuals())]
+    # each direction is refined once, when the loop first needs it
+    witnesses: dict[bool, dict] = {}
+    for el in anchors:
         for first, gi, gj in ((True, mt, mh), (False, mh, mt)):
-            witness = separating_witness(gi, el, gj, el, bundles=bundles)
+            if first not in witnesses:
+                witnesses[first] = separating_witness(gi, anchors, gj, bundles=bundles)
+            witness = witnesses[first].get(el)
             if witness is None:
                 continue
             concept = witness.as_concept()
             if concept is not None:
-                q = ConceptQuery(concept, ind)
+                q = ConceptQuery(concept, el[1])
             else:
-                q = witness.as_cq(ind)
+                q = witness.as_cq(el[1])
             if push(Separation(q, first)):
                 return out
     return out

@@ -229,9 +229,11 @@ class OracleSession:
             )
         self.eq_count += 1
         self.eq_input_size_sum += size_of(hypothesis)
+        # only the randomized policy reads more of the gap than its first query
+        limit = None if self.policy == POLICY_RANDOMIZED else 1
         for a in self._counterexample_aboxes():
             gap = reasoner.inseparability_gap(
-                self._target, hypothesis, a, self.framework.query_lang, cache=self._cache
+                self._target, hypothesis, a, self.framework.query_lang, self._cache, limit
             )
             if gap:
                 query = self._pick(gap, a, hypothesis)

@@ -24,6 +24,7 @@ individuals.
 
 from __future__ import annotations
 
+import json
 import re
 
 from .syntax import (
@@ -58,6 +59,25 @@ class ParseError(ElhError):
         super().__init__(f"line {line}, col {col}: {message}" if line else message)
         self.line = line
         self.col = col
+
+
+def parse_json(text: str, line: int = 0):
+    """``json.loads``, with a ``ParseError`` at the failing position."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"not JSON: {exc.msg}", line or exc.lineno, exc.colno) from None
+
+
+def json_field(obj, key: str, kind: type, line: int = 0):
+    """``obj[key]`` of a JSON object, checked to be a ``kind``."""
+    if not isinstance(obj, dict):
+        raise ParseError("expected a JSON object", line, 1)
+    if key not in obj:
+        raise ParseError(f"missing key {key!r}", line, 1)
+    if not isinstance(obj[key], kind):
+        raise ParseError(f"key {key!r} must be of type {kind.__name__}", line, 1)
+    return obj[key]
 
 
 _TOKEN = re.compile(r"\s*(\[=|==|[A-Za-z][A-Za-z0-9_]*|[().,;:])")

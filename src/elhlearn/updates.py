@@ -77,14 +77,8 @@ def check_bisim_preservation(t: TBox, h: TBox, a0: ABox, a: ABox) -> bool:
         raise ContractViolationError(
             "preservation check needs inseparability on the original ABox"
         )
-    old = reasoner.abox_interpretation(a0)
-    new = reasoner.abox_interpretation(a)
-    for b in sorted(a.individuals()):
-        if not any(
-            reasoner.bisimilar(new, b, old, c) is not None for c in sorted(a0.individuals())
-        ):
-            return False
-    return True
+    rel = reasoner.bisimilar(reasoner.abox_interpretation(a), reasoner.abox_interpretation(a0))
+    return a.individuals() <= {b for b, _ in rel}
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from elhlearn.syntax import (
     TBox,
     TOP,
     abox,
+    canonical,
     conj,
     normalize,
     size_of,
@@ -80,7 +81,8 @@ def random_terminology(
             ris.append(RI(b, a))
     t = terminology(cis, ris)
     while size_of(t) > max_size and t.cis:
-        drop = sorted(t.cis, key=lambda ci: -size_of(ci))[0]
+        # the largest inclusion, ties broken by text, not by set order
+        drop = min(t.cis, key=lambda ci: (-size_of(ci), canonical(ci.lhs), canonical(ci.rhs)))
         t = terminology(set(t.cis) - {drop}, t.ris)
     return t
 

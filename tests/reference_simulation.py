@@ -1,0 +1,265 @@
+"""The simulation code as it was before the single refinement engine.
+
+Four separate fixpoint sweeps, kept verbatim as the reference that
+``tests/test_simulation.py`` compares ``elhlearn.reasoner`` against:
+``_greatest_simulation`` (behind ``simulation``), ``bisimilar``,
+``is_simulation`` and ``_elimination_rounds`` (behind ``separating_witness``,
+which reruns the whole sweep for every pair it is asked about), and the
+``inseparability_gap`` that called it once per individual and direction.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, Iterable
+
+from elhlearn.reasoner import (
+    LANG_AQ,
+    LANG_CQR,
+    ABox,
+    AtomicQuery,
+    BundleTree,
+    ConceptQuery,
+    ModelCache,
+    Query,
+    Separation,
+    TBox,
+    _aq_closure,
+    build_model,
+    signature_of_abox,
+    signature_of_tbox,
+)
+
+
+def _graph(view) -> tuple[list, Callable, Callable]:
+    els = sorted(view.elements(), key=repr)
+    return els, view.label_of, view.successors
+
+
+def _greatest_simulation(gi, gj, bundles: bool) -> set[tuple]:
+    ei, li, si = _graph(gi)
+    ej, lj, sj = _graph(gj)
+    sim = {(d, e) for d in ei for e in ej if li(d) <= lj(e)}
+
+    def matches(d, e) -> bool:
+        for roles, d1 in si(d):
+            if bundles:
+                ok = any(
+                    roles <= roles2 and (d1, e1) in sim for roles2, e1 in sj(e)
+                )
+                if not ok:
+                    return False
+            else:
+                for r in roles:
+                    ok = any(r in roles2 and (d1, e1) in sim for roles2, e1 in sj(e))
+                    if not ok:
+                        return False
+        return True
+
+    changed = True
+    while changed:
+        changed = False
+        for pair in sorted(sim, key=repr):
+            if not matches(*pair):
+                sim.discard(pair)
+                changed = True
+    return sim
+
+
+def simulation(gi, d, gj, e, bundles: bool = False) -> frozenset | None:
+    """Greatest simulation containing ``(d, e)``, or None if there is none."""
+    sim = _greatest_simulation(gi, gj, bundles)
+    return frozenset(sim) if (d, e) in sim else None
+
+
+def bisimilar(gi, d, gj, e) -> frozenset | None:
+    """Greatest bisimulation containing ``(d, e)``, or None."""
+    ei, li, si = _graph(gi)
+    ej, lj, sj = _graph(gj)
+    rel = {(x, y) for x in ei for y in ej if li(x) == lj(y)}
+
+    def matches(x, y) -> bool:
+        for roles, x1 in si(x):
+            for r in roles:
+                if not any(r in roles2 and (x1, y1) in rel for roles2, y1 in sj(y)):
+                    return False
+        for roles, y1 in sj(y):
+            for r in roles:
+                if not any(r in roles2 and (x1, y1) in rel for roles2, x1 in si(x)):
+                    return False
+        return True
+
+    changed = True
+    while changed:
+        changed = False
+        for pair in sorted(rel, key=repr):
+            if not matches(*pair):
+                rel.discard(pair)
+                changed = True
+    return frozenset(rel) if (d, e) in rel else None
+
+
+def is_simulation(rel: Iterable[tuple], gi, gj) -> bool:
+    """Verify the simulation conditions for an explicit relation."""
+    rel = set(rel)
+    if not rel:
+        return False
+    _, li, si = _graph(gi)
+    _, lj, sj = _graph(gj)
+    for d, e in rel:
+        if not li(d) <= lj(e):
+            return False
+        for roles, d1 in si(d):
+            for r in roles:
+                if not any(r in roles2 and (d1, e1) in rel for roles2, e1 in sj(e)):
+                    return False
+    return True
+
+
+@dataclass
+class _Rounds:
+    eliminated: dict[tuple, int]
+    reason: dict[tuple, object]
+
+
+def _elimination_rounds(gi, gj, bundles: bool) -> _Rounds:
+    ei, li, si = _graph(gi)
+    ej, lj, sj = _graph(gj)
+    eliminated: dict[tuple, int] = {}
+    reason: dict[tuple, object] = {}
+    for d in ei:
+        for e in ej:
+            extra = sorted(li(d) - lj(e))
+            if extra:
+                eliminated[(d, e)] = 0
+                reason[(d, e)] = ("atom", extra[0])
+    alive = {(d, e) for d in ei for e in ej if (d, e) not in eliminated}
+    rnd = 0
+    changed = True
+    while changed:
+        changed = False
+        rnd += 1
+        for d, e in sorted(alive, key=repr):
+            for roles, d1 in si(d):
+                cands = sj(e)
+                if bundles:
+                    blocked = all(
+                        not (roles <= roles2) or ((d1, e1) in eliminated)
+                        for roles2, e1 in cands
+                    )
+                    if blocked:
+                        failures = [
+                            (roles2, e1) for roles2, e1 in cands if roles <= roles2
+                        ]
+                        eliminated[(d, e)] = rnd
+                        reason[(d, e)] = ("edge", roles, d1, tuple(failures))
+                        break
+                else:
+                    hit = False
+                    for r in sorted(roles):
+                        matched = any(
+                            r in roles2 and (d1, e1) not in eliminated
+                            for roles2, e1 in cands
+                        )
+                        if not matched:
+                            failures = [
+                                (frozenset({r}), e1)
+                                for roles2, e1 in cands
+                                if r in roles2
+                            ]
+                            eliminated[(d, e)] = rnd
+                            reason[(d, e)] = ("edge", frozenset({r}), d1, tuple(failures))
+                            hit = True
+                            break
+                    if hit:
+                        break
+            else:
+                continue
+            alive.discard((d, e))
+            changed = True
+    return _Rounds(eliminated, reason)
+
+
+def _witness(rounds: _Rounds, pair: tuple, memo: dict | None = None) -> BundleTree:
+    if memo is None:
+        memo = {}
+    if pair in memo:
+        return memo[pair]
+    kind = rounds.reason[pair]
+    if kind[0] == "atom":
+        tree = BundleTree(frozenset({kind[1]}))
+    else:
+        _, roles, d1, failures = kind
+        merged_labels: set[str] = set()
+        children: list[tuple[frozenset[str], BundleTree]] = []
+        for _, e1 in failures:
+            sub = _witness(rounds, (d1, e1), memo)
+            merged_labels |= sub.labels
+            children.extend(sub.children)
+        tree = BundleTree(
+            frozenset(), ((roles, BundleTree(frozenset(merged_labels), tuple(children))),)
+        )
+    memo[pair] = tree
+    return tree
+
+
+def separating_witness(gi, d, gj, e, bundles: bool = False) -> BundleTree | None:
+    """A tree query true at ``d`` in ``gi`` but not at ``e`` in ``gj``."""
+    rounds = _elimination_rounds(gi, gj, bundles)
+    if (d, e) not in rounds.eliminated:
+        return None
+    return _witness(rounds, (d, e))
+
+
+# The gap as it was: ``separating_witness`` once per individual and direction.
+def inseparability_gap(
+    t: TBox,
+    h: TBox,
+    a: ABox,
+    lang: str,
+    cache: ModelCache | None = None,
+    limit: int | None = None,
+) -> list[Separation]:
+    """Deterministically ordered separating queries; empty means inseparable.
+
+    Instance-query separations are detected per individual via mutual
+    simulations between the two regular models; rooted-CQ separations use
+    bundle matching, which also catches several roles forced on one edge.
+    """
+    sig = signature_of_tbox(t).union(signature_of_tbox(h)).union(signature_of_abox(a))
+    out: list[Separation] = []
+
+    def push(sep: Separation) -> bool:
+        out.append(sep)
+        return limit is not None and len(out) >= limit
+
+    tc, tr = _aq_closure(t, a, sig, cache)
+    hc, hr = _aq_closure(h, a, sig, cache)
+    for name, i in sorted(tc ^ hc):
+        q: Query = AtomicQuery(name, (i,))
+        if push(Separation(q, (name, i) in tc)):
+            return out
+    for role, x, y in sorted(tr ^ hr):
+        q = AtomicQuery(role, (x, y))
+        if push(Separation(q, (role, x, y) in tr)):
+            return out
+    if lang == LANG_AQ:
+        return out
+
+    bundles = lang == LANG_CQR
+    mt = cache.get(t, a) if cache else build_model(t, a)
+    mh = cache.get(h, a) if cache else build_model(h, a)
+    for ind in sorted(a.individuals()):
+        el = ("n", ind)
+        for first, gi, gj in ((True, mt, mh), (False, mh, mt)):
+            witness = separating_witness(gi, el, gj, el, bundles=bundles)
+            if witness is None:
+                continue
+            concept = witness.as_concept()
+            if concept is not None:
+                q = ConceptQuery(concept, ind)
+            else:
+                q = witness.as_cq(ind)
+            if push(Separation(q, first)):
+                return out
+    return out

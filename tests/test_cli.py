@@ -263,6 +263,46 @@ def test_batch_round_trip(workdir, capsys):
     assert "[=" in (workdir / "hb.tbox").read_text()
 
 
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (["not json"], "line 1, col 1: not JSON"),
+        (['{"kind": "ci", "query": "Q: AQ A(p0)", "label": 1}'], "line 1, col 1: missing key 'abox'"),
+        (["", '["a list"]'], "line 2, col 1: expected a JSON object"),
+        (['{"kind": "ci", "abox": 3, "query": "Q: AQ A(p0)", "label": 1}'], "line 1, col 1: key 'abox'"),
+    ],
+)
+def test_batch_learn_bad_item_is_a_parse_error(workdir, capsys, lines, message):
+    (workdir / "bad.jsonl").write_text("\n".join(lines) + "\n")
+    code = main(["batch", "learn", "--mode", "iq", str(workdir / "bad.jsonl"), str(workdir / "a.abox")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"examples": [{"abox": EX1_ABOX, "query": "Q: AQ A(a)"}]}, "missing key 'weights'"),
+        ({"weights": [1.0]}, "missing key 'examples'"),
+        ({"examples": [{"query": "Q: AQ A(a)"}], "weights": [1.0]}, "missing key 'abox'"),
+        ({"examples": [{"abox": EX1_ABOX, "query": "Q: AQ A(a)"}], "weights": ["x"]}, "numbers"),
+        ({"examples": [], "weights": [], "seed": "4"}, "key 'seed'"),
+    ],
+)
+def test_pac_run_bad_distribution_is_a_parse_error(workdir, capsys, payload, message):
+    (workdir / "d.json").write_text(json.dumps(payload))
+    args = ["pac", "run", "--mode", "aq", str(workdir / "t.tbox"), str(workdir / "a.abox")]
+    assert main(args + ["--dist", str(workdir / "d.json")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_pac_run_non_json_distribution_is_a_parse_error(workdir, capsys):
+    (workdir / "d.json").write_text('{"examples": [\n  oops]}')
+    args = ["pac", "run", "--mode", "aq", str(workdir / "t.tbox"), str(workdir / "a.abox")]
+    assert main(args + ["--dist", str(workdir / "d.json")]) == 2
+    assert "line 2, col 3: not JSON" in capsys.readouterr().err
+
+
 def test_pac_run(workdir, capsys):
     (workdir / "p.q").write_text(
         "Q: AQ A(a)\nQ: AQ B(b)\nQ: IQ a : some r. B\nQ: IQ b : some s. B\n"

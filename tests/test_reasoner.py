@@ -13,7 +13,6 @@ from elhlearn.reasoner import (
     answers_query,
     bisimilar,
     build_model,
-    canonical_abox_model,
     entails_ci,
     entails_ri,
     inseparable,
@@ -61,16 +60,16 @@ def ex1_abox():
 
 class TestAboxModel:
     def test_single_assertion(self):
-        m = canonical_abox_model(abox(concepts=[("A", "a")]))
+        m = abox_interpretation(abox(concepts=[("A", "a")]))
         assert m.domain == frozenset({"a"})
         assert m.concept_ext["A"] == frozenset({"a"})
 
     def test_role_assertion(self):
-        m = canonical_abox_model(abox(concepts=[("B", "b")], roles=[("r", "a", "b")]))
+        m = abox_interpretation(abox(concepts=[("B", "b")], roles=[("r", "a", "b")]))
         assert m.role_ext["r"] == frozenset({("a", "b")})
 
     def test_declared_only(self):
-        m = canonical_abox_model(abox(declared=["a"]))
+        m = abox_interpretation(abox(declared=["a"]))
         assert m.domain == frozenset({"a"})
         assert m.label_of("a") == frozenset()
 
@@ -252,14 +251,14 @@ class TestSimulation:
     def test_identity(self):
         a = abox(concepts=[("A", "x")], roles=[("r", "x", "y")])
         i = abox_interpretation(a)
-        cert = simulation(i, "x", i, "x")
-        assert cert is not None and ("x", "x") in cert
+        cert = simulation(i, i)
+        assert ("x", "x") in cert
 
     def test_loop_not_simulated_by_finite_chain(self):
         loop = abox_interpretation(abox(roles=[("r", "a", "a")]))
         chain = abox_interpretation(abox(roles=[("r", "b", "c")]))
-        assert simulation(loop, "a", chain, "b") is None
-        assert simulation(chain, "b", loop, "a") is not None
+        assert ("a", "b") not in simulation(loop, chain)
+        assert ("b", "a") in simulation(chain, loop)
 
     def test_unfolding_relation_is_simulation(self):
         from elhlearn.learn_aq import find_cycle, unfold_cycle
@@ -283,7 +282,7 @@ class TestSimulation:
             i1, i2 = abox_interpretation(a1), abox_interpretation(a2)
             for d in sorted(a1.individuals()):
                 for e in sorted(a2.individuals()):
-                    if simulation(i1, d, i2, e) is None:
+                    if (d, e) not in simulation(i1, i2):
                         continue
                     for _ in range(10):
                         c = random_concept(rng, ["A1", "A2"], ["r1", "r2"], 3)
@@ -294,18 +293,18 @@ class TestSimulation:
 class TestBisimulation:
     def test_self(self):
         i = abox_interpretation(abox(roles=[("r", "a", "a")]))
-        assert bisimilar(i, "a", i, "a") is not None
+        assert ("a", "a") in bisimilar(i, i)
 
     def test_label_mismatch(self):
         a0 = abox(concepts=[("A1", "b"), ("A2", "b")], roles=[("r", "a", "b")])
         a = a0.union(abox(concepts=[("A1", "b2")], roles=[("r", "a2", "b2")]))
         i0, i = abox_interpretation(a0), abox_interpretation(a)
-        assert bisimilar(i0, "a", i, "a2") is None
+        assert ("a", "a2") not in bisimilar(i0, i)
 
     def test_identical_loops(self):
         a1 = abox(concepts=[("A", "x")], roles=[("r", "x", "x")])
         a2 = abox(concepts=[("A", "y")], roles=[("r", "y", "y")])
-        assert bisimilar(abox_interpretation(a1), "x", abox_interpretation(a2), "y")
+        assert ("x", "y") in bisimilar(abox_interpretation(a1), abox_interpretation(a2))
 
 
 class TestInseparability:
