@@ -1,12 +1,14 @@
 """Build a finite batch of classified examples, then learn from it offline.
 
 The batch collects, from one complete oracle-driven run against the target:
-the tree-shaped examples produced by the atomic loop, every entailed
-name-to-name inclusion as a singleton example, every entailed role inclusion
-likewise, and (for the instance and rooted-CQ languages) the per-iteration
-reduced inclusions of the instance loop in replay order.  All example ABoxes
-map homomorphically into the fixed ABox, which is why the construction
-assumes the target signature occurs in it.
+every entailed name-to-name inclusion as a singleton example, every entailed
+role inclusion likewise, the tree-shaped examples of the atomic phase, and
+(for the instance and rooted-CQ languages) the reduced inclusion each
+iteration settles, in replay order.  The run is the one counterexample loop
+of ``learn_iq``; its step is the rooted-CQ step of ``learn_cqr`` wrapped to
+record that inclusion.  All example ABoxes map homomorphically into the
+fixed ABox, which is why the construction assumes the target signature
+occurs in it.
 
 ``learn_from_batch`` rebuilds the hypothesis from the batch alone, asking no
 oracle anything.
@@ -18,18 +20,13 @@ import json
 from dataclasses import dataclass
 
 from . import reasoner, teacher, textio
-from .learn_aq import CachedOracle, LearnResult, aq_phase, bootstrap_atomic
-from .learn_iq import (
-    MAX_ITERATIONS,
-    _atomic_equivalence,
-    iq_step,
-    role_classes,
-)
+from .learn_aq import find_cycle, tree_concept
+from .learn_cqr import cq_step
+from .learn_iq import counterexample_loop, start
 from .syntax import (
     ABox,
     Atom,
     AtomicQuery,
-    BudgetExceededError,
     CI,
     ConceptQuery,
     ConfigurationError,
@@ -41,7 +38,6 @@ from .syntax import (
     signature_of_tbox,
     terminology,
 )
-from .learn_aq import tree_concept, find_cycle
 
 
 @dataclass(frozen=True)
@@ -61,58 +57,34 @@ def _require_signature(target: TBox, a0: ABox) -> None:
 def build_batch(target: TBox, a0: ABox, lang: str, seed: int = 0) -> list[BatchItem]:
     """Classified positive examples sufficient to reconstruct a hypothesis."""
     _require_signature(target, a0)
-    fw = teacher.framework_for(target, a0, lang)
-    session = teacher.OracleSession(target, fw, seed=seed)
-    oracle = CachedOracle(session)
-    items: list[BatchItem] = []
-
-    atomic_cis, ris = bootstrap_atomic(oracle)
-    for ci in sorted(atomic_cis, key=lambda c: (c.lhs.name, c.rhs.name)):
-        a = ABox(frozenset({(ci.lhs.name, "p0")}), frozenset(), frozenset())
-        items.append(BatchItem("ci", a, AtomicQuery(ci.rhs.name, ("p0",))))
-    for ri in sorted(ris, key=lambda r: (r.lhs, r.rhs)):
-        a = ABox(frozenset(), frozenset({(ri.lhs, "p0", "p1")}), frozenset())
-        items.append(BatchItem("ri", a, AtomicQuery(ri.rhs, ("p0", "p1"))))
-
-    h = terminology(atomic_cis, ris)
-    result = LearnResult(h)
+    session = teacher.OracleSession(target, teacher.framework_for(target, a0, lang), seed=seed)
+    trees: list[BatchItem] = []
 
     def record_tree(shaped: ABox, name: str, ind: str) -> None:
-        items.append(BatchItem("tree", shaped, AtomicQuery(name, (ind,))))
+        trees.append(BatchItem("tree", shaped, AtomicQuery(name, (ind,))))
 
-    h = aq_phase(oracle, h, result, use_eq=False, on_tree=record_tree)
+    run, h = start(session, on_tree=record_tree)
+    items: list[BatchItem] = []
+    for ci in sorted(run.atomic_cis, key=lambda c: (c.lhs.name, c.rhs.name)):
+        a = ABox(frozenset({(ci.lhs.name, "p0")}), frozenset(), frozenset())
+        items.append(BatchItem("ci", a, AtomicQuery(ci.rhs.name, ("p0",))))
+    for ri in sorted(run.classes.ris, key=lambda r: (r.lhs, r.rhs)):
+        a = ABox(frozenset(), frozenset({(ri.lhs, "p0", "p1")}), frozenset())
+        items.append(BatchItem("ri", a, AtomicQuery(ri.rhs, ("p0", "p1"))))
+    items += trees
+
+    def record_step(run, h: TBox, a: ABox, q: Query) -> TBox:
+        after = cq_step(run, h, a, q)
+        settled = [ci for ci in after.cis - h.cis if isinstance(ci.lhs, Atom)]
+        if len(settled) != 1:
+            raise StructuralError("instance step must settle exactly one inclusion")
+        (ci,) = settled
+        single = ABox(frozenset({(ci.lhs.name, "e0")}), frozenset(), frozenset())
+        items.append(BatchItem("iq", single, ConceptQuery(ci.rhs, "e0")))
+        return after
 
     if lang in (reasoner.LANG_IQ, reasoner.LANG_CQR):
-        classes = role_classes(frozenset(ris), fw.signature.role_names)
-        equivalent_names = _atomic_equivalence(atomic_cis)
-        iterations = 0
-        while True:
-            iterations += 1
-            if iterations > MAX_ITERATIONS:
-                raise BudgetExceededError("batch construction exceeded its budget")
-            hit = oracle.inseparability(h)
-            if hit is None:
-                break
-            a, q = hit
-            if isinstance(q, teacher.ConjunctiveQuery):
-                from .learn_cqr import cq_to_iq
-
-                q = cq_to_iq(oracle, h, q)
-            if isinstance(q, AtomicQuery) and len(q.args) == 1:
-                q = ConceptQuery(Atom(q.pred), q.args[0])
-            if not isinstance(q, ConceptQuery):
-                raise StructuralError(f"unexpected counterexample {q!r}")
-            before = h.cis
-            h = iq_step(oracle, h, classes, equivalent_names, a, q.concept, q.ind)
-            settled = sorted(
-                (ci for ci in h.cis - before if isinstance(ci.lhs, Atom)),
-                key=lambda ci: (ci.lhs.name,),
-            )
-            if len(settled) != 1:
-                raise StructuralError("instance step must settle exactly one inclusion")
-            ci = settled[0]
-            single = ABox(frozenset({(ci.lhs.name, "e0")}), frozenset(), frozenset())
-            items.append(BatchItem("iq", single, ConceptQuery(ci.rhs, "e0")))
+        counterexample_loop(run, h, record_step)
     return items
 
 

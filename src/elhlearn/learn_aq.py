@@ -39,8 +39,10 @@ from .syntax import (
 )
 
 # monitored budget: total oracle input size must stay under
-# COEFF * (|target hypothesis bound| + |fixed abox| + largest counterexample)^DEGREE
+# COEFF * (|target hypothesis bound| + |fixed abox| + largest counterexample)^DEGREE,
+# with one degree for the atomic phase and one for the counterexample loop
 BUDGET_DEGREE_AQ = 3
+BUDGET_DEGREE_IQ = 4
 BUDGET_COEFF = 300
 
 
@@ -360,7 +362,8 @@ def tree_concept(a: ABox, root: str) -> Concept:
     return concept_of_tree(tree)
 
 
-def _budget_limit(oracle: CachedOracle, h: TBox) -> int:
+def check_budget(oracle: CachedOracle, h: TBox, degree: int) -> None:
+    """Stop the run once the oracle input outgrows the monitored budget."""
     base = (
         size_of(h)
         + size_of(oracle.framework.fixed_abox)
@@ -369,7 +372,9 @@ def _budget_limit(oracle: CachedOracle, h: TBox) -> int:
         + len(oracle.framework.signature.role_names)
         + 8
     )
-    return BUDGET_COEFF * base**BUDGET_DEGREE_AQ
+    limit = BUDGET_COEFF * base**degree
+    if _spent(oracle) > limit:
+        raise BudgetExceededError(f"query budget {limit} exceeded", partial=h)
 
 
 def _spent(oracle: CachedOracle) -> int:
@@ -421,9 +426,7 @@ def aq_phase(
 ) -> TBox:
     """Drive the atomic-counterexample loop until none remain."""
     while True:
-        limit = _budget_limit(oracle, h)
-        if _spent(oracle) > limit:
-            raise BudgetExceededError(f"query budget {limit} exceeded", partial=h)
+        check_budget(oracle, h, BUDGET_DEGREE_AQ)
         hit = _next_aq_counterexample(oracle, h, use_eq)
         if hit is None:
             return h

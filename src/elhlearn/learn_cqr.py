@@ -1,8 +1,9 @@
 """Learning from rooted conjunctive query counterexamples.
 
-A rooted-CQ counterexample is converted into an instance query and handed to
-the instance-query machinery.  The conversion repeats three membership-backed
-rewrites until none applies:
+``learn_cqr`` is the one counterexample loop of ``learn_iq`` with the
+rooted-CQ step ``cq_step``: a rooted-CQ counterexample is converted into an
+instance query and handed to ``iq_step``.  The conversion repeats three
+membership-backed rewrites until none applies:
 
 * individual saturation: substitute a fixed-ABox individual for a variable,
 * merging: identify two variables,
@@ -19,18 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .learn_aq import CachedOracle, LearnResult, aq_phase, bootstrap_atomic, _record_iteration
-from .learn_iq import (
-    MAX_ITERATIONS,
-    _atomic_equivalence,
-    _budget_limit_iq,
-    iq_step,
-    role_classes,
-)
+from .learn_aq import CachedOracle, LearnResult
+from .learn_iq import Run, concept_query, counterexample_loop, iq_step, role_classes, start
 from .syntax import (
+    ABox,
     Atom,
     AtomicQuery,
-    BudgetExceededError,
     Concept,
     ConceptAtom,
     ConceptQuery,
@@ -40,7 +35,6 @@ from .syntax import (
     Query,
     QueryAtom,
     RoleAtom,
-    RoleQuery,
     StructuralError,
     TBox,
     Term,
@@ -48,7 +42,6 @@ from .syntax import (
     conj,
     is_rooted,
     normalize,
-    terminology,
 )
 
 
@@ -252,38 +245,15 @@ def cq_to_iq(oracle: CachedOracle, h: TBox, q: ConjunctiveQuery, classes=None) -
     raise ContractViolationError("no instance query found; was the input a counterexample?")
 
 
+def cq_step(run: Run, h: TBox, a: ABox, q: Query) -> TBox:
+    """Convert a rooted-CQ counterexample, then take the instance step."""
+    if isinstance(q, ConjunctiveQuery):
+        run.result.conversions += 1
+        q = cq_to_iq(run.oracle, h, q, run.classes)
+    q = concept_query(q)
+    return iq_step(run.oracle, h, run.classes, run.equivalent_names, a, q.concept, q.ind)
+
+
 def learn_cqr(session) -> LearnResult:
     """Hypothesis inseparable from the target on all rooted CQs."""
-    oracle = CachedOracle(session)
-    result = LearnResult(TBox())
-    atomic_cis, ris = bootstrap_atomic(oracle)
-    classes = role_classes(frozenset(ris), oracle.framework.signature.role_names)
-    equivalent_names = _atomic_equivalence(atomic_cis)
-    h = terminology(atomic_cis, ris)
-    _record_iteration(result, oracle, h)
-    h = aq_phase(oracle, h, result, use_eq=False)
-
-    iterations = 0
-    while True:
-        limit = _budget_limit_iq(oracle, h)
-        if oracle.session.mq_input_size_sum + oracle.session.eq_input_size_sum > limit:
-            raise BudgetExceededError(f"query budget {limit} exceeded", partial=h)
-        iterations += 1
-        if iterations > MAX_ITERATIONS:
-            raise BudgetExceededError("rooted-CQ loop exceeded its budget", partial=h)
-        hit = oracle.inseparability(h)
-        if hit is None:
-            result.hypothesis = h
-            return result
-        a, q = hit
-        if isinstance(q, ConjunctiveQuery):
-            result.conversions += 1
-            q = cq_to_iq(oracle, h, q, classes)
-        if isinstance(q, AtomicQuery) and len(q.args) == 1:
-            q = ConceptQuery(Atom(q.pred), q.args[0])
-        if isinstance(q, RoleQuery) or (isinstance(q, AtomicQuery) and len(q.args) == 2):
-            raise StructuralError("role counterexample after the bootstrap phase")
-        if not isinstance(q, ConceptQuery):
-            raise StructuralError(f"unexpected counterexample {q!r}")
-        h = iq_step(oracle, h, classes, equivalent_names, a, q.concept, q.ind)
-        _record_iteration(result, oracle, h)
+    return counterexample_loop(*start(session), cq_step)

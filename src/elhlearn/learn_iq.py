@@ -21,18 +21,29 @@ unique and strictly grows its tree, so the loop terminates.
 Role names are collapsed to one representative per learned equivalence
 class before any of this runs; learned inclusions use representatives and
 the final hypothesis carries the full set of learned role inclusions.
+
+Every learner past the atomic phase runs the one counterexample loop written
+here.  ``start`` runs the prologue once (bootstrap, role classes, name
+equivalence, the membership-only atomic phase); ``counterexample_loop`` checks
+the budget, asks for a counterexample, hands it to its one hook ``step`` and
+records the iteration, until the hypothesis is inseparable.  The instance
+step reads an atomic counterexample as a concept query and calls ``iq_step``;
+``learn_cqr``, ``updates`` and ``batch`` bring their own steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from . import reasoner
 from .learn_aq import (
+    BUDGET_DEGREE_IQ,
     CachedOracle,
     LearnResult,
     aq_phase,
     bootstrap_atomic,
+    check_budget,
     saturate_with_hypothesis,
     _record_iteration,
 )
@@ -47,6 +58,7 @@ from .syntax import (
     ConceptQuery,
     ContractViolationError,
     Exists,
+    Query,
     RI,
     StructuralError,
     TBox,
@@ -60,8 +72,6 @@ from .syntax import (
     tree_of_concept,
 )
 
-BUDGET_DEGREE_IQ = 4
-BUDGET_COEFF_IQ = 300
 MAX_ITERATIONS = 10_000
 
 
@@ -402,18 +412,6 @@ def merge_reduced(
 # ---------------------------------------------------------------------------
 
 
-def _budget_limit_iq(oracle: CachedOracle, h: TBox) -> int:
-    base = (
-        size_of(h)
-        + size_of(oracle.framework.fixed_abox)
-        + oracle.session.largest_counterexample
-        + len(oracle.framework.signature.concept_names)
-        + len(oracle.framework.signature.role_names)
-        + 8
-    )
-    return BUDGET_COEFF_IQ * base**BUDGET_DEGREE_IQ
-
-
 def _atomic_equivalence(atomic_cis: set[CI]):
     pairs = {(ci.lhs.name, ci.rhs.name) for ci in atomic_cis if isinstance(ci.rhs, Atom)}
 
@@ -477,33 +475,60 @@ def iq_step(
     return terminology(new_cis, h.ris)
 
 
-def learn_iq(session) -> LearnResult:
-    """Hypothesis inseparable from the target on all instance queries."""
+@dataclass
+class Run:
+    """What the prologue learned, shared by the loop and its step."""
+
+    oracle: CachedOracle
+    result: LearnResult
+    atomic_cis: set[CI]
+    classes: RoleClasses
+    equivalent_names: Callable[[str, str], bool]
+
+
+def start(session, on_tree=None) -> tuple[Run, TBox]:
+    """Bootstrap, then the membership-only atomic phase; the first records."""
     oracle = CachedOracle(session)
     result = LearnResult(TBox())
     atomic_cis, ris = bootstrap_atomic(oracle)
     classes = role_classes(frozenset(ris), oracle.framework.signature.role_names)
-    equivalent_names = _atomic_equivalence(atomic_cis)
+    run = Run(oracle, result, atomic_cis, classes, _atomic_equivalence(atomic_cis))
     h = terminology(atomic_cis, ris)
     _record_iteration(result, oracle, h)
-    h = aq_phase(oracle, h, result, use_eq=False)
+    return run, aq_phase(oracle, h, result, use_eq=False, on_tree=on_tree)
 
+
+def counterexample_loop(run: Run, h: TBox, step) -> LearnResult:
+    """Refine ``h`` with ``step(run, h, abox, query)`` until inseparable."""
+    oracle, result = run.oracle, run.result
     iterations = 0
     while True:
-        limit = _budget_limit_iq(oracle, h)
-        if oracle.session.mq_input_size_sum + oracle.session.eq_input_size_sum > limit:
-            raise BudgetExceededError(f"query budget {limit} exceeded", partial=h)
+        check_budget(oracle, h, BUDGET_DEGREE_IQ)
         iterations += 1
         if iterations > MAX_ITERATIONS:
-            raise BudgetExceededError("instance-query loop exceeded its budget", partial=h)
+            raise BudgetExceededError("counterexample loop exceeded its budget", partial=h)
         hit = oracle.inseparability(h)
         if hit is None:
             result.hypothesis = h
             return result
-        a, q = hit
-        if isinstance(q, AtomicQuery) and len(q.args) == 1:
-            q = ConceptQuery(Atom(q.pred), q.args[0])
-        if not isinstance(q, ConceptQuery):
-            raise StructuralError(f"instance-language oracle returned {q!r}")
-        h = iq_step(oracle, h, classes, equivalent_names, a, q.concept, q.ind)
+        h = step(run, h, *hit)
         _record_iteration(result, oracle, h)
+
+
+def concept_query(q: Query) -> ConceptQuery:
+    """An atomic counterexample read as the instance query it is."""
+    if isinstance(q, AtomicQuery) and len(q.args) == 1:
+        return ConceptQuery(Atom(q.pred), q.args[0])
+    if not isinstance(q, ConceptQuery):
+        raise StructuralError(f"unexpected counterexample {q!r}")
+    return q
+
+
+def instance_step(run: Run, h: TBox, a: ABox, q: Query) -> TBox:
+    q = concept_query(q)
+    return iq_step(run.oracle, h, run.classes, run.equivalent_names, a, q.concept, q.ind)
+
+
+def learn_iq(session) -> LearnResult:
+    """Hypothesis inseparable from the target on all instance queries."""
+    return counterexample_loop(*start(session), instance_step)

@@ -34,7 +34,6 @@ from .syntax import (
     ConceptAtom,
     Signature,
     TBox,
-    UnsupportedQueryError,
     Var,
     example_size,
     concept_query_as_cq,
@@ -70,12 +69,7 @@ class Framework:
     closure_cap: int = 200
 
     def __post_init__(self) -> None:
-        if self.query_lang not in (
-            reasoner.LANG_AQ,
-            reasoner.LANG_IQ,
-            reasoner.LANG_CQR,
-            "cq",
-        ):
+        if self.query_lang not in (reasoner.LANG_AQ, reasoner.LANG_IQ, reasoner.LANG_CQR):
             raise ConfigurationError(f"unknown query language {self.query_lang!r}")
 
 
@@ -87,8 +81,8 @@ def framework_for(target: TBox, fixed_abox: ABox, query_lang: str, **kw) -> Fram
 def query_in_language(q: Query, lang: str) -> bool:
     """Does the query belong to the framework's language?
 
-    Atomic assertions are also instance queries; the unrestricted language
-    admits every supported shape.
+    Atomic assertions are also instance queries, and instance queries are
+    rooted CQs.
     """
     from .syntax import AtomicQuery, RoleQuery, is_rooted
 
@@ -100,11 +94,7 @@ def query_in_language(q: Query, lang: str) -> bool:
         return True
     if lang == reasoner.LANG_IQ:
         return False
-    if isinstance(q, ConjunctiveQuery):
-        from .syntax import is_existential_atom_query
-
-        return is_rooted(q) or (lang == "cq" and is_existential_atom_query(q))
-    return False
+    return isinstance(q, ConjunctiveQuery) and is_rooted(q)
 
 
 def check_fragment(t: TBox, fragment: str) -> None:
@@ -223,10 +213,6 @@ class OracleSession:
         """None for inseparable, else a verified counterexample ``(abox, q)``."""
         if not self.framework.signature.covers(signature_of_tbox(hypothesis)):
             raise RejectedQueryError("hypothesis uses names outside the signature")
-        if self.framework.query_lang == "cq":
-            raise UnsupportedQueryError(
-                "inseparability is only decided for aq, iq and rooted-cq"
-            )
         self.eq_count += 1
         self.eq_input_size_sum += size_of(hypothesis)
         # only the randomized policy reads more of the gap than its first query
@@ -269,7 +255,7 @@ class OracleSession:
         """Draw a classified example from a distribution over the fixed ABox."""
         fixed = self.framework.fixed_abox
         for a, q in dist.support:
-            if reasoner.abox_key(a) != reasoner.abox_key(fixed):
+            if a != fixed:
                 raise ConfigurationError("distribution support must use the fixed ABox")
             if not query_in_language(q, self.framework.query_lang):
                 raise ConfigurationError(

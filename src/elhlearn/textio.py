@@ -19,7 +19,8 @@ Grammar (UTF-8, one statement per line, ``#`` starts a comment)::
 ``some`` binds tighter than ``and``: ``some r. A and B`` is the conjunction
 of ``some r. A`` with ``B``; a conjunctive filler needs parentheses.  In a
 CQ line the terms listed after ``exists`` are variables, all other terms are
-individuals.
+individuals.  A concept nests at most ``MAX_NESTING`` levels of ``some`` and
+parentheses; deeper input is a ``ParseError``.
 """
 
 from __future__ import annotations
@@ -80,6 +81,10 @@ def json_field(obj, key: str, kind: type, line: int = 0):
     return obj[key]
 
 
+# The parser, and the reasoner after it, recurse once per level of a
+# concept; past this depth a line is rejected instead of exhausting the stack.
+MAX_NESTING = 200
+
 _TOKEN = re.compile(r"\s*(\[=|==|[A-Za-z][A-Za-z0-9_]*|[().,;:])")
 
 
@@ -97,6 +102,7 @@ class _Tokens:
             self.items.append((m.group(1), m.start(1) + 1))
             pos = m.end()
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> str | None:
         return self.items[self.i][0] if self.i < len(self.items) else None
@@ -132,15 +138,20 @@ def _parse_unit(ts: _Tokens) -> Concept:
     if tok == "top":
         ts.next()
         return TOP
-    if tok == "some":
+    if tok in ("some", "("):
+        if ts.depth == MAX_NESTING:
+            col = ts.items[ts.i][1]
+            raise ParseError(f"concept nested deeper than {MAX_NESTING} levels", ts.line, col)
+        ts.depth += 1
         ts.next()
-        role = ts.name()
-        ts.expect(".")
-        return Exists(role, _parse_unit(ts))
-    if tok == "(":
-        ts.next()
-        inner = _parse_concept(ts)
-        ts.expect(")")
+        if tok == "some":
+            role = ts.name()
+            ts.expect(".")
+            inner = Exists(role, _parse_unit(ts))
+        else:
+            inner = _parse_concept(ts)
+            ts.expect(")")
+        ts.depth -= 1
         return inner
     if tok is None:
         raise ParseError("expected a concept", ts.line, 0)

@@ -8,6 +8,12 @@ strictly weaker roles, as long as the target still entails the inclusion.
 A generalised hypothesis stays inseparable on every ABox reachable from the
 fixed one by replacing single assertions along linear derivations (a name
 may step to another only when that step is forced by everything above it).
+
+``learn_with_updates`` generalises after the atomic phase, then runs the one
+counterexample loop of ``learn_iq`` with the update step ``update_step``: a
+counterexample whose atomic part fails on the (updated) ABox is repaired by
+a tree inclusion learned there and generalised again; any other goes to
+``iq_step``.
 """
 
 from __future__ import annotations
@@ -15,22 +21,8 @@ from __future__ import annotations
 from typing import Callable, Iterator
 
 from . import reasoner
-from .learn_aq import (
-    CachedOracle,
-    LearnResult,
-    aq_phase,
-    bootstrap_atomic,
-    tree_concept,
-    tree_shape,
-    _record_iteration,
-)
-from .learn_iq import (
-    MAX_ITERATIONS,
-    _atomic_equivalence,
-    _budget_limit_iq,
-    iq_step,
-    role_classes,
-)
+from .learn_aq import CachedOracle, LearnResult, tree_concept, tree_shape, _record_iteration
+from .learn_iq import Run, concept_query, counterexample_loop, iq_step, start
 from .syntax import (
     ABox,
     And,
@@ -39,10 +31,10 @@ from .syntax import (
     BudgetExceededError,
     CI,
     Concept,
-    ConceptQuery,
     ConfigurationError,
     ContractViolationError,
     Exists,
+    Query,
     StructuralError,
     TBox,
     TOP,
@@ -340,6 +332,16 @@ def _atomic_repair(oracle: CachedOracle, h: TBox, a: ABox, name: str, ind: str) 
     return terminology(set(h.cis) | {CI(concept, Atom(wname))}, h.ris)
 
 
+def update_step(run: Run, h: TBox, a: ABox, q: Query) -> TBox:
+    """Repair an atomic miss on the updated ABox, else take the instance step."""
+    q = concept_query(q)
+    concept = run.classes.rewrite(normalize(q.concept))
+    atom = _failing_atom(run.oracle, h, a, concept, q.ind)
+    if atom is None:
+        return iq_step(run.oracle, h, run.classes, run.equivalent_names, a, concept, q.ind)
+    return generalise(run.oracle, _atomic_repair(run.oracle, h, a, atom, q.ind), run.atomic_cis)
+
+
 def learn_with_updates(session) -> LearnResult:
     """Learn, generalise, then accept counterexamples over updated ABoxes."""
     a0 = session.framework.fixed_abox
@@ -349,39 +351,7 @@ def learn_with_updates(session) -> LearnResult:
         sig_t.concept_names <= sig_a.concept_names and sig_t.role_names <= sig_a.role_names
     ):
         raise ConfigurationError("update learning needs the TBox signature inside the ABox's")
-    oracle = CachedOracle(session)
-    result = LearnResult(TBox())
-    atomic_cis, ris = bootstrap_atomic(oracle)
-    classes = role_classes(frozenset(ris), oracle.framework.signature.role_names)
-    equivalent_names = _atomic_equivalence(atomic_cis)
-    h = terminology(atomic_cis, ris)
-    _record_iteration(result, oracle, h)
-    h = aq_phase(oracle, h, result, use_eq=False)
-    h = generalise(oracle, h, atomic_cis)
-    _record_iteration(result, oracle, h)
-
-    iterations = 0
-    while True:
-        limit = _budget_limit_iq(oracle, h)
-        if oracle.session.mq_input_size_sum + oracle.session.eq_input_size_sum > limit:
-            raise BudgetExceededError(f"query budget {limit} exceeded", partial=h)
-        iterations += 1
-        if iterations > MAX_ITERATIONS:
-            raise BudgetExceededError("update loop exceeded its budget", partial=h)
-        hit = oracle.inseparability(h)
-        if hit is None:
-            result.hypothesis = h
-            return result
-        a, q = hit
-        if isinstance(q, AtomicQuery) and len(q.args) == 1:
-            q = ConceptQuery(Atom(q.pred), q.args[0])
-        if not isinstance(q, ConceptQuery):
-            raise StructuralError(f"unexpected counterexample {q!r}")
-        concept = classes.rewrite(normalize(q.concept))
-        atom = _failing_atom(oracle, h, a, concept, q.ind)
-        if atom is not None:
-            h = _atomic_repair(oracle, h, a, atom, q.ind)
-            h = generalise(oracle, h, atomic_cis)
-        else:
-            h = iq_step(oracle, h, classes, equivalent_names, a, concept, q.ind)
-        _record_iteration(result, oracle, h)
+    run, h = start(session)
+    h = generalise(run.oracle, h, run.atomic_cis)
+    _record_iteration(run.result, run.oracle, h)
+    return counterexample_loop(run, h, update_step)

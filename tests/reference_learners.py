@@ -1,0 +1,233 @@
+"""The four learner loops as they were before the single counterexample loop.
+
+Each of ``learn_iq``, ``learn_cqr``, ``learn_with_updates`` and
+``build_batch`` wrote out its own "budget check, ask for a counterexample,
+normalise it, ``iq_step``, record" loop, and the instance loops had their own
+budget function ``_budget_limit_iq``.  They are kept verbatim, apart from the
+imports, as the reference that ``tests/test_learner_loop.py`` compares the
+one driver in ``elhlearn.learn_iq`` against.  Everything they call (the
+phases, the reductions, the conversion, the repairs) is the package's own.
+"""
+
+from __future__ import annotations
+
+from elhlearn import reasoner, teacher
+from elhlearn.batch import BatchItem, _require_signature
+from elhlearn.learn_aq import (
+    CachedOracle,
+    LearnResult,
+    _record_iteration,
+    aq_phase,
+    bootstrap_atomic,
+)
+from elhlearn.learn_cqr import cq_to_iq
+from elhlearn.learn_iq import (
+    MAX_ITERATIONS,
+    _atomic_equivalence,
+    iq_step,
+    role_classes,
+)
+from elhlearn.syntax import (
+    ABox,
+    Atom,
+    AtomicQuery,
+    BudgetExceededError,
+    ConceptQuery,
+    ConfigurationError,
+    ConjunctiveQuery,
+    RoleQuery,
+    StructuralError,
+    TBox,
+    normalize,
+    signature_of_abox,
+    size_of,
+    terminology,
+)
+from elhlearn.updates import _atomic_repair, _failing_atom, generalise
+
+BUDGET_DEGREE_IQ = 4
+BUDGET_COEFF_IQ = 300
+
+
+def _budget_limit_iq(oracle: CachedOracle, h: TBox) -> int:
+    base = (
+        size_of(h)
+        + size_of(oracle.framework.fixed_abox)
+        + oracle.session.largest_counterexample
+        + len(oracle.framework.signature.concept_names)
+        + len(oracle.framework.signature.role_names)
+        + 8
+    )
+    return BUDGET_COEFF_IQ * base**BUDGET_DEGREE_IQ
+
+
+def learn_iq(session) -> LearnResult:
+    """Hypothesis inseparable from the target on all instance queries."""
+    oracle = CachedOracle(session)
+    result = LearnResult(TBox())
+    atomic_cis, ris = bootstrap_atomic(oracle)
+    classes = role_classes(frozenset(ris), oracle.framework.signature.role_names)
+    equivalent_names = _atomic_equivalence(atomic_cis)
+    h = terminology(atomic_cis, ris)
+    _record_iteration(result, oracle, h)
+    h = aq_phase(oracle, h, result, use_eq=False)
+
+    iterations = 0
+    while True:
+        limit = _budget_limit_iq(oracle, h)
+        if oracle.session.mq_input_size_sum + oracle.session.eq_input_size_sum > limit:
+            raise BudgetExceededError(f"query budget {limit} exceeded", partial=h)
+        iterations += 1
+        if iterations > MAX_ITERATIONS:
+            raise BudgetExceededError("instance-query loop exceeded its budget", partial=h)
+        hit = oracle.inseparability(h)
+        if hit is None:
+            result.hypothesis = h
+            return result
+        a, q = hit
+        if isinstance(q, AtomicQuery) and len(q.args) == 1:
+            q = ConceptQuery(Atom(q.pred), q.args[0])
+        if not isinstance(q, ConceptQuery):
+            raise StructuralError(f"instance-language oracle returned {q!r}")
+        h = iq_step(oracle, h, classes, equivalent_names, a, q.concept, q.ind)
+        _record_iteration(result, oracle, h)
+
+
+def learn_cqr(session) -> LearnResult:
+    """Hypothesis inseparable from the target on all rooted CQs."""
+    oracle = CachedOracle(session)
+    result = LearnResult(TBox())
+    atomic_cis, ris = bootstrap_atomic(oracle)
+    classes = role_classes(frozenset(ris), oracle.framework.signature.role_names)
+    equivalent_names = _atomic_equivalence(atomic_cis)
+    h = terminology(atomic_cis, ris)
+    _record_iteration(result, oracle, h)
+    h = aq_phase(oracle, h, result, use_eq=False)
+
+    iterations = 0
+    while True:
+        limit = _budget_limit_iq(oracle, h)
+        if oracle.session.mq_input_size_sum + oracle.session.eq_input_size_sum > limit:
+            raise BudgetExceededError(f"query budget {limit} exceeded", partial=h)
+        iterations += 1
+        if iterations > MAX_ITERATIONS:
+            raise BudgetExceededError("rooted-CQ loop exceeded its budget", partial=h)
+        hit = oracle.inseparability(h)
+        if hit is None:
+            result.hypothesis = h
+            return result
+        a, q = hit
+        if isinstance(q, ConjunctiveQuery):
+            result.conversions += 1
+            q = cq_to_iq(oracle, h, q, classes)
+        if isinstance(q, AtomicQuery) and len(q.args) == 1:
+            q = ConceptQuery(Atom(q.pred), q.args[0])
+        if isinstance(q, RoleQuery) or (isinstance(q, AtomicQuery) and len(q.args) == 2):
+            raise StructuralError("role counterexample after the bootstrap phase")
+        if not isinstance(q, ConceptQuery):
+            raise StructuralError(f"unexpected counterexample {q!r}")
+        h = iq_step(oracle, h, classes, equivalent_names, a, q.concept, q.ind)
+        _record_iteration(result, oracle, h)
+
+
+def learn_with_updates(session) -> LearnResult:
+    """Learn, generalise, then accept counterexamples over updated ABoxes."""
+    a0 = session.framework.fixed_abox
+    sig_t = session.framework.signature
+    sig_a = signature_of_abox(a0)
+    if not (
+        sig_t.concept_names <= sig_a.concept_names and sig_t.role_names <= sig_a.role_names
+    ):
+        raise ConfigurationError("update learning needs the TBox signature inside the ABox's")
+    oracle = CachedOracle(session)
+    result = LearnResult(TBox())
+    atomic_cis, ris = bootstrap_atomic(oracle)
+    classes = role_classes(frozenset(ris), oracle.framework.signature.role_names)
+    equivalent_names = _atomic_equivalence(atomic_cis)
+    h = terminology(atomic_cis, ris)
+    _record_iteration(result, oracle, h)
+    h = aq_phase(oracle, h, result, use_eq=False)
+    h = generalise(oracle, h, atomic_cis)
+    _record_iteration(result, oracle, h)
+
+    iterations = 0
+    while True:
+        limit = _budget_limit_iq(oracle, h)
+        if oracle.session.mq_input_size_sum + oracle.session.eq_input_size_sum > limit:
+            raise BudgetExceededError(f"query budget {limit} exceeded", partial=h)
+        iterations += 1
+        if iterations > MAX_ITERATIONS:
+            raise BudgetExceededError("update loop exceeded its budget", partial=h)
+        hit = oracle.inseparability(h)
+        if hit is None:
+            result.hypothesis = h
+            return result
+        a, q = hit
+        if isinstance(q, AtomicQuery) and len(q.args) == 1:
+            q = ConceptQuery(Atom(q.pred), q.args[0])
+        if not isinstance(q, ConceptQuery):
+            raise StructuralError(f"unexpected counterexample {q!r}")
+        concept = classes.rewrite(normalize(q.concept))
+        atom = _failing_atom(oracle, h, a, concept, q.ind)
+        if atom is not None:
+            h = _atomic_repair(oracle, h, a, atom, q.ind)
+            h = generalise(oracle, h, atomic_cis)
+        else:
+            h = iq_step(oracle, h, classes, equivalent_names, a, concept, q.ind)
+        _record_iteration(result, oracle, h)
+
+
+def build_batch(target: TBox, a0: ABox, lang: str, seed: int = 0) -> list[BatchItem]:
+    """Classified positive examples sufficient to reconstruct a hypothesis."""
+    _require_signature(target, a0)
+    fw = teacher.framework_for(target, a0, lang)
+    session = teacher.OracleSession(target, fw, seed=seed)
+    oracle = CachedOracle(session)
+    items: list[BatchItem] = []
+
+    atomic_cis, ris = bootstrap_atomic(oracle)
+    for ci in sorted(atomic_cis, key=lambda c: (c.lhs.name, c.rhs.name)):
+        a = ABox(frozenset({(ci.lhs.name, "p0")}), frozenset(), frozenset())
+        items.append(BatchItem("ci", a, AtomicQuery(ci.rhs.name, ("p0",))))
+    for ri in sorted(ris, key=lambda r: (r.lhs, r.rhs)):
+        a = ABox(frozenset(), frozenset({(ri.lhs, "p0", "p1")}), frozenset())
+        items.append(BatchItem("ri", a, AtomicQuery(ri.rhs, ("p0", "p1"))))
+
+    h = terminology(atomic_cis, ris)
+    result = LearnResult(h)
+
+    def record_tree(shaped: ABox, name: str, ind: str) -> None:
+        items.append(BatchItem("tree", shaped, AtomicQuery(name, (ind,))))
+
+    h = aq_phase(oracle, h, result, use_eq=False, on_tree=record_tree)
+
+    if lang in (reasoner.LANG_IQ, reasoner.LANG_CQR):
+        classes = role_classes(frozenset(ris), fw.signature.role_names)
+        equivalent_names = _atomic_equivalence(atomic_cis)
+        iterations = 0
+        while True:
+            iterations += 1
+            if iterations > MAX_ITERATIONS:
+                raise BudgetExceededError("batch construction exceeded its budget")
+            hit = oracle.inseparability(h)
+            if hit is None:
+                break
+            a, q = hit
+            if isinstance(q, teacher.ConjunctiveQuery):
+                q = cq_to_iq(oracle, h, q)
+            if isinstance(q, AtomicQuery) and len(q.args) == 1:
+                q = ConceptQuery(Atom(q.pred), q.args[0])
+            if not isinstance(q, ConceptQuery):
+                raise StructuralError(f"unexpected counterexample {q!r}")
+            before = h.cis
+            h = iq_step(oracle, h, classes, equivalent_names, a, q.concept, q.ind)
+            settled = sorted(
+                (ci for ci in h.cis - before if isinstance(ci.lhs, Atom)),
+                key=lambda ci: (ci.lhs.name,),
+            )
+            if len(settled) != 1:
+                raise StructuralError("instance step must settle exactly one inclusion")
+            ci = settled[0]
+            single = ABox(frozenset({(ci.lhs.name, "e0")}), frozenset(), frozenset())
+            items.append(BatchItem("iq", single, ConceptQuery(ci.rhs, "e0")))
+    return items

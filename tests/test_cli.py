@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import elhlearn
 from elhlearn.cli import main
+from elhlearn.textio import MAX_NESTING
 
 EX1_TBOX = "CI: B [= some s. B\nCI: some r. some s. B [= A\n"
 EX1_ABOX = "A: r(a,b)\nA: B(b)\n"
@@ -116,6 +122,47 @@ def test_reason_ignores_complex_left_side_below_top(workdir, capsys):
         verdicts.append(capsys.readouterr().out)
     assert verdicts[0] == verdicts[1]
     assert verdicts[0].count(": ENTAILED") == 3
+
+
+def _deep_files(workdir, depth: int, shape: str) -> list[str]:
+    chain = "some r. " * depth + "B"
+    tbox, queries = f"CI: A [= {chain}\nCI: {chain} [= C\n", f"Q: IQ a : {chain}\nQ: AQ C(a)\n"
+    if shape == "parens":
+        tbox = "CI: A [= " + "(" * depth + "B" + ")" * depth + "\n"
+        queries = "Q: AQ B(a)\n"
+    elif shape == "query":
+        tbox, queries = EX1_TBOX, f"Q: IQ a : {chain}\n"
+    (workdir / "deep.tbox").write_text(tbox)
+    (workdir / "deep.abox").write_text("A: A(a)\n")
+    (workdir / "deep.q").write_text(queries)
+    return [str(workdir / n) for n in ("deep.tbox", "deep.abox", "deep.q")]
+
+
+@pytest.mark.parametrize("shape", ["some", "parens"])
+def test_reason_accepts_concepts_nested_to_the_cap(workdir, capsys, shape):
+    code = main(["reason", *_deep_files(workdir, MAX_NESTING, shape)])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines and all(line.endswith(": ENTAILED") for line in lines)
+
+
+@pytest.mark.parametrize("shape", ["some", "parens", "query"])
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 3000])
+def test_reason_rejects_deeper_concepts_with_a_parse_error(workdir, capsys, shape, depth):
+    code = main(["reason", *_deep_files(workdir, depth, shape)])
+    assert code == 2
+    assert f"nested deeper than {MAX_NESTING} levels" in capsys.readouterr().err
+
+
+def test_deep_concept_exits_2_without_a_traceback(workdir):
+    src = Path(elhlearn.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "elhlearn.cli", "reason", *_deep_files(workdir, 3000, "some")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2
+    assert done.stderr.startswith("parse error: line 1") and "Traceback" not in done.stderr
 
 
 def test_learn_writes_hypothesis_and_stats(workdir, capsys):

@@ -16,7 +16,6 @@ from elhlearn.syntax import (
     RejectedQueryError,
     TBox,
     TOP,
-    UnsupportedQueryError,
     abox,
     conj,
     example_size,
@@ -125,11 +124,11 @@ def test_randomized_policy_is_seed_deterministic():
 
 
 def test_cq_language_inseparability_unsupported():
+    # inseparability is decided for aq, iq and rooted CQs only, so no
+    # framework accepts the unrestricted CQ language
     t = fig1_target()
-    fw = framework_for(t, abox(concepts=[("A", "a")]), "cq")
-    sess = OracleSession(t, fw)
-    with pytest.raises(UnsupportedQueryError):
-        sess.inseparability(TBox())
+    with pytest.raises(ConfigurationError):
+        framework_for(t, abox(concepts=[("A", "a")]), "cq")
 
 
 def test_example_oracle_labels_and_support_check():
