@@ -23,6 +23,9 @@ from dataclasses import dataclass
 from . import reasoner
 from .syntax import (
     ABox,
+    Atom,
+    AtomicQuery,
+    BudgetExceededError,
     ConceptQuery,
     ConjunctiveQuery,
     ConfigurationError,
@@ -31,12 +34,15 @@ from .syntax import (
     QueryAtom,
     RejectedQueryError,
     RoleAtom,
+    RoleQuery,
     ConceptAtom,
     Signature,
     TBox,
+    Top,
     Var,
     example_size,
     concept_query_as_cq,
+    is_rooted,
     signature_of_abox,
     signature_of_query,
     signature_of_tbox,
@@ -84,8 +90,6 @@ def query_in_language(q: Query, lang: str) -> bool:
     Atomic assertions are also instance queries, and instance queries are
     rooted CQs.
     """
-    from .syntax import AtomicQuery, RoleQuery, is_rooted
-
     if isinstance(q, AtomicQuery):
         return True
     if lang == reasoner.LANG_AQ:
@@ -98,8 +102,6 @@ def query_in_language(q: Query, lang: str) -> bool:
 
 
 def check_fragment(t: TBox, fragment: str) -> None:
-    from .syntax import Atom, Top
-
     for ci in t.cis:
         if fragment == FRAGMENT_LHS and not isinstance(ci.rhs, (Atom, Top)):
             raise ConfigurationError("fragment allows complex concepts on the left only")
@@ -158,6 +160,10 @@ class OracleSession:
         self.largest_counterexample = 0
         self.transcript: list[TranscriptEntry] = []
         self._cache = reasoner.ModelCache()
+        # fixed for the session: the update closure of the fixed ABox, made
+        # on first use, and the distributions whose support was checked
+        self._closure: list[ABox] | None = None
+        self._checked: dict[int, object] = {}
 
     # -- accounting -------------------------------------------------------
 
@@ -176,8 +182,6 @@ class OracleSession:
             self.max_total_input is not None
             and self.mq_input_size_sum + self.eq_input_size_sum > self.max_total_input
         ):
-            from .syntax import BudgetExceededError
-
             raise BudgetExceededError(
                 f"oracle input budget {self.max_total_input} exceeded"
             )
@@ -202,12 +206,15 @@ class OracleSession:
     def _counterexample_aboxes(self):
         yield self.framework.fixed_abox
         if self.framework.update_closure:
-            from .updates import enumerate_closure
+            if self._closure is None:
+                from .updates import enumerate_closure
 
-            for a in enumerate_closure(
-                self._target, self.framework.fixed_abox, cap=self.framework.closure_cap
-            ):
-                yield a
+                self._closure = list(
+                    enumerate_closure(
+                        self._target, self.framework.fixed_abox, cap=self.framework.closure_cap
+                    )
+                )
+            yield from self._closure
 
     def inseparability(self, hypothesis: TBox) -> tuple[ABox, Query] | None:
         """None for inseparable, else a verified counterexample ``(abox, q)``."""
@@ -253,6 +260,17 @@ class OracleSession:
 
     def example(self, dist) -> tuple[tuple[ABox, Query], int]:
         """Draw a classified example from a distribution over the fixed ABox."""
+        if self._checked.get(id(dist)) is not dist:
+            self._check_support(dist)
+            # the entry keeps ``dist`` alive, so its id is not reused
+            self._checked[id(dist)] = dist
+        a, q = dist.sample(self.rng)
+        label = 1 if reasoner.answers_query(self._target, a, q, self._cache) else 0
+        self.ex_count += 1
+        self._log("EX", example_size(a, q), str(label))
+        return (a, q), label
+
+    def _check_support(self, dist) -> None:
         fixed = self.framework.fixed_abox
         for a, q in dist.support:
             if a != fixed:
@@ -261,11 +279,6 @@ class OracleSession:
                 raise ConfigurationError(
                     f"support example outside the {self.framework.query_lang} language: {q!r}"
                 )
-        a, q = dist.sample(self.rng)
-        label = 1 if reasoner.answers_query(self._target, a, q, self._cache) else 0
-        self.ex_count += 1
-        self._log("EX", example_size(a, q), str(label))
-        return (a, q), label
 
 
 def duplicate_variables(q: ConceptQuery) -> ConjunctiveQuery:

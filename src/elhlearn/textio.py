@@ -89,27 +89,38 @@ _TOKEN = re.compile(r"\s*(\[=|==|[A-Za-z][A-Za-z0-9_]*|[().,;:])")
 
 
 class _Tokens:
-    def __init__(self, text: str, line: int):
+    """The tokens of ``text[start:]``, each with its column in ``text``."""
+
+    def __init__(self, text: str, line: int, start: int = 0):
         self.line = line
         self.items: list[tuple[str, int]] = []
-        pos = 0
+        pos = start
         while pos < len(text):
             m = _TOKEN.match(text, pos)
             if not m:
-                if text[pos:].strip():
-                    raise ParseError(f"unexpected character {text[pos]!r}", line, pos + 1)
+                rest = text[pos:].lstrip()
+                if rest:
+                    bad = len(text) - len(rest)
+                    raise ParseError(f"unexpected character {text[bad]!r}", line, bad + 1)
                 break
             self.items.append((m.group(1), m.start(1) + 1))
             pos = m.end()
+        self.text = text
         self.i = 0
         self.depth = 0
 
     def peek(self) -> str | None:
         return self.items[self.i][0] if self.i < len(self.items) else None
 
+    def col(self) -> int:
+        """Column of the next token, or just past the line's end."""
+        if self.i < len(self.items):
+            return self.items[self.i][1]
+        return len(self.text.rstrip()) + 1
+
     def next(self) -> str:
         if self.i >= len(self.items):
-            raise ParseError("unexpected end of line", self.line, 0)
+            raise ParseError("unexpected end of line", self.line, self.col())
         tok, _ = self.items[self.i]
         self.i += 1
         return tok
@@ -117,15 +128,18 @@ class _Tokens:
     def expect(self, want: str) -> str:
         tok = self.peek()
         if tok != want:
-            col = self.items[self.i][1] if self.i < len(self.items) else 0
-            raise ParseError(f"expected {want!r}, found {tok!r}", self.line, col)
+            raise ParseError(f"expected {want!r}, found {tok!r}", self.line, self.col())
         return self.next()
 
     def name(self) -> str:
         tok = self.next()
         if not re.match(r"^[A-Za-z][A-Za-z0-9_]*$", tok):
-            raise ParseError(f"expected a name, found {tok!r}", self.line, 0)
+            raise ParseError(f"expected a name, found {tok!r}", self.line, self.last_col())
         return tok
+
+    def last_col(self) -> int:
+        """Column of the token ``next`` returned last."""
+        return self.items[self.i - 1][1]
 
     def done(self) -> None:
         if self.i < len(self.items):
@@ -140,8 +154,7 @@ def _parse_unit(ts: _Tokens) -> Concept:
         return TOP
     if tok in ("some", "("):
         if ts.depth == MAX_NESTING:
-            col = ts.items[ts.i][1]
-            raise ParseError(f"concept nested deeper than {MAX_NESTING} levels", ts.line, col)
+            raise ParseError(f"concept nested deeper than {MAX_NESTING} levels", ts.line, ts.col())
         ts.depth += 1
         ts.next()
         if tok == "some":
@@ -154,7 +167,7 @@ def _parse_unit(ts: _Tokens) -> Concept:
         ts.depth -= 1
         return inner
     if tok is None:
-        raise ParseError("expected a concept", ts.line, 0)
+        raise ParseError("expected a concept", ts.line, ts.col())
     return Atom(ts.name())
 
 
@@ -166,8 +179,9 @@ def _parse_concept(ts: _Tokens) -> Concept:
     return conj(*parts)
 
 
-def parse_concept(text: str, line: int = 0) -> Concept:
-    ts = _Tokens(text, line)
+def parse_concept(text: str, line: int = 0, start: int = 0) -> Concept:
+    """The concept at ``text[start:]``; error columns count from ``text``'s start."""
+    ts = _Tokens(text, line, start)
     c = _parse_concept(ts)
     ts.done()
     return c
@@ -191,43 +205,52 @@ def serialize_concept(c: Concept) -> str:
     raise TypeError(f"not a concept: {c!r}")
 
 
-def _strip(line: str) -> str:
-    return line.split("#", 1)[0].strip()
+def _statement(raw: str) -> tuple[str, str]:
+    """The line up to its comment, and that part without surrounding blanks.
+
+    The parsers tokenize the first, so that error columns are line columns.
+    """
+    code = raw.split("#", 1)[0]
+    return code, code.strip()
+
+
+def _unknown_statement(code: str, body: str, lineno: int) -> ParseError:
+    return ParseError(f"unknown statement {body.split(':')[0]!r}", lineno, code.index(body) + 1)
 
 
 def parse_tbox(text: str, auto_merge: bool = True, allow_equiv: bool = True) -> TBox:
     cis: list[CI] = []
     ris: list[RI] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = _strip(raw)
+        code, body = _statement(raw)
         if not body:
             continue
         if body.startswith("CI:"):
-            ts = _Tokens(body[3:], lineno)
+            ts = _Tokens(code, lineno, code.index(":") + 1)
             lhs = _parse_concept(ts)
             op = ts.next()
             if op == "==":
                 if not allow_equiv:
-                    raise ParseError("equivalence lines disabled", lineno, 0)
+                    raise ParseError("equivalence lines disabled", lineno, ts.last_col())
                 rhs = _parse_concept(ts)
                 ts.done()
                 cis.append(CI(lhs, rhs))
                 cis.append(CI(rhs, lhs))
                 continue
             if op != "[=":
-                raise ParseError(f"expected '[=' or '==', found {op!r}", lineno, 0)
+                raise ParseError(f"expected '[=' or '==', found {op!r}", lineno, ts.last_col())
             rhs = _parse_concept(ts)
             ts.done()
             cis.append(CI(lhs, rhs))
         elif body.startswith("RI:"):
-            ts = _Tokens(body[3:], lineno)
+            ts = _Tokens(code, lineno, code.index(":") + 1)
             lhs = ts.name()
             ts.expect("[=")
             rhs = ts.name()
             ts.done()
             ris.append(RI(lhs, rhs))
         else:
-            raise ParseError(f"unknown statement {body.split(':')[0]!r}", lineno, 1)
+            raise _unknown_statement(code, body, lineno)
     return terminology(cis, ris, auto_merge=auto_merge)
 
 
@@ -247,15 +270,15 @@ def parse_abox(text: str) -> ABox:
     roles: set[tuple[str, str, str]] = set()
     declared: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = _strip(raw)
+        code, body = _statement(raw)
         if not body:
             continue
         if body.startswith("IND:"):
             declared.add(check_name(body[4:].strip()))
             continue
         if not body.startswith("A:"):
-            raise ParseError(f"unknown statement {body.split(':')[0]!r}", lineno, 1)
-        ts = _Tokens(body[2:], lineno)
+            raise _unknown_statement(code, body, lineno)
+        ts = _Tokens(code, lineno, code.index(":") + 1)
         pred = ts.name()
         ts.expect("(")
         first = ts.name()
@@ -282,12 +305,20 @@ def serialize_abox(a: ABox) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def parse_query(body: str, lineno: int = 0) -> Query:
-    if not body.startswith("Q:"):
-        raise ParseError("query line must start with 'Q:'", lineno, 1)
-    rest = body[2:].strip()
-    if rest.startswith("AQ"):
-        ts = _Tokens(rest[2:], lineno)
+_QUERY_PREFIX = re.compile(r"Q:\s*")
+_CQ_ATOM = re.compile(r"([A-Za-z]\w*)\(\s*([A-Za-z]\w*)\s*(?:,\s*([A-Za-z]\w*)\s*)?\)")
+_NOT_SEPARATOR = re.compile(r"[^\s,]")
+
+
+def parse_query(body: str, lineno: int = 0, start: int = 0) -> Query:
+    """The query at ``body[start:]``; error columns count from ``body``'s start."""
+    if not body.startswith("Q:", start):
+        raise ParseError("query line must start with 'Q:'", lineno, start + 1)
+    at = _QUERY_PREFIX.match(body, start).end()
+    kind = body[at : at + 2]
+    pos = at + 2
+    if kind == "AQ":
+        ts = _Tokens(body, lineno, pos)
         pred = ts.name()
         ts.expect("(")
         args = [ts.name()]
@@ -297,13 +328,12 @@ def parse_query(body: str, lineno: int = 0) -> Query:
         ts.expect(")")
         ts.done()
         return AtomicQuery(pred, tuple(args))
-    if rest.startswith("IQ"):
-        payload = rest[2:].strip()
-        if ":" in payload:
-            ind_part, concept_part = payload.split(":", 1)
-            ind = check_name(ind_part.strip())
-            return ConceptQuery(parse_concept(concept_part, lineno), ind)
-        ts = _Tokens(payload, lineno)
+    if kind == "IQ":
+        colon = body.find(":", pos)
+        if colon >= 0:
+            ind = check_name(body[pos:colon].strip())
+            return ConceptQuery(parse_concept(body, lineno, colon + 1), ind)
+        ts = _Tokens(body, lineno, pos)
         role = ts.name()
         ts.expect("(")
         subj = ts.name()
@@ -312,48 +342,58 @@ def parse_query(body: str, lineno: int = 0) -> Query:
         ts.expect(")")
         ts.done()
         return RoleQuery(role, subj, obj)
-    if rest.startswith("CQ"):
-        pieces = rest[2:].split(";")
+    if kind == "CQ":
+        pieces = body[pos:].split(";")
         if len(pieces) != 3:
-            raise ParseError("CQ needs 'answers ; exists vars ; atoms'", lineno, 0)
+            raise ParseError("CQ needs 'answers ; exists vars ; atoms'", lineno, at + 1)
         answer_inds = tuple(check_name(x.strip()) for x in pieces[0].split(",") if x.strip())
         exists_part = pieces[1].strip()
         if not exists_part.startswith("exists"):
-            raise ParseError("second CQ section must start with 'exists'", lineno, 0)
+            col = pos + len(pieces[0]) + len(pieces[1]) - len(pieces[1].lstrip()) + 2
+            raise ParseError("second CQ section must start with 'exists'", lineno, col)
         var_names = [x.strip() for x in exists_part[len("exists"):].split(",") if x.strip()]
         variables = {check_name(v) for v in var_names}
-        return _parse_cq_atoms(pieces[2], answer_inds, variables, lineno)
-    raise ParseError(f"unknown query language in {rest!r}", lineno, 0)
+        atoms_at = pos + len(pieces[0]) + len(pieces[1]) + 2
+        return _parse_cq_atoms(body, atoms_at, answer_inds, variables, lineno)
+    raise ParseError(f"unknown query language in {body[at:].rstrip()!r}", lineno, at + 1)
 
 
 def _parse_cq_atoms(
-    text: str, answer_inds: tuple[str, ...], variables: set[str], lineno: int
+    text: str, start: int, answer_inds: tuple[str, ...], variables: set[str], lineno: int
 ) -> ConjunctiveQuery:
+    """The atoms at ``text[start:]``: separated by commas and blanks, nothing else."""
     atoms: set = set()
 
     def term(tok: str) -> Term:
         return Var(tok) if tok in variables else tok
 
-    for m in re.finditer(r"([A-Za-z]\w*)\(\s*([A-Za-z]\w*)\s*(?:,\s*([A-Za-z]\w*)\s*)?\)", text):
+    def only_separators(pos: int, end: int) -> None:
+        bad = _NOT_SEPARATOR.search(text, pos, end)
+        if bad:
+            near = text[bad.start() : end].strip()
+            raise ParseError(f"bad CQ atoms near {near!r}", lineno, bad.start() + 1)
+
+    pos = start
+    for m in _CQ_ATOM.finditer(text, start):
+        only_separators(pos, m.start())
         pred, first, second = m.group(1), m.group(2), m.group(3)
         if second is None:
             atoms.add(ConceptAtom(pred, term(first)))
         else:
             atoms.add(RoleAtom(pred, term(first), term(second)))
-    leftover = re.sub(r"([A-Za-z]\w*)\(\s*([A-Za-z]\w*)\s*(?:,\s*([A-Za-z]\w*)\s*)?\)", "", text)
-    if leftover.replace(",", "").strip():
-        raise ParseError(f"bad CQ atoms near {leftover.strip()!r}", lineno, 0)
+        pos = m.end()
+    only_separators(pos, len(text))
     if not atoms:
-        raise ParseError("CQ needs at least one atom", lineno, 0)
+        raise ParseError("CQ needs at least one atom", lineno, start + 1)
     return ConjunctiveQuery(answer_inds, frozenset(Var(v) for v in variables), frozenset(atoms))
 
 
 def parse_queries(text: str) -> list[Query]:
     out: list[Query] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = _strip(raw)
+        code, body = _statement(raw)
         if body:
-            out.append(parse_query(body, lineno))
+            out.append(parse_query(code, lineno, code.index(body)))
     return out
 
 

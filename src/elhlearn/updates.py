@@ -8,6 +8,10 @@ strictly weaker roles, as long as the target still entails the inclusion.
 A generalised hypothesis stays inseparable on every ABox reachable from the
 fixed one by replacing single assertions along linear derivations (a name
 may step to another only when that step is forced by everything above it).
+The subsumers of every concept name come from one saturation, over an ABox
+with one unconnected individual per name, so ``enumerate_closure`` builds
+one model for all its linear derivations; the oracle session enumerates
+the capped family once and replays it on later equivalence questions.
 
 ``learn_with_updates`` generalises after the atomic phase, then runs the one
 counterexample loop of ``learn_iq`` with the update step ``update_step``: a
@@ -44,8 +48,10 @@ from .syntax import (
     conj,
     normalize,
     signature_of_abox,
+    signature_of_concept,
     signature_of_tbox,
     terminology,
+    top_atoms,
 )
 
 
@@ -169,8 +175,6 @@ def _generalise_pass(
 
 
 def _is_concept_name_change(old: Concept, new: Concept) -> bool:
-    from .syntax import signature_of_concept
-
     return signature_of_concept(old).role_names == signature_of_concept(new).role_names
 
 
@@ -179,121 +183,75 @@ def _is_concept_name_change(old: Concept, new: Concept) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _entailed_names(t: TBox, names, kind: str = "concept") -> dict[str, frozenset[str]]:
+    """name -> every name it entails under ``t``, for each of ``names``.
+
+    Concept names are read from one model of an ABox with one individual per
+    name (named after it).  The individuals are unconnected, so each one's
+    label is what ``entails_ci(t, name, ·)`` would read at the root of a
+    model of its own.  Role names take their closure under the inclusions.
+    """
+    if kind == "concept":
+        model = reasoner.build_model(t, ABox(frozenset((n, n) for n in names)))
+        return {n: model.labels[model.named(n)] for n in names}
+    if kind == "role":
+        return {r: reasoner.superroles(t, r) for r in names}
+    raise ConfigurationError(f"unknown kind {kind!r}")
+
+
+def _steps_to(sub: dict[str, frozenset[str]], x: str, y: str) -> bool:
+    return y in sub[x] and all(y in sub[z] for z in sub[x])
+
+
 def linear_derivation(t: TBox, x: str, y: str, kind: str = "concept") -> bool:
     """x steps to y when y follows from x and dominates everything x implies."""
     sig = signature_of_tbox(t)
-    if kind == "concept":
-        names = sorted(sig.concept_names | {x, y})
-        entails = lambda p, q: reasoner.entails_ci(t, Atom(p), Atom(q))
-    elif kind == "role":
-        names = sorted(sig.role_names | {x, y})
-        entails = lambda p, q: reasoner.entails_ri(t, p, q)
-    else:
-        raise ConfigurationError(f"unknown kind {kind!r}")
-    if not entails(x, y):
-        return False
-    return all(entails(z, y) for z in names if entails(x, z))
+    names = sig.role_names if kind == "role" else sig.concept_names
+    return _steps_to(_entailed_names(t, names | {x, y}, kind), x, y)
 
 
 def _one_step_targets(t: TBox) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
     sig = signature_of_tbox(t)
-    cmap = {
-        a: {b for b in sorted(sig.concept_names) if b != a and linear_derivation(t, a, b)}
-        for a in sorted(sig.concept_names)
-    }
-    rmap = {
-        r: {s for s in sorted(sig.role_names) if s != r and linear_derivation(t, r, s, "role")}
-        for r in sorted(sig.role_names)
-    }
+    csub = _entailed_names(t, sig.concept_names)
+    rsub = _entailed_names(t, sig.role_names, "role")
+    cmap = {a: {b for b in csub if b != a and _steps_to(csub, a, b)} for a in sorted(csub)}
+    rmap = {r: {s for s in rsub if s != r and _steps_to(rsub, r, s)} for r in sorted(rsub)}
     return cmap, rmap
-
-
-def _assertion_targets(t: TBox, assertion: tuple) -> list[tuple]:
-    cmap, rmap = _one_step_targets(t)
-    if len(assertion) == 2:
-        name, ind = assertion
-        return [(b, ind) for b in sorted(cmap.get(name, ()))]
-    role, x, y = assertion
-    return [(s, x, y) for s in sorted(rmap.get(role, ()))]
-
-
-def in_generalised_closure(t: TBox, a0: ABox, a: ABox) -> bool:
-    """Is ``a`` reachable from ``a0`` by single linear-derivation replacements?
-
-    Reachability reduces to covering: the one-step relation is transitively
-    closed, so some order of replacements realizes any assignment that maps
-    every original assertion onto some final assertion it can reach, hitting
-    all of them.  Declared-only individuals must agree, and no step touches
-    individuals.
-    """
-    if a.individuals() != a0.individuals():
-        return False
-    cmap, rmap = _one_step_targets(t)
-
-    def reach(src: tuple, dst: tuple) -> bool:
-        if src == dst:
-            return True
-        if len(src) != len(dst):
-            return False
-        if len(src) == 2:
-            return src[1] == dst[1] and dst[0] in cmap.get(src[0], ())
-        return src[1:] == dst[1:] and dst[0] in rmap.get(src[0], ())
-
-    sources = sorted(a0.concept_assertions) + sorted(a0.role_assertions)
-    targets = sorted(a.concept_assertions) + sorted(a.role_assertions)
-    if len(targets) > len(sources):
-        return False
-
-    options = [[j for j, dst in enumerate(targets) if reach(src, dst)] for src in sources]
-    if any(not opts for opts in options):
-        return False
-
-    # every source picks a reachable target; every target must be picked
-    def assign(i: int, hit: set[int]) -> bool:
-        if i == len(sources):
-            return len(hit) == len(targets)
-        remaining = len(sources) - i
-        if len(targets) - len(hit) > remaining:
-            return False
-        for j in options[i]:
-            if assign(i + 1, hit | {j}):
-                return True
-        return False
-
-    return assign(0, set())
 
 
 def enumerate_closure(t: TBox, a0: ABox, cap: int = 200) -> Iterator[ABox]:
     """Members of the reachable family besides ``a0`` itself, capped."""
-    seen = {reasoner.abox_key(a0)}
+    cmap, rmap = _one_step_targets(t)
+    seen = {a0}
     frontier = [a0]
     produced = 0
     while frontier and produced < cap:
         current = frontier.pop(0)
         steps: list[ABox] = []
         for ca in sorted(current.concept_assertions):
-            for repl in _assertion_targets(t, ca):
+            name, ind = ca
+            for b in sorted(cmap.get(name, ())):
                 steps.append(
                     ABox(
-                        (current.concept_assertions - {ca}) | {repl},
+                        (current.concept_assertions - {ca}) | {(b, ind)},
                         current.role_assertions,
                         current.declared,
                     )
                 )
         for ra in sorted(current.role_assertions):
-            for repl in _assertion_targets(t, ra):
+            role, x, y = ra
+            for s in sorted(rmap.get(role, ())):
                 steps.append(
                     ABox(
                         current.concept_assertions,
-                        (current.role_assertions - {ra}) | {repl},
+                        (current.role_assertions - {ra}) | {(s, x, y)},
                         current.declared,
                     )
                 )
         for nxt in steps:
-            key = reasoner.abox_key(nxt)
-            if key in seen:
+            if nxt in seen:
                 continue
-            seen.add(key)
+            seen.add(nxt)
             produced += 1
             yield nxt
             if produced >= cap:
@@ -307,8 +265,6 @@ def enumerate_closure(t: TBox, a0: ABox, cap: int = 200) -> Iterator[ABox]:
 
 
 def _failing_atom(oracle: CachedOracle, h: TBox, a: ABox, concept, ind: str) -> str | None:
-    from .syntax import top_atoms
-
     if isinstance(concept, Atom):
         concept_atoms = [concept.name]
     else:

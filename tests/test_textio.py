@@ -79,6 +79,39 @@ def test_parse_error_has_position():
     assert "line 1" in str(e.value)
 
 
+@pytest.mark.parametrize(
+    "parse, text, line, col, message",
+    [
+        # columns count from the start of the line, indentation included,
+        # and point at the offending character, not the blank before it
+        (parse_tbox, "   CI: A [= some r. $", 1, 21, "unexpected character '$'"),
+        (parse_tbox, "CI: A [= B\n  CI: A B", 2, 9, "expected '[=' or '==', found 'B'"),
+        (parse_tbox, "CI: A [= some r. (B and C", 1, 26, "expected ')', found None"),
+        (parse_tbox, "\tRI: r [= (", 1, 11, "expected a name, found '('"),
+        (parse_tbox, "RI: r [= s t  # comment", 1, 12, "trailing input 't'"),
+        (parse_abox, "A: B(x) y", 1, 9, "trailing input 'y'"),
+        (parse_abox, "A: B(x)\n    A: r(x y)", 2, 12, "expected ')', found 'y'"),
+        (parse_queries, "  Q: AQ A(a b)", 1, 13, "expected ')', found 'b'"),
+        (parse_queries, "Q: IQ r(a b)", 1, 11, "expected ',', found 'b'"),
+        (parse_queries, " Q: IQ a : some r. $", 1, 20, "unexpected character '$'"),
+        (parse_queries, " Q: CQ a ; exists x ; r(a,x), $ B(x)", 1, 31, "bad CQ atoms near '$'"),
+        (parse_queries, " Q: CQ a ; exits x ; r(a,x)", 1, 12, "second CQ section"),
+    ],
+)
+def test_parse_error_reports_line_columns(parse, text, line, col, message):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert (e.value.line, e.value.col) == (line, col)
+    assert f"line {line}, col {col}: {message}" in str(e.value)
+
+
+def test_nesting_error_points_at_the_first_level_too_deep():
+    text = "CI: A [= " + "some r. " * 201 + "B"
+    with pytest.raises(ParseError) as e:
+        parse_tbox(text)
+    assert e.value.col == text.index("some") + 200 * len("some r. ") + 1
+
+
 def test_unknown_statement_rejected():
     with pytest.raises(ParseError):
         parse_tbox("XX: A [= B\n")

@@ -1,6 +1,7 @@
 import pytest
 
 from genkb import covering_abox, random_abox, random_terminology
+from reference_updates import in_generalised_closure
 from elhlearn.learn_aq import CachedOracle, bootstrap_atomic
 from elhlearn.reasoner import LANG_IQ, inseparable
 from elhlearn.syntax import (
@@ -21,7 +22,6 @@ from elhlearn.updates import (
     check_bisim_preservation,
     enumerate_closure,
     generalise,
-    in_generalised_closure,
     learn_with_updates,
     linear_derivation,
 )
