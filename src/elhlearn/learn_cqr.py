@@ -202,24 +202,6 @@ def variable_subquery_concept(q: ConjunctiveQuery, x: Var) -> Concept:
     return normalize(build(x))
 
 
-def check_saturated_shape(q: ConjunctiveQuery) -> None:
-    """After saturation every variable heads a tree with one individual above it."""
-    for x in sorted(q.exist_vars, key=_var_key):
-        variable_subquery_concept(q, x)  # raises when not tree shaped
-        feeders = {
-            atom.subj
-            for atom in q.atoms
-            if isinstance(atom, RoleAtom) and atom.obj == x and isinstance(atom.subj, str)
-        }
-        var_parents = {
-            atom.subj
-            for atom in q.atoms
-            if isinstance(atom, RoleAtom) and atom.obj == x and isinstance(atom.subj, Var)
-        }
-        if len(feeders) + len(var_parents) != 1:
-            raise StructuralError(f"variable {x.name} must have exactly one parent")
-
-
 def cq_to_iq(oracle: CachedOracle, h: TBox, q: ConjunctiveQuery, classes=None) -> Query:
     """Convert a positive rooted-CQ counterexample into an instance query."""
     a = oracle.framework.fixed_abox

@@ -63,7 +63,6 @@ from .syntax import (
     StructuralError,
     TBox,
     Top,
-    canonical,
     conj,
     normalize,
     size_of,
@@ -364,21 +363,6 @@ def reduce_ci(
         if step is None:
             return CI(Atom(lhs), rhs)
         lhs, rhs = step
-
-
-def is_fully_reduced(
-    oracle: CachedOracle, h: TBox, classes: RoleClasses, equivalent_names, ci: CI
-) -> bool:
-    """No single reduction step applies any more (checked, not trusted)."""
-    lhs = ci.lhs.name
-    rhs = normalize(ci.rhs)
-    if canonical(concept_saturate(oracle, lhs, rhs)) != canonical(rhs):
-        return False
-    if canonical(role_saturate(oracle, classes, lhs, rhs)) != canonical(rhs):
-        return False
-    if canonical(sibling_merge(oracle, lhs, rhs)) != canonical(rhs):
-        return False
-    return decompose_right(oracle, h, equivalent_names, lhs, rhs) is None
 
 
 def merge_reduced(

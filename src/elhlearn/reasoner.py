@@ -26,6 +26,10 @@ a change at an element, the element itself and every element at most
 ``depth`` edges before it, since a left side of depth d reads labels at
 most d edges away, and name rules read only the element's own label.
 
+``ModelCache`` keeps models by ``(kb_key(t), abox_key(a))``.  It computes
+each key once per distinct ``TBox`` or ``ABox`` value and, when full, drops
+the least recently used model.
+
 Unravelling the presentation from the named individuals reproduces the least
 model, so instance checking is plain recursive concept evaluation on the
 finite graph, rooted conjunctive queries match into a depth-bounded
@@ -47,6 +51,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable, Literal, Union
 
@@ -420,21 +425,40 @@ def build_model(t: TBox, a: ABox) -> RegularModel:
 
 
 class ModelCache:
-    """Small keyed cache of regular models; learners hit the same KB a lot."""
+    """At most ``limit`` models, the least recently used dropped first.
+
+    The key memo holds two keys per model, each computed once per value.
+    """
 
     def __init__(self, limit: int = 512):
         self.limit = limit
-        self._store: dict[tuple, RegularModel] = {}
+        self._store: OrderedDict[tuple, RegularModel] = OrderedDict()
+        self._keys: OrderedDict[TBox | ABox, tuple] = OrderedDict()
 
     def get(self, t: TBox, a: ABox) -> RegularModel:
-        key = (kb_key(t), abox_key(a))
+        key = (self._key(t, kb_key), self._key(a, abox_key))
         model = self._store.get(key)
         if model is None:
             model = build_model(t, a)
-            if len(self._store) >= self.limit:
-                self._store.clear()
-            self._store[key] = model
+            _put(self._store, key, model, self.limit)
+        else:
+            self._store.move_to_end(key)
         return model
+
+    def _key(self, value: TBox | ABox, key_of) -> tuple:
+        key = self._keys.get(value)
+        if key is None:
+            key = key_of(value)
+            _put(self._keys, value, key, 2 * self.limit)
+        else:
+            self._keys.move_to_end(value)
+        return key
+
+
+def _put(lru: OrderedDict, key, value, limit: int) -> None:
+    if len(lru) >= limit:
+        lru.popitem(last=False)
+    lru[key] = value
 
 
 def kb_key(t: TBox) -> tuple:

@@ -20,6 +20,7 @@ fixes the symbol counts reported by ``size_of``:
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Union
@@ -615,6 +616,7 @@ def signature_of_concept(c: Concept) -> Signature:
     return Signature(frozenset(cn), frozenset(rn))
 
 
+@functools.lru_cache(maxsize=128)
 def signature_of_tbox(t: TBox) -> Signature:
     sig = Signature()
     for ci in t.cis:

@@ -192,13 +192,15 @@ class OracleSession:
     # -- membership -------------------------------------------------------
 
     def membership(self, a: ABox, q: Query) -> bool:
-        allowed = self.framework.signature.union(signature_of_abox(a))
-        if not allowed.covers(signature_of_query(q)):
+        sig, allowed = signature_of_query(q), self.framework.signature
+        # the ABox's own names are allowed too; most queries need none of them
+        if not allowed.covers(sig) and not allowed.union(signature_of_abox(a)).covers(sig):
             raise RejectedQueryError("query uses names outside the framework signature")
         answer = reasoner.answers_query(self._target, a, q, self._cache)
+        size = example_size(a, q)
         self.mq_count += 1
-        self.mq_input_size_sum += example_size(a, q)
-        self._log("MQ", example_size(a, q), "yes" if answer else "no")
+        self.mq_input_size_sum += size
+        self._log("MQ", size, "yes" if answer else "no")
         return answer
 
     # -- inseparability ---------------------------------------------------

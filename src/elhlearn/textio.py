@@ -265,34 +265,52 @@ def serialize_tbox(t: TBox) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+# An ordinary assertion line, with the tokenizer's names and blanks and an
+# optional comment.  It accepts only lines that ``_Tokens`` accepts, with the
+# same result; every other line, and every error, goes through ``_Tokens``.
+_NAME = r"([A-Za-z][A-Za-z0-9_]*)"
+_ASSERTION = re.compile(rf"\s*A:\s*{_NAME}\s*\(\s*{_NAME}\s*(?:,\s*{_NAME}\s*)?\)\s*(?:#.*)?")
+
+
 def parse_abox(text: str) -> ABox:
     concepts: set[tuple[str, str]] = set()
     roles: set[tuple[str, str, str]] = set()
     declared: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        code, body = _statement(raw)
-        if not body:
-            continue
-        if body.startswith("IND:"):
-            declared.add(check_name(body[4:].strip()))
-            continue
-        if not body.startswith("A:"):
-            raise _unknown_statement(code, body, lineno)
-        ts = _Tokens(code, lineno, code.index(":") + 1)
-        pred = ts.name()
-        ts.expect("(")
-        first = ts.name()
-        if ts.peek() == ",":
-            ts.next()
-            second = ts.name()
-            ts.expect(")")
-            ts.done()
-            roles.add((pred, first, second))
+        m = _ASSERTION.fullmatch(raw)
+        if m:
+            pred, first, second = m.groups()
         else:
-            ts.expect(")")
-            ts.done()
+            code, body = _statement(raw)
+            if not body:
+                continue
+            if not body.startswith(("IND:", "A:")):
+                raise _unknown_statement(code, body, lineno)
+            ts = _Tokens(code, lineno, code.index(":") + 1)
+            if body.startswith("IND:"):
+                declared.add(ts.name())
+                ts.done()
+                continue
+            pred, first, second = _atom(ts)
+        if second is None:
             concepts.add((pred, first))
+        else:
+            roles.add((pred, first, second))
     return ABox(frozenset(concepts), frozenset(roles), frozenset(declared))
+
+
+def _atom(ts: _Tokens) -> tuple[str, str, str | None]:
+    """``NAME '(' NAME [',' NAME] ')'`` up to the line's end."""
+    pred = ts.name()
+    ts.expect("(")
+    first = ts.name()
+    second = None
+    if ts.peek() == ",":
+        ts.next()
+        second = ts.name()
+    ts.expect(")")
+    ts.done()
+    return pred, first, second
 
 
 def serialize_abox(a: ABox) -> str:
@@ -318,16 +336,8 @@ def parse_query(body: str, lineno: int = 0, start: int = 0) -> Query:
     kind = body[at : at + 2]
     pos = at + 2
     if kind == "AQ":
-        ts = _Tokens(body, lineno, pos)
-        pred = ts.name()
-        ts.expect("(")
-        args = [ts.name()]
-        if ts.peek() == ",":
-            ts.next()
-            args.append(ts.name())
-        ts.expect(")")
-        ts.done()
-        return AtomicQuery(pred, tuple(args))
+        pred, first, second = _atom(_Tokens(body, lineno, pos))
+        return AtomicQuery(pred, (first,) if second is None else (first, second))
     if kind == "IQ":
         colon = body.find(":", pos)
         if colon >= 0:

@@ -200,14 +200,8 @@ def _entailed_names(t: TBox, names, kind: str = "concept") -> dict[str, frozense
 
 
 def _steps_to(sub: dict[str, frozenset[str]], x: str, y: str) -> bool:
+    """A linear derivation: y follows from x and from everything x entails."""
     return y in sub[x] and all(y in sub[z] for z in sub[x])
-
-
-def linear_derivation(t: TBox, x: str, y: str, kind: str = "concept") -> bool:
-    """x steps to y when y follows from x and dominates everything x implies."""
-    sig = signature_of_tbox(t)
-    names = sig.role_names if kind == "role" else sig.concept_names
-    return _steps_to(_entailed_names(t, names | {x, y}, kind), x, y)
 
 
 def _one_step_targets(t: TBox) -> tuple[dict[str, set[str]], dict[str, set[str]]]:

@@ -3,8 +3,10 @@
 ``linear_derivation``, ``_one_step_targets``, ``_assertion_targets`` and
 ``enumerate_closure`` are the versions that asked ``entails_ci`` once per
 name pair and recomputed the one-step maps for every assertion, verbatim
-apart from imports.  ``in_generalised_closure`` is the membership oracle of
-the closure: it is only used by tests, so it lives here.
+apart from imports.  ``linear_derivation`` is also the tests' definition of
+a linear derivation, since ``updates`` keeps only the one-model form that
+``_one_step_targets`` reads.  ``in_generalised_closure`` is the membership
+oracle of the closure: it is only used by tests, so it lives here.
 """
 
 from __future__ import annotations

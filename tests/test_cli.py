@@ -53,6 +53,22 @@ def test_reason_parse_error(workdir, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "line, where",
+    [
+        ("IND: 1x", "line 2, col 6: unexpected character '1'"),
+        ("IND: a b", "line 2, col 8: trailing input 'b'"),
+        ("IND:", "line 2, col 5: unexpected end of line"),
+    ],
+)
+def test_reason_bad_individual_line_is_a_parse_error(workdir, capsys, line, where):
+    (workdir / "q.q").write_text("Q: AQ A(a)\n")
+    (workdir / "bad.abox").write_text(f"A: r(a,b)\n{line}\n")
+    code = main(["reason", str(workdir / "t.tbox"), str(workdir / "bad.abox"), str(workdir / "q.q")])
+    assert code == 2
+    assert capsys.readouterr().err == f"parse error: {where}\n"
+
+
 def test_reason_unsupported_query(workdir):
     (workdir / "u.q").write_text("Q: CQ ; exists x, y ; r(x,y), M(y)\n")
     code = main(["reason", str(workdir / "t.tbox"), str(workdir / "a.abox"), str(workdir / "u.q")])

@@ -2,7 +2,7 @@ from genkb import random_abox, random_terminology
 from elhlearn.learn_aq import CachedOracle
 from elhlearn.learn_cqr import (
     SaturationStats,
-    check_saturated_shape,
+    _var_key,
     cq_to_iq,
     learn_cqr,
     saturate_counterexample,
@@ -17,6 +17,7 @@ from elhlearn.syntax import (
     Exists,
     RI,
     RoleAtom,
+    StructuralError,
     TBox,
     TOP,
     Var,
@@ -25,6 +26,24 @@ from elhlearn.syntax import (
     terminology,
 )
 from elhlearn.teacher import OracleSession, POLICY_ADVERSARIAL_CQ, framework_for
+
+
+def check_saturated_shape(q: ConjunctiveQuery) -> None:
+    """After saturation every variable heads a tree with one individual above it."""
+    for x in sorted(q.exist_vars, key=_var_key):
+        variable_subquery_concept(q, x)  # raises when not tree shaped
+        feeders = {
+            atom.subj
+            for atom in q.atoms
+            if isinstance(atom, RoleAtom) and atom.obj == x and isinstance(atom.subj, str)
+        }
+        var_parents = {
+            atom.subj
+            for atom in q.atoms
+            if isinstance(atom, RoleAtom) and atom.obj == x and isinstance(atom.subj, Var)
+        }
+        if len(feeders) + len(var_parents) != 1:
+            raise StructuralError(f"variable {x.name} must have exactly one parent")
 
 
 def fig1():

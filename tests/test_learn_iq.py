@@ -3,8 +3,9 @@ import pytest
 from genkb import random_abox, random_terminology
 from elhlearn.learn_aq import CachedOracle
 from elhlearn.learn_iq import (
+    RoleClasses,
     concept_saturate,
-    is_fully_reduced,
+    decompose_right,
     learn_iq,
     merge_reduced,
     reduce_ci,
@@ -39,6 +40,21 @@ from elhlearn.teacher import Framework, OracleSession, framework_for
 
 def oracle_for(t, a0, lang=LANG_IQ):
     return CachedOracle(OracleSession(t, framework_for(t, a0, lang)))
+
+
+def is_fully_reduced(
+    oracle: CachedOracle, h: TBox, classes: RoleClasses, equivalent_names, ci: CI
+) -> bool:
+    """No single reduction step applies any more (checked, not trusted)."""
+    lhs = ci.lhs.name
+    rhs = normalize(ci.rhs)
+    if canonical(concept_saturate(oracle, lhs, rhs)) != canonical(rhs):
+        return False
+    if canonical(role_saturate(oracle, classes, lhs, rhs)) != canonical(rhs):
+        return False
+    if canonical(sibling_merge(oracle, lhs, rhs)) != canonical(rhs):
+        return False
+    return decompose_right(oracle, h, equivalent_names, lhs, rhs) is None
 
 
 class TestReduceCounterexample:

@@ -91,6 +91,9 @@ def test_parse_error_has_position():
         (parse_tbox, "RI: r [= s t  # comment", 1, 12, "trailing input 't'"),
         (parse_abox, "A: B(x) y", 1, 9, "trailing input 'y'"),
         (parse_abox, "A: B(x)\n    A: r(x y)", 2, 12, "expected ')', found 'y'"),
+        (parse_abox, "IND: 1x", 1, 6, "unexpected character '1'"),
+        (parse_abox, "A: B(x)\nIND: a b  # two names", 2, 8, "trailing input 'b'"),
+        (parse_abox, "  IND:", 1, 7, "unexpected end of line"),
         (parse_queries, "  Q: AQ A(a b)", 1, 13, "expected ')', found 'b'"),
         (parse_queries, "Q: IQ r(a b)", 1, 11, "expected ',', found 'b'"),
         (parse_queries, " Q: IQ a : some r. $", 1, 20, "unexpected character '$'"),

@@ -35,7 +35,7 @@ from elhlearn.syntax import (
     terminology,
 )
 from elhlearn.teacher import OracleSession, framework_for
-from elhlearn.updates import enumerate_closure, learn_with_updates, linear_derivation
+from elhlearn.updates import enumerate_closure, learn_with_updates
 
 CONCEPTS = ["A1", "A2", "A3", "A4"]
 ROLES = ["r1", "r2", "r3"]
@@ -83,6 +83,13 @@ def aboxes(draw):
     return ABox(frozenset(cas), frozenset(ras), frozenset(declared))
 
 
+def linear_derivation(t, x, y, kind="concept"):
+    """The one-model definition that ``_one_step_targets`` reads, for any x and y."""
+    sig = signature_of_tbox(t)
+    names = sig.role_names if kind == "role" else sig.concept_names
+    return updates._steps_to(updates._entailed_names(t, names | {x, y}, kind), x, y)
+
+
 def assert_same_closure(t, a0):
     assert updates._one_step_targets(t) == ref._one_step_targets(t)
     sig = signature_of_tbox(t)
@@ -112,7 +119,7 @@ def test_closure_matches_reference_on_genkb_seeds():
 
 def test_unknown_kind_is_rejected():
     with pytest.raises(ConfigurationError):
-        linear_derivation(terminology([]), "A", "B", "other")
+        updates._entailed_names(terminology([]), {"A", "B"}, "other")
 
 
 @pytest.fixture

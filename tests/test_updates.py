@@ -1,7 +1,7 @@
 import pytest
 
 from genkb import covering_abox, random_abox, random_terminology
-from reference_updates import in_generalised_closure
+from reference_updates import in_generalised_closure, linear_derivation
 from elhlearn.learn_aq import CachedOracle, bootstrap_atomic
 from elhlearn.reasoner import LANG_IQ, inseparable
 from elhlearn.syntax import (
@@ -23,7 +23,6 @@ from elhlearn.updates import (
     enumerate_closure,
     generalise,
     learn_with_updates,
-    linear_derivation,
 )
 
 
