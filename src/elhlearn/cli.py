@@ -3,7 +3,8 @@
 Subcommands: ``reason``, ``learn``, ``update-check``, ``batch build``,
 ``batch learn``, ``pac run``, ``vc check``.  Verdicts go to stdout as plain
 text, statistics as JSON.  Exit codes: 0 ok/entailed, 1 not-entailed or
-separable or not-preserved, 2 parse error, 3 unsupported query language,
+separable or not-preserved, 2 parse error or bad input (a name used as two
+of concept, role and individual, say), 3 unsupported query language,
 4 budget exceeded.  Set ``ELH_LOG`` to a logging level name for diagnostics.
 """
 
@@ -23,12 +24,17 @@ from .learn_aq import learn_aq
 from .learn_cqr import learn_cqr
 from .learn_iq import learn_iq
 from .syntax import (
+    ABox,
     AtomicQuery,
     BudgetExceededError,
     ConceptQuery,
     ElhError,
     Query,
+    TBox,
     UnsupportedQueryError,
+    check_disjoint_namespaces,
+    signature_of_abox,
+    signature_of_tbox,
     size_of,
 )
 from .textio import ParseError
@@ -54,9 +60,18 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}")
 
 
+def _check_namespaces(tboxes: list[TBox], aboxes: list[ABox]) -> None:
+    """The inputs of one command share one vocabulary: no name is of two kinds."""
+    check_disjoint_namespaces(
+        [signature_of_tbox(t) for t in tboxes] + [signature_of_abox(a) for a in aboxes],
+        [ind for a in aboxes for ind in a.individuals()],
+    )
+
+
 def cmd_reason(args: argparse.Namespace) -> int:
     t = textio.parse_tbox(_read(args.tbox))
     a = textio.parse_abox(_read(args.abox))
+    _check_namespaces([t], [a])
     queries = textio.parse_queries(_read(args.queries))
     if not queries:
         raise ParseError("query file holds no queries")
@@ -97,7 +112,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
     target = textio.parse_tbox(_read(args.target))
     a0 = textio.parse_abox(_read(args.abox))
     lang = LANGS[args.mode]
-    fw = teacher.framework_for(target, a0, lang)
+    fw = teacher.framework_for(target, a0, lang)  # checks the namespaces
     session = teacher.OracleSession(
         target, fw, policy=args.oracle_policy, seed=args.seed, max_total_input=args.budget
     )
@@ -140,6 +155,7 @@ def cmd_update_check(args: argparse.Namespace) -> int:
     h = textio.parse_tbox(_read(args.hypothesis))
     a0 = textio.parse_abox(_read(args.abox0))
     a = textio.parse_abox(_read(args.abox))
+    _check_namespaces([t, h], [a0, a])
     preserved = updates.check_bisim_preservation(t, h, a0, a)
     print("PRESERVED" if preserved else "NOT_PRESERVED")
     return EXIT_OK if preserved else EXIT_NEGATIVE
@@ -148,6 +164,7 @@ def cmd_update_check(args: argparse.Namespace) -> int:
 def cmd_batch_build(args: argparse.Namespace) -> int:
     target = textio.parse_tbox(_read(args.target))
     a0 = textio.parse_abox(_read(args.abox))
+    _check_namespaces([target], [a0])
     items = batchmod.build_batch(target, a0, LANGS[args.mode], seed=args.seed)
     text = batchmod.dump_batch(items)
     if args.out:
@@ -161,6 +178,7 @@ def cmd_batch_build(args: argparse.Namespace) -> int:
 def cmd_batch_learn(args: argparse.Namespace) -> int:
     items = batchmod.load_batch(_read(args.batch))
     a0 = textio.parse_abox(_read(args.abox))
+    _check_namespaces([], [a0] + [item.abox for item in items])
     h = batchmod.learn_from_batch(items, a0, LANGS[args.mode])
     if args.out:
         Path(args.out).write_text(textio.serialize_tbox(h), encoding="utf-8")
@@ -190,6 +208,7 @@ def cmd_pac_run(args: argparse.Namespace) -> int:
     else:
         queries = textio.parse_queries(_read(args.queries))
         dist = pacmod.uniform_distribution([(a0, q) for q in queries], seed=args.seed)
+    _check_namespaces([target], [a0] + [a for a, _ in dist.support])
     trials = []
     for trial in range(args.trials):
         fw = teacher.framework_for(target, a0, lang)

@@ -69,7 +69,8 @@ class CachedOracle:
 
     def __init__(self, session):
         self.session = session
-        self._mq: dict[tuple, bool] = {}
+        # keyed on the ABox value, which is as fine as its sorted assertions
+        self._mq: dict[tuple[ABox, str], bool] = {}
         self.cache = reasoner.ModelCache()
 
     @property
@@ -77,7 +78,7 @@ class CachedOracle:
         return self.session.framework
 
     def membership(self, a: ABox, q: Query) -> bool:
-        key = (reasoner.abox_key(a), repr(q))
+        key = (a, repr(q))
         if key not in self._mq:
             self._mq[key] = self.session.membership(a, q)
         return self._mq[key]

@@ -28,11 +28,16 @@ most d edges away, and name rules read only the element's own label.
 
 ``ModelCache`` keeps models by ``(kb_key(t), abox_key(a))``.  It computes
 each key once per distinct ``TBox`` or ``ABox`` value and, when full, drops
-the least recently used model.
+the least recently used model.  A ``get`` for the very objects of the last
+``get`` returns the last model before any key work, which leaves the cache
+as the full lookup would.
 
 Unravelling the presentation from the named individuals reproduces the least
 model, so instance checking is plain recursive concept evaluation on the
-finite graph, rooted conjunctive queries match into a depth-bounded
+finite graph (``_eval_concept``, the one evaluator, which saturation uses
+for complex left sides as well), the boolean query ``exists w ; A(w)`` is a
+walk from the named part that stops at the first element labelled ``A``,
+rooted conjunctive queries match into a depth-bounded
 unravelling (a match moves at most one step away from the named part per
 query term), and query inseparability reduces to label agreement plus mutual
 (bundle) simulations anchored at each individual.
@@ -201,18 +206,6 @@ class RegularModel:
     def successors(self, el: Element) -> tuple[Edge, ...]:
         return self.edges[el]
 
-    def reachable(self) -> list[Element]:
-        """Elements reachable from the named part, named part included."""
-        frontier = [e for e in self.labels if e[0] == "n"]
-        seen = set(frontier)
-        while frontier:
-            el = frontier.pop()
-            for _, tgt in self.edges[el]:
-                if tgt not in seen:
-                    seen.add(tgt)
-                    frontier.append(tgt)
-        return sorted(seen)
-
 
 def _existential_fillers(t: TBox) -> dict[str, Concept]:
     """Fillers of existentials nested in right-hand sides of name-lhs CIs."""
@@ -239,19 +232,32 @@ def _eval_concept(labels, edges, el, c: Concept) -> bool:
 
     ``labels[el]`` holds the names of ``el`` and ``edges[el]`` its
     ``(role set, target)`` edges: dicts keyed by element on a model, lists
-    indexed by position during saturation.
+    indexed by position during saturation.  Saturation and query answering
+    both evaluate here, so the kinds are tried most frequent first, and an
+    existential with a name as filler reads its targets' labels directly.
     """
-    if isinstance(c, Top):
-        return True
-    if isinstance(c, Atom):
-        return c.name in labels[el]
-    if isinstance(c, And):
-        return all(_eval_concept(labels, edges, el, a) for a in c.args)
-    if isinstance(c, Exists):
+    kind = type(c)
+    if kind is Exists:
+        role, filler = c.role, c.filler
+        if type(filler) is Atom:
+            name = filler.name
+            for roles, tgt in edges[el]:
+                if role in roles and name in labels[tgt]:
+                    return True
+            return False
         for roles, tgt in edges[el]:
-            if c.role in roles and _eval_concept(labels, edges, tgt, c.filler):
+            if role in roles and _eval_concept(labels, edges, tgt, filler):
                 return True
         return False
+    if kind is Atom:
+        return c.name in labels[el]
+    if kind is And:
+        for arg in c.args:
+            if not _eval_concept(labels, edges, el, arg):
+                return False
+        return True
+    if kind is Top:
+        return True
     raise TypeError(f"not a concept: {c!r}")
 
 
@@ -428,14 +434,22 @@ class ModelCache:
     """At most ``limit`` models, the least recently used dropped first.
 
     The key memo holds two keys per model, each computed once per value.
+    The pair of objects asked for last, and its model, are kept aside: asked
+    for again, they are answered without any key work.  That pair is already
+    the most recently used in the store and in the key memo, so skipping the
+    lookups leaves both as they would be.
     """
 
     def __init__(self, limit: int = 512):
         self.limit = limit
         self._store: OrderedDict[tuple, RegularModel] = OrderedDict()
         self._keys: OrderedDict[TBox | ABox, tuple] = OrderedDict()
+        self._last: tuple[TBox | None, ABox | None, RegularModel | None] = (None, None, None)
 
     def get(self, t: TBox, a: ABox) -> RegularModel:
+        last_t, last_a, model = self._last
+        if t is last_t and a is last_a:
+            return model
         key = (self._key(t, kb_key), self._key(a, abox_key))
         model = self._store.get(key)
         if model is None:
@@ -443,6 +457,7 @@ class ModelCache:
             _put(self._store, key, model, self.limit)
         else:
             self._store.move_to_end(key)
+        self._last = (t, a, model)
         return model
 
     def _key(self, value: TBox | ABox, key_of) -> tuple:
@@ -501,7 +516,27 @@ def role_assertion_holds(t: TBox, a: ABox, role: str, x: str, y: str) -> bool:
 
 
 def _existential_atom_holds(model: RegularModel, name: str) -> bool:
-    return any(name in model.labels[el] for el in model.reachable())
+    """Does some element reachable from the named part have ``name``?
+
+    The walk starts at the named elements and stops at the first element
+    found with the name.
+    """
+    labels, edges = model.labels, model.edges
+    frontier = []
+    for el, label in labels.items():
+        if el[0] == "n":
+            if name in label:
+                return True
+            frontier.append(el)
+    seen = set(frontier)
+    while frontier:
+        for _, tgt in edges[frontier.pop()]:
+            if tgt not in seen:
+                if name in labels[tgt]:
+                    return True
+                seen.add(tgt)
+                frontier.append(tgt)
+    return False
 
 
 def _cq_bound(q: ConjunctiveQuery) -> int:

@@ -69,13 +69,9 @@ class DataError(ElhError):
     """Inconsistent classified data."""
 
 
-NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
-
-
-def check_name(name: str) -> str:
-    if not NAME_RE.match(name):
-        raise StructuralError(f"invalid name: {name!r}")
-    return name
+# the one pattern of concept, role and individual names
+NAME = "[A-Za-z][A-Za-z0-9_]*"
+NAME_RE = re.compile(f"^{NAME}$")
 
 
 # ---------------------------------------------------------------------------
@@ -688,10 +684,6 @@ def size_of(obj) -> int:
             total += 1 + len(obj.exist_vars)
         return total
     raise TypeError(f"size_of not defined for {type(obj).__name__}")
-
-
-def example_size(a: ABox, q: Query) -> int:
-    return size_of(a) + size_of(q)
 
 
 def check_disjoint_namespaces(sigs: Iterable[Signature], individuals: Iterable[str] = ()) -> None:

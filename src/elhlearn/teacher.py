@@ -40,7 +40,7 @@ from .syntax import (
     TBox,
     Top,
     Var,
-    example_size,
+    check_disjoint_namespaces,
     concept_query_as_cq,
     is_rooted,
     signature_of_abox,
@@ -80,8 +80,10 @@ class Framework:
 
 
 def framework_for(target: TBox, fixed_abox: ABox, query_lang: str, **kw) -> Framework:
-    sig = signature_of_tbox(target).union(signature_of_abox(fixed_abox))
-    return Framework(fixed_abox, query_lang, sig, **kw)
+    """The framework of ``target`` over ``fixed_abox``; their names must not clash."""
+    tbox_sig, abox_sig = signature_of_tbox(target), signature_of_abox(fixed_abox)
+    check_disjoint_namespaces([tbox_sig, abox_sig], fixed_abox.individuals())
+    return Framework(fixed_abox, query_lang, tbox_sig.union(abox_sig), **kw)
 
 
 def query_in_language(q: Query, lang: str) -> bool:
@@ -161,9 +163,11 @@ class OracleSession:
         self.transcript: list[TranscriptEntry] = []
         self._cache = reasoner.ModelCache()
         # fixed for the session: the update closure of the fixed ABox, made
-        # on first use, and the distributions whose support was checked
+        # on first use, the distributions whose support was checked, and the
+        # size of every ABox asked about
         self._closure: list[ABox] | None = None
         self._checked: dict[int, object] = {}
+        self._abox_sizes: dict[ABox, int] = {}
 
     # -- accounting -------------------------------------------------------
 
@@ -189,6 +193,13 @@ class OracleSession:
     def export_transcript(self) -> str:
         return "\n".join(json.dumps(e.as_dict(), sort_keys=True) for e in self.transcript)
 
+    def _example_size(self, a: ABox, q: Query) -> int:
+        """``size_of(a) + size_of(q)``, with the ABox walked once per value."""
+        size = self._abox_sizes.get(a)
+        if size is None:
+            size = self._abox_sizes[a] = size_of(a)
+        return size + size_of(q)
+
     # -- membership -------------------------------------------------------
 
     def membership(self, a: ABox, q: Query) -> bool:
@@ -197,7 +208,7 @@ class OracleSession:
         if not allowed.covers(sig) and not allowed.union(signature_of_abox(a)).covers(sig):
             raise RejectedQueryError("query uses names outside the framework signature")
         answer = reasoner.answers_query(self._target, a, q, self._cache)
-        size = example_size(a, q)
+        size = self._example_size(a, q)
         self.mq_count += 1
         self.mq_input_size_sum += size
         self._log("MQ", size, "yes" if answer else "no")
@@ -233,7 +244,7 @@ class OracleSession:
             if gap:
                 query = self._pick(gap, a, hypothesis)
                 self.largest_counterexample = max(
-                    self.largest_counterexample, example_size(a, query)
+                    self.largest_counterexample, self._example_size(a, query)
                 )
                 self._log("EQ", size_of(hypothesis), "counterexample")
                 return a, query
@@ -269,7 +280,7 @@ class OracleSession:
         a, q = dist.sample(self.rng)
         label = 1 if reasoner.answers_query(self._target, a, q, self._cache) else 0
         self.ex_count += 1
-        self._log("EX", example_size(a, q), str(label))
+        self._log("EX", self._example_size(a, q), str(label))
         return (a, q), label
 
     def _check_support(self, dist) -> None:

@@ -20,7 +20,12 @@ Grammar (UTF-8, one statement per line, ``#`` starts a comment)::
 of ``some r. A`` with ``B``; a conjunctive filler needs parentheses.  In a
 CQ line the terms listed after ``exists`` are variables, all other terms are
 individuals.  A concept nests at most ``MAX_NESTING`` levels of ``some`` and
-parentheses; deeper input is a ``ParseError``.
+parentheses; deeper input is a ``ParseError``.  ``NAME`` is ``syntax.NAME``
+everywhere, and an inclusion needs a name (or ``top``) on one side.  The
+parsers raise no error but ``ParseError``, which gives the line and the
+column of the offending character; only ``parse_tbox`` with ``auto_merge``
+off also raises ``TerminologyError``, for two inclusions with one name on
+the left.
 """
 
 from __future__ import annotations
@@ -47,9 +52,11 @@ from .syntax import (
     Term,
     Top,
     And,
+    NAME,
+    NAME_RE,
     Var,
-    check_name,
     conj,
+    normalize,
     terminology,
 )
 from .syntax import ElhError
@@ -85,7 +92,7 @@ def json_field(obj, key: str, kind: type, line: int = 0):
 # concept; past this depth a line is rejected instead of exhausting the stack.
 MAX_NESTING = 200
 
-_TOKEN = re.compile(r"\s*(\[=|==|[A-Za-z][A-Za-z0-9_]*|[().,;:])")
+_TOKEN = re.compile(rf"\s*(\[=|==|{NAME}|[().,;:])")
 
 
 class _Tokens:
@@ -133,7 +140,7 @@ class _Tokens:
 
     def name(self) -> str:
         tok = self.next()
-        if not re.match(r"^[A-Za-z][A-Za-z0-9_]*$", tok):
+        if not NAME_RE.match(tok):
             raise ParseError(f"expected a name, found {tok!r}", self.line, self.last_col())
         return tok
 
@@ -229,19 +236,18 @@ def parse_tbox(text: str, auto_merge: bool = True, allow_equiv: bool = True) -> 
             ts = _Tokens(code, lineno, code.index(":") + 1)
             lhs = _parse_concept(ts)
             op = ts.next()
-            if op == "==":
-                if not allow_equiv:
-                    raise ParseError("equivalence lines disabled", lineno, ts.last_col())
-                rhs = _parse_concept(ts)
-                ts.done()
-                cis.append(CI(lhs, rhs))
-                cis.append(CI(rhs, lhs))
-                continue
-            if op != "[=":
+            if op not in ("[=", "=="):
                 raise ParseError(f"expected '[=' or '==', found {op!r}", lineno, ts.last_col())
+            if op == "==" and not allow_equiv:
+                raise ParseError("equivalence lines disabled", lineno, ts.last_col())
             rhs = _parse_concept(ts)
             ts.done()
+            # the terminology restriction, checked here to give its position
+            if not any(isinstance(normalize(c), (Atom, Top)) for c in (lhs, rhs)):
+                raise ParseError("inclusion needs a concept name on one side", lineno, ts.items[0][1])
             cis.append(CI(lhs, rhs))
+            if op == "==":
+                cis.append(CI(rhs, lhs))
         elif body.startswith("RI:"):
             ts = _Tokens(code, lineno, code.index(":") + 1)
             lhs = ts.name()
@@ -268,7 +274,7 @@ def serialize_tbox(t: TBox) -> str:
 # An ordinary assertion line, with the tokenizer's names and blanks and an
 # optional comment.  It accepts only lines that ``_Tokens`` accepts, with the
 # same result; every other line, and every error, goes through ``_Tokens``.
-_NAME = r"([A-Za-z][A-Za-z0-9_]*)"
+_NAME = rf"({NAME})"
 _ASSERTION = re.compile(rf"\s*A:\s*{_NAME}\s*\(\s*{_NAME}\s*(?:,\s*{_NAME}\s*)?\)\s*(?:#.*)?")
 
 
@@ -324,7 +330,7 @@ def serialize_abox(a: ABox) -> str:
 
 
 _QUERY_PREFIX = re.compile(r"Q:\s*")
-_CQ_ATOM = re.compile(r"([A-Za-z]\w*)\(\s*([A-Za-z]\w*)\s*(?:,\s*([A-Za-z]\w*)\s*)?\)")
+_CQ_ATOM = re.compile(rf"{_NAME}\(\s*{_NAME}\s*(?:,\s*{_NAME}\s*)?\)")
 _NOT_SEPARATOR = re.compile(r"[^\s,]")
 
 
@@ -339,12 +345,14 @@ def parse_query(body: str, lineno: int = 0, start: int = 0) -> Query:
         pred, first, second = _atom(_Tokens(body, lineno, pos))
         return AtomicQuery(pred, (first,) if second is None else (first, second))
     if kind == "IQ":
-        colon = body.find(":", pos)
-        if colon >= 0:
-            ind = check_name(body[pos:colon].strip())
-            return ConceptQuery(parse_concept(body, lineno, colon + 1), ind)
         ts = _Tokens(body, lineno, pos)
-        role = ts.name()
+        first = ts.name()
+        if ts.peek() == ":":
+            ts.next()
+            concept = _parse_concept(ts)
+            ts.done()
+            return ConceptQuery(concept, first)
+        role = first
         ts.expect("(")
         subj = ts.name()
         ts.expect(",")
@@ -356,16 +364,29 @@ def parse_query(body: str, lineno: int = 0, start: int = 0) -> Query:
         pieces = body[pos:].split(";")
         if len(pieces) != 3:
             raise ParseError("CQ needs 'answers ; exists vars ; atoms'", lineno, at + 1)
-        answer_inds = tuple(check_name(x.strip()) for x in pieces[0].split(",") if x.strip())
-        exists_part = pieces[1].strip()
-        if not exists_part.startswith("exists"):
-            col = pos + len(pieces[0]) + len(pieces[1]) - len(pieces[1].lstrip()) + 2
-            raise ParseError("second CQ section must start with 'exists'", lineno, col)
-        var_names = [x.strip() for x in exists_part[len("exists"):].split(",") if x.strip()]
-        variables = {check_name(v) for v in var_names}
-        atoms_at = pos + len(pieces[0]) + len(pieces[1]) + 2
+        inds_end = pos + len(pieces[0])
+        atoms_at = inds_end + len(pieces[1]) + 2
+        answer_inds = tuple(_names(body, pos, inds_end, lineno))
+        exists_at = inds_end + 1 + len(pieces[1]) - len(pieces[1].lstrip())
+        if not body.startswith("exists", exists_at):
+            raise ParseError("second CQ section must start with 'exists'", lineno, exists_at + 1)
+        variables = set(_names(body, exists_at + len("exists"), atoms_at - 1, lineno))
         return _parse_cq_atoms(body, atoms_at, answer_inds, variables, lineno)
     raise ParseError(f"unknown query language in {body[at:].rstrip()!r}", lineno, at + 1)
+
+
+_LIST_ITEM = re.compile(r"[^,]+")
+
+
+def _names(text: str, start: int, end: int, lineno: int) -> list[str]:
+    """The names listed in ``text[start:end]``, comma-separated; blank items are skipped."""
+    out = []
+    for m in _LIST_ITEM.finditer(text, start, end):
+        if not m.group().isspace():
+            ts = _Tokens(text[: m.end()], lineno, m.start())
+            out.append(ts.name())
+            ts.done()
+    return out
 
 
 def _parse_cq_atoms(

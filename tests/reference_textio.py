@@ -3,12 +3,20 @@
 ``parse_abox`` is the version before the compiled ``A:`` line pattern,
 verbatim apart from imports: every line goes through ``_Tokens``, and an
 ``IND:`` line with a bad name raises ``StructuralError`` without a position.
+``check_name`` moved here from ``elhlearn.syntax`` once the text parsers
+stopped using it.
 """
 
 from __future__ import annotations
 
-from elhlearn.syntax import ABox, check_name
+from elhlearn.syntax import ABox, NAME_RE, StructuralError
 from elhlearn.textio import _Tokens, _statement, _unknown_statement
+
+
+def check_name(name: str) -> str:
+    if not NAME_RE.match(name):
+        raise StructuralError(f"invalid name: {name!r}")
+    return name
 
 
 def parse_abox(text: str) -> ABox:

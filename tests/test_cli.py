@@ -69,6 +69,52 @@ def test_reason_bad_individual_line_is_a_parse_error(workdir, capsys, line, wher
     assert capsys.readouterr().err == f"parse error: {where}\n"
 
 
+@pytest.mark.parametrize(
+    "line, where",
+    [
+        ("Q: IQ 1x : A", "line 1, col 7: unexpected character '1'"),
+        ("Q: IQ : A", "line 1, col 7: expected a name, found ':'"),
+        ("Q: CQ 1a ; exists y ; A(y)", "line 1, col 7: unexpected character '1'"),
+        ("Q: CQ a ; exists 9y ; A(a)", "line 1, col 18: unexpected character '9'"),
+        ("Q: CQ a ; exists y ; Aé(y), r(a,y)", "line 1, col 22: bad CQ atoms near 'Aé(y),'"),
+    ],
+)
+def test_reason_bad_name_in_a_query_is_a_parse_error(workdir, capsys, line, where):
+    (workdir / "bad.q").write_text(f"{line}\n", encoding="utf-8")
+    code = main(["reason", str(workdir / "t.tbox"), str(workdir / "a.abox"), str(workdir / "bad.q")])
+    assert code == 2
+    assert capsys.readouterr().err == f"parse error: {where}\n"
+
+
+@pytest.mark.parametrize(
+    "command, abox",
+    [
+        ("reason", "A: r(a,b)\nA: B(A)\n"),  # an individual named like a concept
+        ("reason", "A: r(a,b)\nA: s(b,r)\n"),  # ... like a role
+        ("reason", "A: r(a,b)\nA: B(b)\nA: a(b)\n"),  # a concept named like an individual
+        ("learn", "A: r(a,b)\nA: B(A)\n"),
+        ("update-check", "A: r(a,b)\nIND: s\n"),
+        ("batch-build", "A: r(a,b)\nA: B(b)\nA: s(b,B)\n"),
+        ("pac-run", "A: r(a,b)\nA: B(b)\nA: r(b,A)\n"),
+    ],
+)
+def test_a_name_of_two_kinds_exits_2(workdir, capsys, command, abox):
+    (workdir / "clash.abox").write_text(abox)
+    (workdir / "q.q").write_text("Q: AQ A(a)\n")
+    t, a, clash, q = (str(workdir / f) for f in ("t.tbox", "a.abox", "clash.abox", "q.q"))
+    argv = {
+        "reason": ["reason", t, clash, q],
+        "learn": ["learn", "--mode", "iq", t, clash],
+        "update-check": ["update-check", t, t, a, clash],
+        "batch-build": ["batch", "build", "--mode", "iq", t, clash],
+        "pac-run": ["pac", "run", "--mode", "aq", t, clash, "--queries", q],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: name used in two namespaces: ")
+    assert "ENTAILED" not in captured.out
+
+
 def test_reason_unsupported_query(workdir):
     (workdir / "u.q").write_text("Q: CQ ; exists x, y ; r(x,y), M(y)\n")
     code = main(["reason", str(workdir / "t.tbox"), str(workdir / "a.abox"), str(workdir / "u.q")])

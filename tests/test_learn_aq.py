@@ -1,6 +1,7 @@
 import pytest
 
 from genkb import random_abox, random_terminology
+from elhlearn import reasoner
 from elhlearn.learn_aq import (
     CachedOracle,
     bootstrap_atomic,
@@ -264,3 +265,22 @@ class TestLearnAq:
         res = learn_aq(OracleSession(t, fw))
         assert inseparable(t, res.hypothesis, a0, LANG_AQ) is None
         assert answers_query(res.hypothesis, a0, AtomicQuery("A1", ("c",)))
+
+
+def test_membership_memo_is_keyed_on_the_abox_value(monkeypatch):
+    keyed = []
+
+    def counted(a):
+        keyed.append(a)
+        return abox_key(a)
+
+    abox_key = reasoner.abox_key
+    monkeypatch.setattr(reasoner, "abox_key", counted)
+    t, a0 = ex1()
+    oracle = CachedOracle(session_for(t, a0))
+    queries = [AtomicQuery("A", ("a",)), AtomicQuery("B", ("b",)), AtomicQuery("A", ("b",))]
+    copy = ABox(frozenset(set(a0.concept_assertions)), frozenset(set(a0.role_assertions)))
+    answers = [oracle.membership(a, q) for _ in range(3) for a in (a0, copy) for q in queries]
+    assert answers == [True, True, False] * 6
+    assert oracle.session.mq_count == 3  # equal ABoxes share memo entries
+    assert keyed == [a0]  # only the session's model cache keys the ABox, once

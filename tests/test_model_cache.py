@@ -3,10 +3,16 @@
 Each key is computed once per distinct ``TBox`` or ``ABox`` value in one
 cache, equal but distinct objects included; a full cache drops its least
 recently used model; the key memo stays bounded; and every model it returns
-equals a fresh ``build_model``.
+equals a fresh ``build_model``.  Asked again for the objects it was asked for
+last, the cache answers without key or store work; over any sequence of
+gets it keeps and evicts exactly what ``reference_reasoner.ModelCache``
+does, which looks up both keys and the store every time.
 """
 
 from __future__ import annotations
+
+import random
+from collections import OrderedDict
 
 import pytest
 
@@ -24,6 +30,7 @@ from elhlearn.syntax import (
     abox,
     terminology,
 )
+import reference_reasoner
 
 T = terminology([CI(Atom("A"), Exists("r", Atom("B"))), CI(Exists("r", Atom("B")), Atom("C"))])
 
@@ -116,3 +123,65 @@ def test_every_model_equals_a_fresh_build():
             if (k + round_) % 3:
                 assert cache.get(t, a) == build_model(t, a)
     assert answers_query(T, abox(concepts=[("A", "x")]), AtomicQuery("C", ("x",)), cache)
+
+
+class CountingDict(OrderedDict):
+    """An ``OrderedDict`` that records every lookup and change made to it."""
+
+    def __init__(self, items):
+        self.ops: list[str] = []
+        super().__init__(items)
+        self.ops.clear()  # the copy is not recorded
+
+    def get(self, key, default=None):
+        self.ops.append("get")
+        return super().get(key, default)
+
+    def move_to_end(self, key, last=True):
+        self.ops.append("move_to_end")
+        super().move_to_end(key, last)
+
+    def __setitem__(self, key, value):
+        self.ops.append("set")
+        super().__setitem__(key, value)
+
+    def popitem(self, last=True):
+        self.ops.append("popitem")
+        return super().popitem(last)
+
+
+def test_a_repeated_get_does_no_key_or_store_work(counts):
+    cache = ModelCache()
+    a = chain(50)
+    model = cache.get(T, a)
+    cache._store, cache._keys = CountingDict(cache._store), CountingDict(cache._keys)
+    for _ in range(5):
+        assert cache.get(T, a) is model
+    assert cache._store.ops == [] and cache._keys.ops == []
+    assert len(counts["kb_key"]) == len(counts["abox_key"]) == len(counts["build_model"]) == 1
+    # an equal but distinct object takes the keyed path, and finds the model
+    assert cache.get(T, copy_abox(a)) is model
+    assert cache._keys.ops == ["get", "move_to_end", "get", "move_to_end"]
+    assert cache._store.ops == ["get", "move_to_end"]
+    assert len(counts["abox_key"]) == len(counts["build_model"]) == 1
+
+
+def test_gets_keep_and_evict_what_the_reference_cache_does():
+    rng = random.Random(7)
+    tboxes = [T, TBox(), random_terminology(3)]
+    aboxes = [chain(3), chain(4), abox(concepts=[("A", "x")]), random_abox(5, tboxes[2])]
+    tboxes += [copy_tbox(t) for t in tboxes]
+    aboxes += [copy_abox(a) for a in aboxes]
+    for limit in (1, 2, 3, 5):
+        fast, slow = ModelCache(limit), reference_reasoner.ModelCache(limit)
+        t, a = tboxes[0], aboxes[0]
+        for _ in range(400):
+            # most gets repeat the last objects, as answering several
+            # queries over one knowledge base does
+            if rng.random() < 0.5:
+                t = rng.choice(tboxes)
+            if rng.random() < 0.5:
+                a = rng.choice(aboxes)
+            assert fast.get(t, a) == slow.get(t, a)
+            assert list(fast._store) == list(slow._store)
+            assert list(fast._keys) == list(slow._keys)

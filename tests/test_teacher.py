@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from elhlearn import teacher
 from elhlearn.pac import uniform_distribution
 from elhlearn.reasoner import LANG_AQ, LANG_CQR, LANG_IQ, answers_query
 from elhlearn.syntax import (
@@ -14,11 +15,11 @@ from elhlearn.syntax import (
     ConjunctiveQuery,
     Exists,
     RejectedQueryError,
+    StructuralError,
     TBox,
     TOP,
     abox,
     conj,
-    example_size,
     size_of,
     terminology,
 )
@@ -46,7 +47,7 @@ def test_membership_answers_and_counts():
     assert sess.membership(a, AtomicQuery("B", ("x",))) is True
     assert sess.membership(abox(concepts=[("A", "x")]), AtomicQuery("B", ("x",))) is False
     assert sess.mq_count == 3
-    assert sess.mq_input_size_sum == 3 * example_size(a, q)
+    assert sess.mq_input_size_sum == 3 * (size_of(a) + size_of(q))
 
 
 def test_fig1_membership():
@@ -75,7 +76,7 @@ def test_inseparability_yes_and_counterexample():
     a, q = hit
     assert q == AtomicQuery("A", ("b",))
     assert sess.eq_count == 2
-    assert sess.largest_counterexample == example_size(a, q)
+    assert sess.largest_counterexample == size_of(a) + size_of(q)
 
 
 def test_counterexamples_are_positive_for_positive_bounded_hypotheses():
@@ -179,3 +180,34 @@ def test_session_budget():
     with pytest.raises(BudgetExceededError):
         for _ in range(5):
             sess.membership(a0, AtomicQuery("A", ("b",)))
+
+
+def test_each_abox_is_sized_once_per_value(monkeypatch):
+    sized = []
+
+    def counted(obj):
+        sized.append(obj)
+        return size_of(obj)
+
+    monkeypatch.setattr(teacher, "size_of", counted)
+    t = terminology([CI(Atom("B"), Atom("A"))])
+    a0 = abox(concepts=[("B", "b")], roles=[("r", "b", "c")])
+    sess = OracleSession(t, framework_for(t, a0, LANG_AQ))
+    queries = [AtomicQuery(n, (i,)) for n in "AB" for i in "bc"]
+    for q in queries:
+        sess.membership(a0, q)
+        sess.membership(abox(concepts=[("B", "b")], roles=[("r", "b", "c")]), q)  # equal value
+        sess.example(uniform_distribution([(a0, q)]))
+    assert sess.inseparability(TBox()) is not None
+    assert [x for x in sized if x == a0] == [a0]
+    # the sizes logged are those of the whole example, ABox included
+    assert sess.transcript[0].input_size == size_of(a0) + size_of(queries[0])
+    assert sess.largest_counterexample == size_of(a0) + 4
+
+
+def test_a_name_of_two_kinds_is_rejected_by_the_framework():
+    t = terminology([CI(Atom("B"), Exists("r", Atom("A")))])
+    for a0 in (abox(concepts=[("B", "A")]), abox(roles=[("r", "b", "r")]),
+               abox(concepts=[("r", "b")])):
+        with pytest.raises(StructuralError, match="name used in two namespaces"):
+            framework_for(t, a0, LANG_IQ)

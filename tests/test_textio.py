@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from elhlearn.reasoner import entails_ci
 from elhlearn.syntax import (
@@ -99,6 +99,16 @@ def test_parse_error_has_position():
         (parse_queries, " Q: IQ a : some r. $", 1, 20, "unexpected character '$'"),
         (parse_queries, " Q: CQ a ; exists x ; r(a,x), $ B(x)", 1, 31, "bad CQ atoms near '$'"),
         (parse_queries, " Q: CQ a ; exits x ; r(a,x)", 1, 12, "second CQ section"),
+        # names in query lines are checked where they stand
+        (parse_queries, "Q: IQ 1x : A", 1, 7, "unexpected character '1'"),
+        (parse_queries, "Q: IQ : A", 1, 7, "expected a name, found ':'"),
+        (parse_queries, "Q: CQ 1a ; exists y ; A(y)", 1, 7, "unexpected character '1'"),
+        (parse_queries, "Q: CQ a b ; exists y ; r(a,y)", 1, 9, "trailing input 'b'"),
+        (parse_queries, "Q: CQ a ; exists 9y ; A(a)", 1, 18, "unexpected character '9'"),
+        (parse_queries, "Q: CQ a ; exists y, z( ; A(a)", 1, 22, "trailing input '('"),
+        (parse_queries, "Q: CQ a ; exists y ; Aé(y), r(a,y)", 1, 22, "bad CQ atoms near 'Aé(y),'"),
+        (parse_tbox, "  CI: some r. A [= some s. B", 1, 7,
+         "inclusion needs a concept name on one side"),
     ],
 )
 def test_parse_error_reports_line_columns(parse, text, line, col, message):
@@ -168,3 +178,33 @@ def test_tbox_round_trip():
         [RI("r", "s")],
     )
     assert parse_tbox(serialize_tbox(t)) == t
+
+
+# Pieces of every statement kind, names, bad names and stray characters;
+# joined without blanks as often as with them.
+PIECES = [
+    "CI:", "RI:", "A:", "IND:", "Q:", "AQ", "IQ", "CQ", "exists", "some", "and", "top",
+    "[=", "==", "[", "=", "(", ")", ",", ";", ".", ":", "#", " ", "  ", "\t",
+    "A", "B", "r", "s", "a", "x", "y", "A1", "1x", "9", "_", "é", "$",
+]
+HEADS = ["", "CI: ", "RI: ", "A: ", "IND: ", "Q: AQ ", "Q: IQ ", "Q: CQ "]
+lines = st.one_of(
+    st.tuples(st.sampled_from(HEADS), st.lists(st.sampled_from(PIECES), max_size=16)).map(
+        lambda hp: hp[0] + "".join(hp[1])
+    ),
+    st.text(max_size=30),
+)
+texts = st.lists(lines, min_size=1, max_size=4).map("\n".join)
+
+
+@pytest.mark.parametrize(
+    "parse", [parse_tbox, parse_abox, parse_queries, parse_query, parse_concept],
+    ids=lambda f: f.__name__,
+)
+@given(text=texts)
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+def test_parsers_raise_only_parse_errors(parse, text):
+    try:
+        parse(text)
+    except ParseError:
+        pass
