@@ -88,6 +88,29 @@ def build_batch(target: TBox, a0: ABox, lang: str, seed: int = 0) -> list[BatchI
     return items
 
 
+def _fact(item: BatchItem) -> tuple[str, ...]:
+    """The one assertion of a ``ci``, ``ri`` or ``iq`` item, checked against its query.
+
+    A ``ci`` or ``iq`` item asserts one concept name, an ``ri`` item one
+    role; its query is an atomic query of the same arity (a concept query
+    for ``iq``) on the asserted individuals.
+    """
+    facts = [*item.abox.concept_assertions, *item.abox.role_assertions]
+    arity = 2 if item.kind == "ri" else 1
+    if len(facts) != 1 or len(facts[0]) != arity + 1:
+        kind = "role" if arity == 2 else "concept"
+        raise StructuralError(f"{item.kind!r} item needs exactly one {kind} assertion")
+    (fact,) = facts
+    q = item.query
+    if item.kind == "iq":
+        fits = isinstance(q, ConceptQuery) and q.ind == fact[1]
+    else:
+        fits = isinstance(q, AtomicQuery) and q.args == fact[1:]
+    if not fits:
+        raise StructuralError(f"{item.kind!r} item needs a query on {', '.join(fact[1:])}")
+    return fact
+
+
 def learn_from_batch(items: list[BatchItem], a0: ABox, lang: str) -> TBox:
     """Rebuild a hypothesis from a recorded batch; no oracle involved."""
     cis: set[CI] = set()
@@ -97,25 +120,19 @@ def learn_from_batch(items: list[BatchItem], a0: ABox, lang: str) -> TBox:
         if item.label != 1:
             raise StructuralError("batches carry positive examples only")
         if item.kind == "ci":
-            if not isinstance(item.query, AtomicQuery) or len(item.query.args) != 1:
-                raise StructuralError("bad atomic-inclusion item")
-            ((name, _),) = tuple(item.abox.concept_assertions)
-            cis.add(CI(Atom(name), Atom(item.query.pred)))
+            cis.add(CI(Atom(_fact(item)[0]), Atom(item.query.pred)))
         elif item.kind == "ri":
-            ((role, _, _),) = tuple(item.abox.role_assertions)
-            ris.add(RI(role, item.query.pred))
+            ris.add(RI(_fact(item)[0], item.query.pred))
         elif item.kind == "tree":
             if find_cycle(item.abox) is not None:
                 raise StructuralError("tree example contains a cycle")
-            if not isinstance(item.query, AtomicQuery) or len(item.query.args) != 1:
-                raise StructuralError("bad tree item query")
-            concept = tree_concept(item.abox, item.query.args[0])
-            cis.add(CI(concept, Atom(item.query.pred)))
+            q = item.query
+            root = q.args[0] if isinstance(q, AtomicQuery) and len(q.args) == 1 else None
+            if root not in item.abox.individuals():
+                raise StructuralError("'tree' item needs a unary query on an individual of its ABox")
+            cis.add(CI(tree_concept(item.abox, root), Atom(q.pred)))
         elif item.kind == "iq":
-            if not isinstance(item.query, ConceptQuery):
-                raise StructuralError("bad instance item query")
-            ((name, _),) = tuple(item.abox.concept_assertions)
-            iq_pairs.append((name, item.query.concept))
+            iq_pairs.append((_fact(item)[0], item.query.concept))
         else:
             raise StructuralError(f"unknown batch item kind {item.kind!r}")
     h = terminology(cis, ris)

@@ -120,18 +120,8 @@ def _individual_order(a: ABox, originals: frozenset[str]) -> list[str]:
 
 def saturate_with_hypothesis(h: TBox, a: ABox, sig: Signature, cache) -> ABox:
     """Add every hypothesis-entailed assertion over the signature and inds."""
-    model = cache.get(h, a) if cache else reasoner.build_model(h, a)
-    concepts = set(a.concept_assertions)
-    for ind in a.individuals():
-        for name in sorted(sig.concept_names):
-            if name in model.labels[("n", ind)]:
-                concepts.add((name, ind))
-    roles = set(a.role_assertions)
-    for s, x, y in a.role_assertions:
-        for r in reasoner.superroles(h, s):
-            if r in sig.role_names:
-                roles.add((r, x, y))
-    return ABox(frozenset(concepts), frozenset(roles), a.declared)
+    concepts, roles = reasoner._aq_closure(h, a, sig, cache)
+    return ABox(a.concept_assertions | concepts, a.role_assertions | roles, a.declared)
 
 
 def minimize_abox(

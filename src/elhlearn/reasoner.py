@@ -37,10 +37,12 @@ model, so instance checking is plain recursive concept evaluation on the
 finite graph (``_eval_concept``, the one evaluator, which saturation uses
 for complex left sides as well), the boolean query ``exists w ; A(w)`` is a
 walk from the named part that stops at the first element labelled ``A``,
-rooted conjunctive queries match into a depth-bounded
-unravelling (a match moves at most one step away from the named part per
-query term), and query inseparability reduces to label agreement plus mutual
-(bundle) simulations anchored at each individual.
+and query inseparability reduces to label agreement plus mutual (bundle)
+simulations anchored at each individual.  One matcher, ``_cq_holds``,
+answers rooted conjunctive queries: a memoised bottom-up fit of the query's
+tree part on the finite graph (Yannakakis' evaluation of acyclic queries)
+decides queries whose variables form a forest below the individuals, and
+otherwise prunes a backtracking search of the unravelling.
 
 All simulations come from one refinement, ``_refine``: it removes pairs
 from a relation between two graphs until the rest is a (bundle) simulation,
@@ -85,7 +87,6 @@ from .syntax import (
     concept_depth,
     conj,
     is_existential_atom_query,
-    is_rooted,
     is_terminology,
     normalize,
     signature_of_abox,
@@ -539,102 +540,99 @@ def _existential_atom_holds(model: RegularModel, name: str) -> bool:
     return False
 
 
-def _cq_bound(q: ConjunctiveQuery) -> int:
-    return max(1, len(q.terms()))
-
-
 def _cq_holds(model: RegularModel, q: ConjunctiveQuery) -> bool:
-    """Backtracking match into the depth-bounded unravelling.
+    """Does the rooted CQ ``q`` match into the least model?
 
-    Elements are either named individuals or anonymous paths anchored at a
-    named individual; a rooted query only ever needs paths no longer than
-    its number of terms.
+    A breadth-first walk along role atoms from the individuals gives each
+    variable a parent, the term it is first reached from.  ``fits(t, el)``,
+    memoised, holds when ``el`` has the names of ``t`` and, for each pair
+    from ``t`` to an individual or a child, one edge carrying all the pair's
+    roles to that individual or to an element where the child fits.  Every
+    other pair (a second parent, a cycle, a self-loop) is left over; with
+    none, ``q`` holds when each individual fits at itself.  Otherwise the
+    variables are placed, parents first, into the unravelling, whose
+    anonymous elements are linked paths ``(parent image, roles, type)``
+    with one in-edge, and each left-over pair is checked once, when its
+    later term is placed.  A variable lies one edge below its parent, so
+    no path is longer than the query has variables: no depth bound.
     """
-    bound = _cq_bound(q)
-
-    for ind in q.individuals():
-        if not model.has_individual(ind):
-            return False
-
-    # unravelled elements: ("n", a) or ("p", a, ((roles, type), ...)); the
-    # edge bundle is part of the path so that distinct existentials with the
-    # same filler stay distinct, as they are in the least model
-    PathEl = tuple
-
-    def label_of(el: PathEl) -> frozenset[str]:
-        if el[0] == "n":
-            return model.labels[("n", el[1])]
-        return model.labels[("a", el[2][-1][1])]
-
-    def successors(el: PathEl) -> list[tuple[frozenset[str], PathEl]]:
-        out: list[tuple[frozenset[str], PathEl]] = []
-        if el[0] == "n":
-            for roles, tgt in model.edges[("n", el[1])]:
-                if tgt[0] == "n":
-                    out.append((roles, ("n", tgt[1])))
-                else:
-                    out.append((roles, ("p", el[1], ((roles, tgt[1]),))))
+    names: dict[Term, set[str]] = {}
+    pairs: dict[Term, dict[Term, set[str]]] = {}
+    for atom in q.atoms:
+        if isinstance(atom, ConceptAtom):
+            names.setdefault(atom.term, set()).add(atom.name)
         else:
-            path = el[2]
-            if len(path) < bound:
-                for roles, tgt in model.edges[("a", path[-1][1])]:
-                    out.append((roles, ("p", el[1], path + ((roles, tgt[1]),))))
-        return out
+            pairs.setdefault(atom.subj, {}).setdefault(atom.obj, set()).add(atom.role)
+    inds = sorted(q.individuals())
+    order: list[Term] = list(inds)
+    parent: dict[Term, tuple[Term, frozenset[str]]] = {}
+    below: dict[Term, list[tuple[Term, frozenset[str]]]] = {}
+    leftover = []
+    for s in order:  # grows while it is read
+        for o, roles in pairs.get(s, {}).items():
+            roles = frozenset(roles)
+            if isinstance(o, str) or o not in parent:
+                below.setdefault(s, []).append((o, roles))
+                if isinstance(o, Var):
+                    parent[o] = (s, roles)
+                    order.append(o)
+            else:
+                leftover.append((s, o, roles))
+    if len(parent) < len(q.exist_vars):
+        raise UnsupportedQueryError(
+            "only rooted conjunctive queries and a single existential concept atom are supported"
+        )
+    labels, edges = model.labels, model.edges
+    if not all(model.has_individual(i) for i in inds):
+        return False
+    memo: dict[tuple[Term, Element], bool] = {}
 
-    # order variables so each one is introduced through an in-edge from an
-    # already assigned term (rootedness guarantees such an order exists)
-    role_atoms = [a for a in q.atoms if isinstance(a, RoleAtom)]
-    concept_atoms = [a for a in q.atoms if isinstance(a, ConceptAtom)]
-    assignment: dict[Term, PathEl] = {i: ("n", i) for i in q.individuals()}
-    ordered_vars: list[Var] = []
-    intro_atom: dict[Var, RoleAtom] = {}
-    placed: set[Term] = set(assignment)
-    pending = set(q.exist_vars)
-    while pending:
-        progressed = False
-        for atom in role_atoms:
-            if atom.subj in placed and isinstance(atom.obj, Var) and atom.obj in pending:
-                ordered_vars.append(atom.obj)
-                intro_atom[atom.obj] = atom
-                placed.add(atom.obj)
-                pending.remove(atom.obj)
-                progressed = True
-        if not progressed:
-            raise UnsupportedQueryError("query is not rooted")
+    def fits(t: Term, el: Element) -> bool:
+        # loops, not generators: one stack frame per level of the query
+        hit = memo.get((t, el))
+        if hit is None:
+            hit = names.get(t, set()) <= labels[el]
+            for u, roles in below.get(t, ()) if hit else ():
+                for have, tgt in edges[el]:
+                    if roles <= have and (tgt == ("n", u) if isinstance(u, str) else fits(u, tgt)):
+                        break
+                else:
+                    hit = False
+                    break
+            memo[(t, el)] = hit
+        return hit
 
-    def consistent(partial: dict[Term, PathEl]) -> bool:
-        for atom in role_atoms:
-            if atom.subj in partial and atom.obj in partial:
-                ok = any(
-                    atom.role in roles and tgt == partial[atom.obj]
-                    for roles, tgt in successors(partial[atom.subj])
-                )
-                if not ok:
-                    return False
-        for atom in concept_atoms:
-            if atom.term in partial and atom.name not in label_of(partial[atom.term]):
-                return False
+    if not all(fits(i, ("n", i)) for i in inds):
+        return False
+    if not leftover:
         return True
+    rank = {t: k for k, t in enumerate(order)}
+    checks: dict[Term, list] = {}
+    for s, o, roles in leftover:
+        checks.setdefault(max(s, o, key=rank.__getitem__), []).append((s, o, roles))
+    # a named image is its model element, an anonymous one a linked path
+    image: dict[Term, tuple] = {i: ("n", i) for i in inds}
 
-    if not consistent(assignment):
-        return False
+    def linked(src: tuple, dst: tuple, roles: frozenset[str]) -> bool:
+        if len(dst) == 3:
+            return dst[0] == src and roles <= dst[1]
+        return len(src) == 2 and any(roles <= have and tgt == dst for have, tgt in edges[src])
 
-    def search(i: int) -> bool:
-        if i == len(ordered_vars):
+    def search(k: int) -> bool:
+        if k == len(order):
             return True
-        var = ordered_vars[i]
-        src = assignment[intro_atom[var].subj]
-        want = intro_atom[var].role
-        for roles, tgt in successors(src):
-            if want not in roles:
-                continue
-            assignment[var] = tgt
-            if consistent(assignment) and search(i + 1):
-                return True
-            del assignment[var]
+        v = order[k]
+        p, want = parent[v]
+        src = image[p]
+        for have, tgt in edges[src if len(src) == 2 else src[2]]:
+            if want <= have and fits(v, tgt):
+                image[v] = tgt if tgt[0] == "n" else (src, have, tgt)
+                if all(linked(image[s], image[o], r) for s, o, r in checks.get(v, ())):
+                    if search(k + 1):
+                        return True
         return False
 
-    return search(0)
+    return search(len(inds))
 
 
 def answers_query(t: TBox, a: ABox, q: Query, cache: ModelCache | None = None) -> bool:
@@ -658,11 +656,6 @@ def answers_query(t: TBox, a: ABox, q: Query, cache: ModelCache | None = None) -
         if is_existential_atom_query(q):
             (atom,) = q.atoms
             return _existential_atom_holds(model, atom.name)
-        if not is_rooted(q):
-            raise UnsupportedQueryError(
-                "only rooted conjunctive queries and a single existential "
-                "concept atom are supported"
-            )
         return _cq_holds(model, q)
     raise TypeError(f"not a query: {q!r}")
 
@@ -838,14 +831,7 @@ class BundleTree:
                     atoms.add(RoleAtom(r, term, v))
                 emit(sub, v)
 
-        for a in sorted(self.labels):
-            atoms.add(ConceptAtom(a, ind))
-        for roles, sub in self.children:
-            v = Var(f"x{next(counter)}")
-            variables.add(v)
-            for r in sorted(roles):
-                atoms.add(RoleAtom(r, ind, v))
-            emit(sub, v)
+        emit(self, ind)
         return ConjunctiveQuery((ind,), frozenset(variables), frozenset(atoms))
 
 

@@ -20,7 +20,8 @@ Grammar (UTF-8, one statement per line, ``#`` starts a comment)::
 of ``some r. A`` with ``B``; a conjunctive filler needs parentheses.  In a
 CQ line the terms listed after ``exists`` are variables, all other terms are
 individuals.  A concept nests at most ``MAX_NESTING`` levels of ``some`` and
-parentheses; deeper input is a ``ParseError``.  ``NAME`` is ``syntax.NAME``
+parentheses, and a CQ has at most ``MAX_NESTING`` variables; deeper or
+larger input is a ``ParseError``.  ``NAME`` is ``syntax.NAME``
 everywhere, and an inclusion needs a name (or ``top``) on one side.  The
 parsers raise no error but ``ParseError``, which gives the line and the
 column of the offending character; only ``parse_tbox`` with ``auto_merge``
@@ -89,7 +90,8 @@ def json_field(obj, key: str, kind: type, line: int = 0):
 
 
 # The parser, and the reasoner after it, recurse once per level of a
-# concept; past this depth a line is rejected instead of exhausting the stack.
+# concept, and the reasoner once per variable of a CQ; past this many a line
+# is rejected instead of exhausting the stack.
 MAX_NESTING = 200
 
 _TOKEN = re.compile(rf"\s*(\[=|==|{NAME}|[().,;:])")
@@ -225,7 +227,7 @@ def _unknown_statement(code: str, body: str, lineno: int) -> ParseError:
     return ParseError(f"unknown statement {body.split(':')[0]!r}", lineno, code.index(body) + 1)
 
 
-def parse_tbox(text: str, auto_merge: bool = True, allow_equiv: bool = True) -> TBox:
+def parse_tbox(text: str, auto_merge: bool = True) -> TBox:
     cis: list[CI] = []
     ris: list[RI] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -238,8 +240,6 @@ def parse_tbox(text: str, auto_merge: bool = True, allow_equiv: bool = True) -> 
             op = ts.next()
             if op not in ("[=", "=="):
                 raise ParseError(f"expected '[=' or '==', found {op!r}", lineno, ts.last_col())
-            if op == "==" and not allow_equiv:
-                raise ParseError("equivalence lines disabled", lineno, ts.last_col())
             rhs = _parse_concept(ts)
             ts.done()
             # the terminology restriction, checked here to give its position
@@ -371,6 +371,8 @@ def parse_query(body: str, lineno: int = 0, start: int = 0) -> Query:
         if not body.startswith("exists", exists_at):
             raise ParseError("second CQ section must start with 'exists'", lineno, exists_at + 1)
         variables = set(_names(body, exists_at + len("exists"), atoms_at - 1, lineno))
+        if len(variables) > MAX_NESTING:
+            raise ParseError(f"CQ has more than {MAX_NESTING} variables", lineno, exists_at + 1)
         return _parse_cq_atoms(body, atoms_at, answer_inds, variables, lineno)
     raise ParseError(f"unknown query language in {body[at:].rstrip()!r}", lineno, at + 1)
 

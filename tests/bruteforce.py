@@ -16,8 +16,11 @@ from elhlearn.syntax import (
     And,
     Atom,
     Concept,
+    ConceptAtom,
+    ConjunctiveQuery,
     Exists,
     TBox,
+    Term,
     Top,
     abox_of_concept,
     normalize,
@@ -102,3 +105,52 @@ def brute_instance(t: TBox, a: ABox, concept: Concept, ind: str, max_depth: int 
 def brute_subsumes(t: TBox, c: Concept, d: Concept, max_depth: int = 6) -> bool:
     a, root = abox_of_concept(normalize(c))
     return brute_instance(t, a, d, root, max_depth)
+
+
+def _terms(atom) -> tuple:
+    return (atom.term,) if isinstance(atom, ConceptAtom) else (atom.subj, atom.obj)
+
+
+def brute_cq(t: TBox, a: ABox, q: ConjunctiveQuery, max_depth: int) -> bool:
+    """Is there a homomorphism from ``q`` into the model grown to ``max_depth``?
+
+    A match of a rooted query with n variables stays within n edges of the
+    named part, so a cap of n plus twice the nesting depth of the TBox is
+    exact.  Every variable ranges over every node.  A variable that shares
+    an atom with a placed term is placed first, and each atom is checked as
+    soon as its terms are placed.
+    """
+    m = brute_model(t, a, max_depth)
+    if not q.individuals() <= m.of_ind.keys():
+        return False
+    image: dict[Term, int] = {ind: m.of_ind[ind] for ind in q.individuals()}
+    order: list[Term] = list(image)
+    while len(order) < len(image) + len(q.exist_vars):
+        rest = sorted((v for v in q.exist_vars if v not in order), key=repr)
+        near = [
+            v for v in rest
+            if any(v in _terms(at) and set(_terms(at)) & set(order) for at in q.atoms)
+        ]
+        order.append((near or rest)[0])
+
+    def holds(atom) -> bool:
+        if isinstance(atom, ConceptAtom):
+            return atom.name in m.labels[image[atom.term]]
+        return (atom.role, image[atom.obj]) in m.edges[image[atom.subj]]
+
+    def ready(atom, k: int) -> bool:
+        """Are the terms of ``atom`` placed once ``order[k]`` is?"""
+        return all(order.index(t) <= k for t in _terms(atom))
+
+    def search(k: int) -> bool:
+        if k == len(order):
+            return True
+        v = order[k]
+        due = [at for at in q.atoms if ready(at, k) and (k == 0 or not ready(at, k - 1))]
+        for node in [image[v]] if isinstance(v, str) else range(len(m.labels)):
+            image[v] = node
+            if all(holds(at) for at in due) and search(k + 1):
+                return True
+        return False
+
+    return search(0)

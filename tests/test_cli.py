@@ -474,3 +474,49 @@ def test_vc_check(capsys):
     assert "SHATTERED" in capsys.readouterr().out
     assert main(["vc", "check", "--n", "2", "--extra-loop"]) == 1
     assert "NOT_SHATTERED" in capsys.readouterr().out
+
+
+def _chain_query(n: int) -> str:
+    variables = [f"x{k}" for k in range(1, n + 1)]
+    atoms = [f"r({s},{o})" for s, o in zip(["a"] + variables, variables)]
+    return f"Q: CQ a ; exists {', '.join(variables)} ; {', '.join(atoms)}\n"
+
+
+def test_reason_answers_a_cq_with_as_many_variables_as_the_cap(workdir, capsys):
+    (workdir / "loop.abox").write_text("A: r(a,a)\n")
+    (workdir / "long.q").write_text(_chain_query(MAX_NESTING))
+    code = main(["reason", *(str(workdir / n) for n in ("t.tbox", "loop.abox", "long.q"))])
+    assert code == 0
+    assert capsys.readouterr().out.endswith(": ENTAILED\n")
+
+
+@pytest.mark.parametrize("variables", [MAX_NESTING + 1, 1500])
+def test_reason_rejects_a_cq_with_more_variables_than_the_cap(workdir, capsys, variables):
+    (workdir / "loop.abox").write_text("A: r(a,a)\n")
+    (workdir / "long.q").write_text(_chain_query(variables))
+    code = main(["reason", *(str(workdir / n) for n in ("t.tbox", "loop.abox", "long.q"))])
+    assert code == 2
+    assert f"line 1, col 11: CQ has more than {MAX_NESTING} variables" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, abox, query, message",
+    [
+        ("ci", "A: A(p0)\\nA: C(p0)", "Q: AQ B(p0)",
+         "'ci' item needs exactly one concept assertion"),
+        ("ci", "A: A(p0)", "Q: AQ B(p1)", "'ci' item needs a query on p0"),
+        ("iq", "", "Q: IQ e0 : some r. B", "'iq' item needs exactly one concept assertion"),
+        ("iq", "A: A(e0)", "Q: AQ B(e0)", "'iq' item needs a query on e0"),
+        ("ri", "A: A(p0)", "Q: AQ s(p0,p1)", "'ri' item needs exactly one role assertion"),
+        ("ri", "A: r(p0,p1)", "Q: AQ B(p0)", "'ri' item needs a query on p0, p1"),
+        ("tree", "A: A(p0)", "Q: AQ B(p1)", "'tree' item needs a unary query on an individual"),
+    ],
+)
+def test_batch_learn_rejects_a_malformed_item(workdir, capsys, kind, abox, query, message):
+    line = f'{{"kind": "{kind}", "abox": "{abox}", "query": "{query}", "label": 1}}'
+    (workdir / "bad.jsonl").write_text(line + "\n")
+    (workdir / "out.tbox").write_text("")
+    args = ["batch", "learn", "--mode", "iq", str(workdir / "bad.jsonl"), str(workdir / "a.abox")]
+    assert main(args + ["--out", str(workdir / "out.tbox")]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert (workdir / "out.tbox").read_text() == ""
