@@ -34,7 +34,6 @@ from .reasoner import (
     LANG_AQ,
     LANG_CQR,
     LANG_IQ,
-    abox_homomorphism,
     answers_query,
     bisimilar,
     build_model,
@@ -49,7 +48,7 @@ from .learn_iq import learn_iq
 from .learn_cqr import learn_cqr
 from .updates import check_bisim_preservation, generalise, learn_with_updates
 from .batch import build_batch, learn_from_batch
-from .pac import Distribution, fixture_pac_learner, pac_from_exact, true_error
+from .pac import Distribution, pac_from_exact, true_error
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

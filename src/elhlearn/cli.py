@@ -116,13 +116,12 @@ def cmd_learn(args: argparse.Namespace) -> int:
     session = teacher.OracleSession(
         target, fw, policy=args.oracle_policy, seed=args.seed, max_total_input=args.budget
     )
-    partial_exit = EXIT_OK
     try:
         result = LEARNERS[args.mode](session)
         hypothesis = result.hypothesis
     except BudgetExceededError as exc:
         log.warning("budget exceeded: %s", exc)
-        partial = exc.partial if exc.partial is not None else None
+        partial = exc.partial
         if args.out and partial is not None:
             Path(args.out).write_text(textio.serialize_tbox(partial), encoding="utf-8")
         print(json.dumps({"budgetExceeded": True, "partialWritten": partial is not None}))
@@ -147,7 +146,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
     if args.transcript:
         Path(args.transcript).write_text(session.export_transcript(), encoding="utf-8")
     print(json.dumps(stats, sort_keys=True))
-    return partial_exit if verified else EXIT_NEGATIVE
+    return EXIT_OK if verified else EXIT_NEGATIVE
 
 
 def cmd_update_check(args: argparse.Namespace) -> int:
@@ -243,6 +242,11 @@ def cmd_pac_run(args: argparse.Namespace) -> int:
 
 
 def cmd_vc_check(args: argparse.Namespace) -> int:
+    if pacmod.shattering_exceeds_budget(args.n):
+        raise BudgetExceededError(
+            f"shattering {args.n} examples needs at least {args.n} * 2**{args.n} "
+            f"evaluations, more than the {pacmod.SHATTER_BUDGET} allowed"
+        )
     ring = pacmod.cyclic_abox(args.n)
     if args.extra_loop:
         ring = type(ring)(

@@ -44,6 +44,9 @@ from .syntax import (
 BUDGET_DEGREE_AQ = 3
 BUDGET_DEGREE_IQ = 4
 BUDGET_COEFF = 300
+# rounds of tree shaping, and of the reduction loop of ``learn_iq``, before
+# either gives up
+MAX_ROUNDS = 10_000
 
 
 @dataclass
@@ -314,9 +317,7 @@ def unfold_cycle(a: ABox, cycle: Cycle) -> ABox:
     return ABox(frozenset(concepts), frozenset(roles), frozenset(declared))
 
 
-def tree_shape(
-    oracle: CachedOracle, a: ABox, h: TBox, max_rounds: int = 10_000
-) -> tuple[ABox, tuple[str, str]]:
+def tree_shape(oracle: CachedOracle, a: ABox, h: TBox) -> tuple[ABox, tuple[str, str]]:
     """Alternate minimization and unfolding until the ABox is a tree."""
     originals = a.individuals()
     a, witness = minimize_abox(oracle, a, h, originals)
@@ -329,7 +330,7 @@ def tree_shape(
         if cycle is None:
             return a, witness
         rounds += 1
-        if rounds > max_rounds:
+        if rounds > MAX_ROUNDS:
             raise BudgetExceededError("tree shaping did not terminate in budget")
         a = unfold_cycle(a, cycle)
         a, witness = minimize_abox(oracle, a, h, originals)

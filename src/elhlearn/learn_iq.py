@@ -39,6 +39,7 @@ from typing import Callable
 from . import reasoner
 from .learn_aq import (
     BUDGET_DEGREE_IQ,
+    MAX_ROUNDS,
     CachedOracle,
     LearnResult,
     aq_phase,
@@ -347,14 +348,13 @@ def reduce_ci(
     equivalent_names,
     lhs: str,
     rhs: Concept,
-    max_rounds: int = 10_000,
 ) -> CI:
     """Apply the four reductions to a fixpoint."""
     rhs = classes.rewrite(normalize(rhs))
     rounds = 0
     while True:
         rounds += 1
-        if rounds > max_rounds:
+        if rounds > MAX_ROUNDS:
             raise BudgetExceededError("reduction loop exceeded its budget")
         rhs = concept_saturate(oracle, lhs, rhs)
         rhs = role_saturate(oracle, classes, lhs, rhs)

@@ -6,12 +6,10 @@ oracle; any draw the hypothesis misclassifies doubles as a counterexample.
 ``true_error`` integrates the disagreement set against a finite-support
 distribution.
 
-The module also ships a family of targets that separates the two models: a
-hidden word w over {r, s} of length n defines a target whose one informative
-query is the w-shaped chain ending in a marker name, next to a decoy tree
-that makes every other query useless.  A sample-consistent hypothesis is
-computable in polynomial time, while exact identification of w against an
-adversarial oracle needs one query per still-possible word.
+``shatters`` and the ring hypotheses behind ``elh vc check`` test whether a
+hypothesis class realizes every labelling of a set of examples.  The
+hidden-chain targets that separate PAC from exact learning are a test
+fixture, in ``tests/pac_fixture.py``.
 """
 
 from __future__ import annotations
@@ -27,16 +25,11 @@ from .syntax import (
     BudgetExceededError,
     CI,
     Concept,
-    ConceptAtom,
-    ConceptQuery,
     ConfigurationError,
-    ConjunctiveQuery,
-    DataError,
     Exists,
     Query,
     TBox,
     TOP,
-    Var,
     abox,
     conj,
     normalize,
@@ -174,189 +167,24 @@ def pac_from_exact(
 
 
 # ---------------------------------------------------------------------------
-# The separating family: hidden chains next to a decoy tree
-# ---------------------------------------------------------------------------
-
-MARKER = "M"
-SEED_NAME = "A"
-LEVEL_PREFIX = "X"
-CHAIN_ROLES = ("r", "s")
-
-
-def chain_concept(word: str, tail: Concept) -> Concept:
-    out = tail
-    for ch in reversed(word):
-        if ch not in CHAIN_ROLES:
-            raise ConfigurationError(f"chain letters must be in {CHAIN_ROLES}")
-        out = Exists(ch, out)
-    return out
-
-
-@dataclass(frozen=True)
-class HiddenChainFixture:
-    """Targets ``{A [= some w. M} + base`` for a hidden word w of length n."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ConfigurationError("chain length must be at least 1")
-
-    def words(self) -> list[str]:
-        out = [""]
-        for _ in range(self.n):
-            out = [w + c for w in out for c in CHAIN_ROLES]
-        return out
-
-    def base_tbox(self) -> TBox:
-        cis = [
-            CI(Atom(SEED_NAME), Atom(f"{LEVEL_PREFIX}0")),
-            CI(
-                Atom(MARKER),
-                conj(Exists("r", Atom(MARKER)), Exists("s", Atom(MARKER))),
-            ),
-        ]
-        for i in range(self.n):
-            nxt = Atom(f"{LEVEL_PREFIX}{i + 1}")
-            cis.append(CI(Atom(f"{LEVEL_PREFIX}{i}"), conj(Exists("r", nxt), Exists("s", nxt))))
-        return terminology(cis)
-
-    def target(self, word: str) -> TBox:
-        if len(word) != self.n:
-            raise ConfigurationError("hidden word must have length n")
-        base = self.base_tbox()
-        return terminology(
-            set(base.cis) | {CI(Atom(SEED_NAME), chain_concept(word, Atom(MARKER)))},
-            base.ris,
-        )
-
-    def fixed_abox(self) -> ABox:
-        return abox(concepts=[(SEED_NAME, "a")])
-
-    def marker_query(self) -> ConjunctiveQuery:
-        return ConjunctiveQuery(
-            (), frozenset({Var("x")}), frozenset({ConceptAtom(MARKER, Var("x"))})
-        )
-
-    def word_query(self, word: str) -> ConceptQuery:
-        return ConceptQuery(chain_concept(word, Atom(MARKER)), "a")
-
-    def canonical_support(self, extra_words: int = 0, seed: int = 0):
-        """The marker query plus every word query (or a seeded subset)."""
-        words = self.words()
-        if extra_words and extra_words < len(words):
-            rng = random.Random(seed)
-            words = sorted(rng.sample(words, extra_words))
-        examples = [(self.fixed_abox(), self.marker_query())]
-        examples += [(self.fixed_abox(), self.word_query(w)) for w in words]
-        return examples
-
-
-def classify_fixture_example(n: int, word: str, q: Query) -> bool:
-    """Label of a support example under the target for ``word`` (no reasoner)."""
-    if isinstance(q, ConjunctiveQuery):
-        return True  # the marker is always reachable through the hidden chain
-    if isinstance(q, ConceptQuery):
-        w = _word_of_chain(q.concept)
-        if w is not None:
-            return len(w) >= n and w[:n] == word
-    raise ConfigurationError("not a fixture example")
-
-
-def _word_of_chain(c: Concept) -> str | None:
-    out = []
-    while isinstance(c, Exists) and c.role in CHAIN_ROLES:
-        out.append(c.role)
-        c = c.filler
-    if isinstance(c, Atom) and c.name == MARKER:
-        return "".join(out)
-    return None
-
-
-def fixture_pac_learner(sample, n: int) -> tuple[TBox, int]:
-    """Hypothesis consistent with a classified fixture sample, plus step count.
-
-    A positive chain example pins the hidden word.  A positive marker example
-    alone still rules out the bare base (which cannot reach the marker), so
-    the learner then commits to the first word no sampled negative excludes;
-    a genuine sample never excludes the true word.  Steps count elementary
-    operations so growth in n is measurable without timing noise.
-    """
-    fixture = HiddenChainFixture(n)
-    h = fixture.base_tbox()
-    steps = len(h.cis)
-    word: str | None = None
-    marker_positive = False
-    excluded: set[str] = set()
-    for (a, q), label in sample:
-        steps += 1
-        if isinstance(q, ConjunctiveQuery) and label:
-            marker_positive = True
-            continue
-        if isinstance(q, ConceptQuery):
-            w = _word_of_chain(q.concept)
-            if w is None or len(w) < n:
-                continue
-            if label:
-                if word is not None and word != w[:n]:
-                    raise DataError("two distinct positive chain words")
-                word = w[:n]
-            else:
-                excluded.add(w[:n])
-    if word is None and marker_positive:
-        for w in fixture.words():
-            steps += 1
-            if w not in excluded:
-                word = w
-                break
-        if word is None:
-            raise DataError("every chain word is excluded by a negative example")
-    if word is not None:
-        h = fixture.target(word)
-        steps += n
-    cache = reasoner.ModelCache()
-    for (a, q), label in sample:
-        steps += 1
-        if reasoner.answers_query(h, a, q, cache) != bool(label):
-            raise DataError("no consistent hypothesis for this sample")
-    return h, steps
-
-
-@dataclass
-class AdversarialOutcome:
-    word: str
-    queries: int
-
-
-def identify_word_adversarially(n: int, probe_order: list[str] | None = None) -> AdversarialOutcome:
-    """Exact identification against the least-informative oracle.
-
-    The oracle keeps the set of words consistent with its answers and denies
-    every probe while more than one candidate remains, so any probing order
-    spends one query per eliminated word.
-    """
-    fixture = HiddenChainFixture(n)
-    candidates = fixture.words()
-    order = probe_order if probe_order is not None else list(candidates)
-    queries = 0
-    remaining = list(candidates)
-    for w in order:
-        if len(remaining) == 1:
-            break
-        queries += 1
-        if w in remaining:
-            remaining.remove(w)  # oracle answers "no" and stays consistent
-    if len(remaining) != 1:
-        raise BudgetExceededError("probe order did not identify the hidden word")
-    return AdversarialOutcome(remaining[0], queries)
-
-
-# ---------------------------------------------------------------------------
 # Shattering
 # ---------------------------------------------------------------------------
 
+SHATTER_BUDGET = 200_000  # evaluations ``shatters`` spends at most by default
 
-def shatters(hypotheses, examples, budget: int = 200_000) -> bool:
+
+def shattering_exceeds_budget(n: int) -> bool:
+    """Does shattering ``n`` examples surely cost more than ``SHATTER_BUDGET``?
+
+    Each of the ``2**n`` classifications needs a hypothesis of its own,
+    evaluated on all ``n`` examples: at least ``n * 2**n`` evaluations.  Once
+    ``n`` reaches the bit length of the budget, ``2**n`` alone exceeds it, so
+    the bound is decided without forming ``2**n`` for large ``n``.
+    """
+    return n > 0 and (n >= SHATTER_BUDGET.bit_length() or n << n > SHATTER_BUDGET)
+
+
+def shatters(hypotheses, examples, budget: int = SHATTER_BUDGET) -> bool:
     """Do the hypotheses realize every classification of the examples?"""
     examples = list(examples)
     behaviors: set[tuple[bool, ...]] = set()

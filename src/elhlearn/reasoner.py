@@ -50,7 +50,11 @@ or with ``back`` a bisimulation, and records why each pair went.
 ``simulation``, ``bisimilar`` and ``is_simulation`` read the pairs kept;
 ``separating_witness`` turns the reasons of removed anchor pairs into the
 distinguishing tree queries, and ``inseparability_gap`` asks it once per
-direction between the two models.
+direction between the two models.  The graphs are ``RegularModel`` values.
+An ABox on its own is the model ``build_model(TBox(), a)``: over the empty
+TBox that model is the ABox's labelled graph, one element ``("n", i)`` per
+individual and one edge per pair of individuals, carrying every role
+asserted between them.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ import functools
 import heapq
 import itertools
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Literal, Union
 
 from .syntax import (
@@ -116,54 +120,6 @@ def superroles(t: TBox, role: str) -> frozenset[str]:
 
 def entails_ri(t: TBox, sub: str, sup: str) -> bool:
     return sup in superroles(t, sub)
-
-
-# ---------------------------------------------------------------------------
-# Interpretations (finite, explicit)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Interpretation:
-    """Explicit finite interpretation with an individual assignment."""
-
-    domain: frozenset
-    concept_ext: dict[str, frozenset]
-    role_ext: dict[str, frozenset]
-    ind_map: dict[str, object] = field(default_factory=dict)
-
-    def elements(self) -> Iterable:
-        return self.domain
-
-    def label_of(self, el) -> frozenset[str]:
-        return frozenset(a for a, ext in self.concept_ext.items() if el in ext)
-
-    def successors(self, el) -> list[tuple[frozenset[str], object]]:
-        per_target: dict[object, set[str]] = {}
-        for r, ext in self.role_ext.items():
-            for d, e in ext:
-                if d == el:
-                    per_target.setdefault(e, set()).add(r)
-        return sorted(
-            ((frozenset(rs), tgt) for tgt, rs in per_target.items()),
-            key=lambda it: (sorted(it[0]), repr(it[1])),
-        )
-
-
-def abox_interpretation(a: ABox) -> Interpretation:
-    concept_ext: dict[str, set] = {}
-    for name, ind in a.concept_assertions:
-        concept_ext.setdefault(name, set()).add(ind)
-    role_ext: dict[str, set] = {}
-    for role, x, y in a.role_assertions:
-        role_ext.setdefault(role, set()).add((x, y))
-    inds = a.individuals()
-    return Interpretation(
-        frozenset(inds),
-        {k: frozenset(v) for k, v in concept_ext.items()},
-        {k: frozenset(v) for k, v in role_ext.items()},
-        {i: i for i in inds},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -658,49 +614,6 @@ def answers_query(t: TBox, a: ABox, q: Query, cache: ModelCache | None = None) -
             return _existential_atom_holds(model, atom.name)
         return _cq_holds(model, q)
     raise TypeError(f"not a query: {q!r}")
-
-
-def abox_homomorphism(src: ABox, dst: ABox) -> dict[str, str] | None:
-    """Assertion-preserving map between individual sets, or None.
-
-    Backtracking over individuals in sorted order, candidates in sorted
-    order, so the returned map is deterministic.
-    """
-    src_inds = sorted(src.individuals())
-    dst_inds = sorted(dst.individuals())
-    if src_inds and not dst_inds:
-        return None
-    concepts_of: dict[str, set[str]] = {i: set() for i in src_inds}
-    for name, i in src.concept_assertions:
-        concepts_of[i].add(name)
-    mapping: dict[str, str] = {}
-
-    def consistent(i: str, target: str) -> bool:
-        for name in concepts_of[i]:
-            if (name, target) not in dst.concept_assertions:
-                return False
-        for r, x, y in src.role_assertions:
-            if x == i and y in mapping and (r, target, mapping[y]) not in dst.role_assertions:
-                return False
-            if y == i and x in mapping and (r, mapping[x], target) not in dst.role_assertions:
-                return False
-            if x == i and y == i and (r, target, target) not in dst.role_assertions:
-                return False
-        return True
-
-    def search(k: int) -> bool:
-        if k == len(src_inds):
-            return True
-        i = src_inds[k]
-        for target in dst_inds:
-            if consistent(i, target):
-                mapping[i] = target
-                if search(k + 1):
-                    return True
-                del mapping[i]
-        return False
-
-    return dict(mapping) if search(0) else None
 
 
 # ---------------------------------------------------------------------------

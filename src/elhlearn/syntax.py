@@ -65,10 +65,6 @@ class RejectedQueryError(ElhError):
     """Oracle refused a query outside the allowed signature."""
 
 
-class DataError(ElhError):
-    """Inconsistent classified data."""
-
-
 # the one pattern of concept, role and individual names
 NAME = "[A-Za-z][A-Za-z0-9_]*"
 NAME_RE = re.compile(f"^{NAME}$")
@@ -367,13 +363,13 @@ def abox(
     return ABox(frozenset(concepts), frozenset(roles), frozenset(declared))
 
 
-def abox_of_concept(concept: Concept, prefix: str = "x") -> tuple[ABox, str]:
-    """Tree-shaped ABox encoding with fresh individuals, plus its root.
+def abox_of_concept(concept: Concept) -> tuple[ABox, str]:
+    """Tree-shaped ABox encoding with fresh individuals ``x0, x1, ...``, plus its root.
 
     A bare ``top`` yields an assertion-free ABox whose root is only declared.
     """
     tree = tree_of_concept(concept)
-    names = {v: f"{prefix}{v}" for v in range(tree.node_count())}
+    names = {v: f"x{v}" for v in range(tree.node_count())}
     cas = {(a, names[v]) for v in range(tree.node_count()) for a in tree.labels[v]}
     ras = {(r, names[p], names[c]) for p, c, r in tree.edges}
     root = names[tree.root]
@@ -412,11 +408,11 @@ def is_terminology(t: TBox) -> bool:
     return True
 
 
-def terminology(cis: Iterable[CI], ris: Iterable[RI] = (), auto_merge: bool = True) -> TBox:
-    """Build a terminology, merging multiple A-on-the-left CIs when allowed.
+def terminology(cis: Iterable[CI], ris: Iterable[RI] = ()) -> TBox:
+    """Build a terminology, merging inclusions with one name on the left.
 
-    With ``auto_merge`` two inclusions ``A [= C`` and ``A [= D`` combine into
-    ``A [= C and D``; otherwise they raise TerminologyError.
+    Two inclusions ``A [= C`` and ``A [= D``, one of them with a complex
+    right side, combine into ``A [= C and D``.
     """
     simple: list[CI] = []
     by_name: dict[str, list[Concept]] = {}
@@ -442,8 +438,6 @@ def terminology(cis: Iterable[CI], ris: Iterable[RI] = (), auto_merge: bool = Tr
                 seen.add(k)
                 uniq.append(r)
         complex_rhss = [r for r in uniq if not isinstance(r, (Atom, Top))]
-        if len(uniq) > 1 and complex_rhss and not auto_merge:
-            raise TerminologyError(f"more than one inclusion with {name} on the left")
         if len(complex_rhss) > 1 or (complex_rhss and len(uniq) > 1):
             merged.append(CI(Atom(name), normalize(conj(*uniq))))
         else:

@@ -38,7 +38,6 @@ from .syntax import (
     ConceptAtom,
     Signature,
     TBox,
-    Top,
     Var,
     check_disjoint_namespaces,
     concept_query_as_cq,
@@ -54,14 +53,10 @@ POLICY_MINIMAL = "minimal"
 POLICY_RANDOMIZED = "randomized"
 POLICY_ADVERSARIAL_CQ = "adversarial-cq"
 
-FRAGMENT_ELH = "elh"
-FRAGMENT_LHS = "elh-lhs"
-FRAGMENT_RHS = "elh-rhs"
-
 
 @dataclass(frozen=True)
 class Framework:
-    """Learning setup: fragment, fixed ABox, query language, shared signature.
+    """Learning setup: fixed ABox, query language, shared signature.
 
     With ``update_closure`` the inseparability oracle also ranges over ABoxes
     reachable from the fixed one by single linear-derivation replacements.
@@ -70,7 +65,6 @@ class Framework:
     fixed_abox: ABox
     query_lang: str
     signature: Signature
-    fragment: str = FRAGMENT_ELH
     update_closure: bool = False
     closure_cap: int = 200
 
@@ -101,14 +95,6 @@ def query_in_language(q: Query, lang: str) -> bool:
     if lang == reasoner.LANG_IQ:
         return False
     return isinstance(q, ConjunctiveQuery) and is_rooted(q)
-
-
-def check_fragment(t: TBox, fragment: str) -> None:
-    for ci in t.cis:
-        if fragment == FRAGMENT_LHS and not isinstance(ci.rhs, (Atom, Top)):
-            raise ConfigurationError("fragment allows complex concepts on the left only")
-        if fragment == FRAGMENT_RHS and not isinstance(ci.lhs, (Atom, Top)):
-            raise ConfigurationError("fragment allows complex concepts on the right only")
 
 
 @dataclass
@@ -144,7 +130,6 @@ class OracleSession:
         seed: int = 0,
         max_total_input: int | None = None,
     ):
-        check_fragment(target, framework.fragment)
         if policy not in (POLICY_MINIMAL, POLICY_RANDOMIZED, POLICY_ADVERSARIAL_CQ):
             raise ConfigurationError(f"unknown policy {policy!r}")
         if policy == POLICY_ADVERSARIAL_CQ and framework.query_lang != reasoner.LANG_CQR:

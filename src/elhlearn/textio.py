@@ -24,9 +24,8 @@ parentheses, and a CQ has at most ``MAX_NESTING`` variables; deeper or
 larger input is a ``ParseError``.  ``NAME`` is ``syntax.NAME``
 everywhere, and an inclusion needs a name (or ``top``) on one side.  The
 parsers raise no error but ``ParseError``, which gives the line and the
-column of the offending character; only ``parse_tbox`` with ``auto_merge``
-off also raises ``TerminologyError``, for two inclusions with one name on
-the left.
+column of the offending character.  Inclusions with one name on the left
+are merged into one, as ``syntax.terminology`` does.
 """
 
 from __future__ import annotations
@@ -227,7 +226,7 @@ def _unknown_statement(code: str, body: str, lineno: int) -> ParseError:
     return ParseError(f"unknown statement {body.split(':')[0]!r}", lineno, code.index(body) + 1)
 
 
-def parse_tbox(text: str, auto_merge: bool = True) -> TBox:
+def parse_tbox(text: str) -> TBox:
     cis: list[CI] = []
     ris: list[RI] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -257,7 +256,7 @@ def parse_tbox(text: str, auto_merge: bool = True) -> TBox:
             ris.append(RI(lhs, rhs))
         else:
             raise _unknown_statement(code, body, lineno)
-    return terminology(cis, ris, auto_merge=auto_merge)
+    return terminology(cis, ris)
 
 
 def serialize_tbox(t: TBox) -> str:

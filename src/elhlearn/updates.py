@@ -75,8 +75,9 @@ def check_bisim_preservation(t: TBox, h: TBox, a0: ABox, a: ABox) -> bool:
         raise ContractViolationError(
             "preservation check needs inseparability on the original ABox"
         )
-    rel = reasoner.bisimilar(reasoner.abox_interpretation(a), reasoner.abox_interpretation(a0))
-    return a.individuals() <= {b for b, _ in rel}
+    # over the empty TBox a model is the ABox's own graph
+    rel = reasoner.bisimilar(reasoner.build_model(TBox(), a), reasoner.build_model(TBox(), a0))
+    return a.individuals() <= {b for (_, b), _ in rel}
 
 
 # ---------------------------------------------------------------------------

@@ -154,3 +154,46 @@ def brute_cq(t: TBox, a: ABox, q: ConjunctiveQuery, max_depth: int) -> bool:
         return False
 
     return search(0)
+
+
+def abox_homomorphism(src: ABox, dst: ABox) -> dict[str, str] | None:
+    """Assertion-preserving map between individual sets, or None.
+
+    Backtracking over individuals in sorted order, candidates in sorted
+    order, so the returned map is deterministic.
+    """
+    src_inds = sorted(src.individuals())
+    dst_inds = sorted(dst.individuals())
+    if src_inds and not dst_inds:
+        return None
+    concepts_of: dict[str, set[str]] = {i: set() for i in src_inds}
+    for name, i in src.concept_assertions:
+        concepts_of[i].add(name)
+    mapping: dict[str, str] = {}
+
+    def consistent(i: str, target: str) -> bool:
+        for name in concepts_of[i]:
+            if (name, target) not in dst.concept_assertions:
+                return False
+        for r, x, y in src.role_assertions:
+            if x == i and y in mapping and (r, target, mapping[y]) not in dst.role_assertions:
+                return False
+            if y == i and x in mapping and (r, mapping[x], target) not in dst.role_assertions:
+                return False
+            if x == i and y == i and (r, target, target) not in dst.role_assertions:
+                return False
+        return True
+
+    def search(k: int) -> bool:
+        if k == len(src_inds):
+            return True
+        i = src_inds[k]
+        for target in dst_inds:
+            if consistent(i, target):
+                mapping[i] = target
+                if search(k + 1):
+                    return True
+                del mapping[i]
+        return False
+
+    return dict(mapping) if search(0) else None

@@ -6,11 +6,15 @@ Four separate fixpoint sweeps, kept verbatim as the reference that
 ``is_simulation`` and ``_elimination_rounds`` (behind ``separating_witness``,
 which reruns the whole sweep for every pair it is asked about), and the
 ``inseparability_gap`` that called it once per individual and direction.
+
+It also keeps ``Interpretation`` and ``abox_interpretation``, the explicit
+graph of an ABox that ``updates.check_bisim_preservation`` bisimulated
+before it read an ABox as its model over the empty TBox.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from elhlearn.reasoner import (
@@ -29,6 +33,49 @@ from elhlearn.reasoner import (
     signature_of_abox,
     signature_of_tbox,
 )
+
+
+@dataclass
+class Interpretation:
+    """Explicit finite interpretation with an individual assignment."""
+
+    domain: frozenset
+    concept_ext: dict[str, frozenset]
+    role_ext: dict[str, frozenset]
+    ind_map: dict[str, object] = field(default_factory=dict)
+
+    def elements(self) -> Iterable:
+        return self.domain
+
+    def label_of(self, el) -> frozenset[str]:
+        return frozenset(a for a, ext in self.concept_ext.items() if el in ext)
+
+    def successors(self, el) -> list[tuple[frozenset[str], object]]:
+        per_target: dict[object, set[str]] = {}
+        for r, ext in self.role_ext.items():
+            for d, e in ext:
+                if d == el:
+                    per_target.setdefault(e, set()).add(r)
+        return sorted(
+            ((frozenset(rs), tgt) for tgt, rs in per_target.items()),
+            key=lambda it: (sorted(it[0]), repr(it[1])),
+        )
+
+
+def abox_interpretation(a: ABox) -> Interpretation:
+    concept_ext: dict[str, set] = {}
+    for name, ind in a.concept_assertions:
+        concept_ext.setdefault(name, set()).add(ind)
+    role_ext: dict[str, set] = {}
+    for role, x, y in a.role_assertions:
+        role_ext.setdefault(role, set()).add((x, y))
+    inds = a.individuals()
+    return Interpretation(
+        frozenset(inds),
+        {k: frozenset(v) for k, v in concept_ext.items()},
+        {k: frozenset(v) for k, v in role_ext.items()},
+        {i: i for i in inds},
+    )
 
 
 def _graph(view) -> tuple[list, Callable, Callable]:

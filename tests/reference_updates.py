@@ -7,14 +7,26 @@ apart from imports.  ``linear_derivation`` is also the tests' definition of
 a linear derivation, since ``updates`` keeps only the one-model form that
 ``_one_step_targets`` reads.  ``in_generalised_closure`` is the membership
 oracle of the closure: it is only used by tests, so it lives here.
+
+``check_bisim_preservation`` is the version that bisimulated the explicit
+interpretations of the two ABoxes (``reference_simulation``), verbatim apart
+from imports.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
+from reference_simulation import abox_interpretation
 from elhlearn import reasoner
-from elhlearn.syntax import ABox, Atom, ConfigurationError, TBox, signature_of_tbox
+from elhlearn.syntax import (
+    ABox,
+    Atom,
+    ConfigurationError,
+    ContractViolationError,
+    TBox,
+    signature_of_tbox,
+)
 
 
 def linear_derivation(t: TBox, x: str, y: str, kind: str = "concept") -> bool:
@@ -137,3 +149,22 @@ def enumerate_closure(t: TBox, a0: ABox, cap: int = 200) -> Iterator[ABox]:
             if produced >= cap:
                 return
             frontier.append(nxt)
+
+
+def check_bisim_preservation(t: TBox, h: TBox, a0: ABox, a: ABox) -> bool:
+    """True when the update is covered by bisimilarity with old individuals.
+
+    Preconditions (checked): same role inclusions over the joint signature,
+    and instance-query inseparability on the original ABox.
+    """
+    roles = signature_of_tbox(t).union(signature_of_tbox(h)).role_names
+    for r in sorted(roles):
+        for s in sorted(roles):
+            if reasoner.entails_ri(t, r, s) != reasoner.entails_ri(h, r, s):
+                raise ContractViolationError("preservation check needs equal role inclusions")
+    if reasoner.inseparable(t, h, a0, reasoner.LANG_IQ) is not None:
+        raise ContractViolationError(
+            "preservation check needs inseparability on the original ABox"
+        )
+    rel = reasoner.bisimilar(abox_interpretation(a), abox_interpretation(a0))
+    return a.individuals() <= {b for b, _ in rel}

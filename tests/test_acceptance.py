@@ -15,16 +15,18 @@ import pytest
 
 from bruteforce import brute_instance, brute_subsumes
 from genkb import covering_abox, random_abox, random_concept, random_query_pool, random_terminology
+from pac_fixture import (
+    HiddenChainFixture,
+    classify_fixture_example,
+    fixture_pac_learner,
+    identify_word_adversarially,
+)
 from elhlearn.batch import build_batch, learn_from_batch
 from elhlearn.learn_aq import CachedOracle, learn_aq
 from elhlearn.learn_cqr import cq_to_iq, learn_cqr
 from elhlearn.learn_iq import learn_iq
 from elhlearn.pac import (
-    HiddenChainFixture,
-    classify_fixture_example,
     cyclic_abox,
-    fixture_pac_learner,
-    identify_word_adversarially,
     pac_from_exact,
     sample_count,
     shatters,

@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import elhlearn
+from elhlearn import pac
 from elhlearn.cli import main
 from elhlearn.textio import MAX_NESTING
 
@@ -474,6 +476,37 @@ def test_vc_check(capsys):
     assert "SHATTERED" in capsys.readouterr().out
     assert main(["vc", "check", "--n", "2", "--extra-loop"]) == 1
     assert "NOT_SHATTERED" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_vc_check_verdicts_below_the_bound(capsys, n):
+    assert main(["vc", "check", "--n", str(n)]) == 0
+    assert main(["vc", "check", "--n", str(n), "--extra-loop"]) == 1
+    assert capsys.readouterr().out.split() == ["SHATTERED", "NOT_SHATTERED"]
+
+
+@pytest.mark.parametrize("n", ["14", "1000000000"])
+@pytest.mark.parametrize("loop", [[], ["--extra-loop"]])
+def test_vc_check_refuses_a_size_past_the_budget_at_once(capsys, n, loop):
+    start = time.monotonic()
+    assert main(["vc", "check", "--n", n, *loop]) == 4
+    assert time.monotonic() - start < 1.0
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"budget exceeded: shattering {n} examples needs at least" in out.err
+
+
+@pytest.mark.parametrize("n", ["-1000000000", "-1", "0", "1"])
+def test_vc_check_needs_two_examples(capsys, n):
+    assert main(["vc", "check", "--n", n]) == 2
+    assert "the ring needs at least two individuals" in capsys.readouterr().err
+
+
+def test_shattering_bound_is_n_times_two_to_the_n():
+    # 13 * 2**13 = 106,496 evaluations fit in the budget, 14 * 2**14 = 229,376 do not
+    flagged = [n for n in range(-3, 64) if pac.shattering_exceeds_budget(n)]
+    assert flagged == [n for n in range(-3, 64) if n > 0 and n * 2**n > pac.SHATTER_BUDGET]
+    assert flagged[0] == 14
 
 
 def _chain_query(n: int) -> str:

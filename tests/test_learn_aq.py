@@ -12,7 +12,8 @@ from elhlearn.learn_aq import (
     tree_shape,
     unfold_cycle,
 )
-from elhlearn.reasoner import LANG_AQ, abox_interpretation, answers_query, entails_ci, entails_ri, inseparable, is_simulation
+from reference_simulation import abox_interpretation
+from elhlearn.reasoner import LANG_AQ, answers_query, entails_ci, entails_ri, inseparable, is_simulation
 from elhlearn.syntax import (
     ABox,
     Atom,

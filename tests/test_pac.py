@@ -3,14 +3,17 @@ import math
 import pytest
 
 from genkb import random_abox, random_query_pool, random_terminology
+from pac_fixture import (
+    DataError,
+    HiddenChainFixture,
+    classify_fixture_example,
+    fixture_pac_learner,
+    identify_word_adversarially,
+)
 from elhlearn.learn_iq import learn_iq
 from elhlearn.pac import (
     Distribution,
-    HiddenChainFixture,
-    classify_fixture_example,
     cyclic_abox,
-    fixture_pac_learner,
-    identify_word_adversarially,
     pac_from_exact,
     ring_hypotheses,
     sample_count,
@@ -26,7 +29,6 @@ from elhlearn.syntax import (
     CI,
     ConceptQuery,
     ConfigurationError,
-    DataError,
     Exists,
     TBox,
     TOP,

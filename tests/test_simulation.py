@@ -14,6 +14,7 @@ import itertools
 from hypothesis import given, settings, strategies as st
 
 import reference_simulation as ref
+from reference_simulation import abox_interpretation
 from genkb import random_abox, random_terminology
 from elhlearn.reasoner import (
     LANG_AQ,
@@ -21,7 +22,6 @@ from elhlearn.reasoner import (
     LANG_IQ,
     _refine,
     _witness,
-    abox_interpretation,
     bisimilar,
     build_model,
     inseparability_gap,

@@ -1,0 +1,105 @@
+"""Every top-level function and class of ``elhlearn`` is used outside tests.
+
+A definition is used when a root reaches it through the names that
+definitions mention.  The roots are:
+
+* the module-level statements of ``src/elhlearn`` other than imports, which
+  run on import (``__init__``, whose re-exports do not count, is skipped);
+* the console script ``elh`` (``cli.main``);
+* everything ``perfbench/`` names, in code or in the dotted string of a
+  traced layer;
+* ``ALLOWED``, whose entries each say why they stay in the package.
+
+Code that only tests reach belongs under ``tests/``.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "elhlearn"
+BENCH = ROOT / "perfbench"
+
+# the console script of pyproject.toml
+ENTRY_POINTS = {"main"}
+
+ALLOWED = {
+    "reasoner.simulation": "the greatest simulation, public next to bisimilar",
+    "reasoner.is_simulation": "checks a claimed simulation, public next to simulation",
+    "textio.parse_concept": "the text format's public entry point for one concept",
+}
+
+DEFINITION = (ast.FunctionDef, ast.ClassDef)
+# an import in ``src`` only binds a name; it is used where it is mentioned
+IMPORT = (ast.Import, ast.ImportFrom)
+
+
+def _names(node: ast.AST) -> set[str]:
+    """Identifiers that ``node`` mentions: names, attributes, imports and
+    the dotted parts of string constants."""
+    out: set[str] = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name.split(".")[-1])
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            out.update(part for part in sub.value.split(".") if part.isidentifier())
+    return out
+
+
+def _modules(src: Path) -> dict[str, list[ast.stmt]]:
+    return {
+        path.stem: ast.parse(path.read_text(encoding="utf-8")).body
+        for path in sorted(src.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+
+
+def unused(src: Path = SRC, bench: Path = BENCH) -> list[str]:
+    """``module.name`` of every top-level def and class no root reaches."""
+    modules = _modules(src)
+    defs = {
+        f"{mod}.{node.name}": node
+        for mod, body in modules.items()
+        for node in body
+        if isinstance(node, DEFINITION)
+    }
+    by_name: dict[str, list[ast.AST]] = {}
+    for node in defs.values():
+        by_name.setdefault(node.name, []).append(node)
+    reached = set(ENTRY_POINTS) | {key.split(".")[1] for key in ALLOWED}
+    for body in modules.values():
+        for node in body:
+            if not isinstance(node, DEFINITION + IMPORT):
+                reached |= _names(node)
+    for path in sorted(bench.glob("*.py")):
+        reached |= _names(ast.parse(path.read_text(encoding="utf-8")))
+    frontier = list(reached)
+    while frontier:
+        for node in by_name.get(frontier.pop(), ()):
+            for name in _names(node) - reached:
+                reached.add(name)
+                frontier.append(name)
+    return sorted(key for key, node in defs.items() if node.name not in reached)
+
+
+def test_every_definition_is_used_outside_tests():
+    assert unused() == []
+
+
+def test_allowlist_names_definitions_that_need_it():
+    """An entry names a definition that would be flagged without it."""
+    saved = dict(ALLOWED)
+    try:
+        for key in saved:
+            del ALLOWED[key]
+            assert key in unused(), key
+            ALLOWED[key] = saved[key]
+    finally:
+        ALLOWED.clear()
+        ALLOWED.update(saved)

@@ -159,13 +159,6 @@ class TestTerminology:
         (merged,) = [ci for ci in t.cis if isinstance(ci.lhs, Atom) and ci.lhs.name == "A"]
         assert merged.rhs == normalize(conj(Atom("C"), Exists("r", Atom("B"))))
 
-    def test_no_merge_flag_rejects(self):
-        with pytest.raises(TerminologyError):
-            terminology(
-                [CI(Atom("A"), Exists("r", Atom("B"))), CI(Atom("A"), Exists("s", Atom("C")))],
-                auto_merge=False,
-            )
-
     def test_complex_both_sides_rejected(self):
         with pytest.raises(TerminologyError):
             terminology([CI(Exists("r", Atom("A")), Exists("s", Atom("B")))])

@@ -13,7 +13,6 @@ from elhlearn.syntax import (
     RoleAtom,
     RoleQuery,
     TOP,
-    TerminologyError,
     Var,
     abox,
     conj,
@@ -63,8 +62,6 @@ def test_equivalence_expands_both_ways():
 def test_duplicate_name_merge_matches_conjunction():
     text = "CI: A [= some r. B\nCI: A [= C\n"
     merged = parse_tbox(text)
-    with pytest.raises(TerminologyError):
-        parse_tbox(text, auto_merge=False)
     # the merged axiom says the same as the pair, checked by entailment
     manual = terminology([CI(Atom("A"), normalize(conj(Exists("r", Atom("B")), Atom("C"))))])
     (ci,) = [c for c in merged.cis]

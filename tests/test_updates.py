@@ -1,10 +1,13 @@
 import pytest
 
 from genkb import covering_abox, random_abox, random_terminology
+import reference_updates as ref
+from reference_simulation import abox_interpretation
 from reference_updates import in_generalised_closure, linear_derivation
 from elhlearn.learn_aq import CachedOracle, bootstrap_atomic
-from elhlearn.reasoner import LANG_IQ, inseparable
+from elhlearn.reasoner import LANG_IQ, bisimilar, build_model, inseparable
 from elhlearn.syntax import (
+    ABox,
     Atom,
     CI,
     ConfigurationError,
@@ -89,6 +92,57 @@ class TestPreservation:
                 hits += 1
                 assert inseparable(t, h, a, LANG_IQ) is None
         assert hits >= 10
+
+
+def renamed(a: ABox, inds, suffix: str) -> ABox:
+    """The part of ``a`` over ``inds``, its individuals renamed."""
+    ren = {i: f"{i}{suffix}" for i in inds}
+    return abox(
+        concepts={(n, ren[i]) for n, i in a.concept_assertions if i in ren},
+        roles={(r, ren[x], ren[y]) for r, x, y in a.role_assertions if x in ren and y in ren},
+        declared=ren.values(),
+    )
+
+
+class TestBisimPreservationReference:
+    """``check_bisim_preservation`` reads an ABox as its model over the empty
+    TBox; ``reference_updates`` keeps the version that bisimulated the ABox's
+    explicit interpretation.  Both must agree on every update."""
+
+    @staticmethod
+    def updates(seed: int):
+        t = random_terminology(seed)
+        a0 = random_abox(seed, t)
+        inds = sorted(a0.individuals())
+        part = inds[: max(1, len(inds) // 2)]
+        neighbour = random_abox(seed + 1, random_terminology(seed + 1))
+        yield t, a0, a0.union(renamed(a0, inds, "_c")), True  # renamed full copy
+        yield t, a0, a0.union(renamed(a0, part, "_p")), None  # renamed part
+        yield t, a0, a0.union(renamed(neighbour, neighbour.individuals(), "_n")), None
+        yield t, a0, neighbour, None
+        yield t, neighbour, a0, None
+
+    def test_agrees_with_interpretation_reference_on_genkb_seeds(self):
+        verdicts = {True: 0, False: 0}
+        disagreements = []
+        for seed in range(200):
+            for t, a0, a, expected in self.updates(seed):
+                # h = t meets both preconditions, so the verdict is the bisimulation's
+                got = check_bisim_preservation(t, t, a0, a)
+                want = ref.check_bisim_preservation(t, t, a0, a)
+                if got != want or expected not in (None, got):
+                    disagreements.append((seed, a, got, want))
+                verdicts[got] += 1
+        assert disagreements == []
+        # both verdicts are exercised, not just the always-preserved copies
+        assert verdicts[True] >= 200 and verdicts[False] >= 200, verdicts
+
+    def test_kept_pairs_match_the_interpretation_view(self):
+        for seed in range(0, 200, 10):
+            for _, a0, a, _ in self.updates(seed):
+                model_pairs = bisimilar(build_model(TBox(), a), build_model(TBox(), a0))
+                pairs = {(d, e) for (_, d), (_, e) in model_pairs}
+                assert pairs == bisimilar(abox_interpretation(a), abox_interpretation(a0))
 
 
 class TestGeneralise:
