@@ -72,8 +72,8 @@ class CachedOracle:
 
     def __init__(self, session):
         self.session = session
-        # keyed on the ABox value, which is as fine as its sorted assertions
-        self._mq: dict[tuple[ABox, str], bool] = {}
+        # keyed on the ABox and query values
+        self._mq: dict[tuple[ABox, Query], bool] = {}
         self.cache = reasoner.ModelCache()
 
     @property
@@ -81,10 +81,11 @@ class CachedOracle:
         return self.session.framework
 
     def membership(self, a: ABox, q: Query) -> bool:
-        key = (a, repr(q))
-        if key not in self._mq:
-            self._mq[key] = self.session.membership(a, q)
-        return self._mq[key]
+        key = (a, q)
+        hit = self._mq.get(key)
+        if hit is None:
+            hit = self._mq[key] = self.session.membership(a, q)
+        return hit
 
     def inseparability(self, hypothesis: TBox):
         return self.session.inseparability(hypothesis)

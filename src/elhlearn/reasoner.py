@@ -50,7 +50,10 @@ or with ``back`` a bisimulation, and records why each pair went.
 ``simulation``, ``bisimilar`` and ``is_simulation`` read the pairs kept;
 ``separating_witness`` turns the reasons of removed anchor pairs into the
 distinguishing tree queries, and ``inseparability_gap`` asks it once per
-direction between the two models.  The graphs are ``RegularModel`` values.
+direction between the two models.  It refines only the pairs reachable
+from the anchor pairs, which are all that the reasons of anchor pairs
+read.  The graphs are ``RegularModel`` values, and each is read
+(``_read``: elements sorted by value, labels, edges) once per bundle mode.
 An ABox on its own is the model ``build_model(TBox(), a)``: over the empty
 TBox that model is the ABox's labelled graph, one element ``("n", i)`` per
 individual and one edge per pair of individuals, carrying every role
@@ -63,7 +66,7 @@ import functools
 import heapq
 import itertools
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Literal, Union
 
 from .syntax import (
@@ -139,7 +142,8 @@ class RegularModel:
     ``labels`` maps every element to its saturated set of concept names and
     ``edges`` lists outgoing ``(role set, target)`` bundles.  Anonymous
     elements stand for whole families of elements of the least model, one
-    per path that reaches them from the named part.
+    per path that reaches them from the named part.  ``_reads`` keeps what
+    ``_read`` makes of the model, per bundle mode.
     """
 
     tbox: TBox
@@ -147,6 +151,7 @@ class RegularModel:
     labels: dict[Element, frozenset[str]]
     edges: dict[Element, tuple[Edge, ...]]
     fillers: dict[str, Concept]
+    _reads: dict[bool, tuple] = field(default_factory=dict, compare=False, repr=False)
 
     def named(self, ind: str) -> NamedEl:
         return ("n", ind)
@@ -622,21 +627,28 @@ def answers_query(t: TBox, a: ABox, q: Query, cache: ModelCache | None = None) -
 
 
 def _read(view, bundles: bool) -> tuple[list, dict, dict, dict]:
-    """Sorted elements, labels, edges and the edges to match, read once.
+    """Sorted elements, labels, edges and the edges to match.
 
-    Without bundles an edge is matched role by role, so it is split into one
-    singleton edge per role, in sorted role order.
+    Elements sort by value.  For ``("n", name)`` and ``("a", canonical)``
+    that is their ``repr`` order, since every character of a name or a
+    canonical filler sorts above the quote that closes a ``repr``.  Without
+    bundles an edge is matched role by role, so it is split into one
+    singleton edge per role, in sorted role order.  A ``RegularModel`` is
+    read once per bundle mode.
     """
-    els = sorted(view.elements(), key=repr)
-    labels = {x: view.label_of(x) for x in els}
-    edges = {x: tuple(view.successors(x)) for x in els}
-    if bundles:
-        return els, labels, edges, edges
-    wants = {
-        x: tuple((frozenset({r}), x1) for roles, x1 in out for r in sorted(roles))
-        for x, out in edges.items()
-    }
-    return els, labels, edges, wants
+    reads = view._reads if isinstance(view, RegularModel) else {}
+    if bundles not in reads:
+        els = sorted(view.elements())
+        labels = {x: view.label_of(x) for x in els}
+        edges = {x: tuple(view.successors(x)) for x in els}
+        wants = edges
+        if not bundles:
+            wants = {
+                x: tuple((frozenset({r}), x1) for roles, x1 in out for r in sorted(roles))
+                for x, out in edges.items()
+            }
+        reads[bundles] = els, labels, edges, wants
+    return reads[bundles]
 
 
 def _refine(
@@ -649,7 +661,7 @@ def _refine(
     A pair ``(d, e)`` is removed when ``d`` has a name that ``e`` lacks, or
     an edge (without ``bundles``: a role of an edge) that no edge of ``e``
     matches inside the relation; with ``back`` also when the same holds
-    the other way round.  Sweeps visit the surviving pairs in ``repr`` order
+    the other way round.  Sweeps visit the surviving pairs in sorted order
     and remove in place, until a sweep removes nothing.  Returns the pairs
     kept and, for every removed pair, its reason: ``("atom", name)`` or
     ``("edge", roles, d1, targets)``, where ``d1`` is reached from ``d`` by
@@ -660,7 +672,8 @@ def _refine(
     ej, lj, sj, wj = _read(gj, bundles)
     reason: dict[tuple, tuple] = {}
     order = []
-    for d, e in sorted(itertools.product(ei, ej) if start is None else start, key=repr):
+    # the product of two sorted lists is sorted
+    for d, e in itertools.product(ei, ej) if start is None else sorted(start):
         missing = li[d] - lj[e]
         if back and not missing:
             missing = lj[e] - li[d]
@@ -774,9 +787,27 @@ def separating_witness(gi, anchors: Iterable, gj, bundles: bool = False) -> dict
     """``{d: tree}`` for each anchor ``d`` at which ``gj`` does not simulate ``gi``.
 
     The tree query is true at ``d`` in ``gi`` but not at ``d`` in ``gj``.
-    All witnesses are read from one refinement.
+    All witnesses are read from one refinement, seeded with the pairs
+    reachable from the anchor pairs ``(d, d)`` in both graphs: from a pair
+    whose second element has every name of its first, along an edge to
+    match of ``gi`` and an edge of ``gj`` that matches it.  A pair's removal
+    and its reason read only pairs reachable from it, and the sweeps visit
+    them in the same order as on the full product, so the witnesses are
+    those of the full product.
     """
-    reason = _refine(gi, gj, bundles)[1]
+    _, li, _, wi = _read(gi, bundles)
+    _, lj, sj, _ = _read(gj, bundles)
+    seed = {(d, d) for d in anchors if d in li and d in lj}
+    frontier = list(seed)
+    while frontier:
+        d, e = frontier.pop()
+        if li[d] <= lj[e]:
+            for roles, d1 in wi[d]:
+                for roles2, e1 in sj[e]:
+                    if roles <= roles2 and (d1, e1) not in seed:
+                        seed.add((d1, e1))
+                        frontier.append((d1, e1))
+    reason = _refine(gi, gj, bundles, start=seed)[1]
     memo: dict = {}
     return {d: _witness(reason, (d, d), memo) for d in anchors if (d, d) in reason}
 
@@ -805,10 +836,12 @@ def _aq_closure(t: TBox, a: ABox, sig: Signature, cache: ModelCache | None):
         for i in inds
         if name in model.labels[("n", i)]
     }
+    # a role the TBox does not mention has no role above it
+    closure = _compile(t).closure
     role_facts = {
         (r, x, y)
         for (s, x, y) in a.role_assertions
-        for r in superroles(t, s)
+        for r in closure.get(s) or (s,)
         if r in sig.role_names
     }
     return concept_facts, role_facts
@@ -877,6 +910,9 @@ def inseparable(
     """None when inseparable, else a verified separating query."""
     if lang not in (LANG_AQ, LANG_IQ, LANG_CQR):
         raise UnsupportedQueryError(f"inseparability undecided for language {lang!r}")
+    if cache is None:
+        # the gap and the check of its query read the same two models
+        cache = ModelCache()
     gap = inseparability_gap(t, h, a, lang, cache=cache, limit=1)
     if not gap:
         return None

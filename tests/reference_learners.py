@@ -7,6 +7,10 @@ budget function ``_budget_limit_iq``.  They are kept verbatim, apart from the
 imports, as the reference that ``tests/test_learner_loop.py`` compares the
 one driver in ``elhlearn.learn_iq`` against.  Everything they call (the
 phases, the reductions, the conversion, the repairs) is the package's own.
+
+``repr_keyed_membership`` is ``CachedOracle.membership`` as it was when the
+memo keyed a question on ``repr(q)``, not on the query value;
+``tests/test_learner_loop.py`` swaps it in to compare the two memos.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from elhlearn.syntax import (
     ConceptQuery,
     ConfigurationError,
     ConjunctiveQuery,
+    Query,
     RoleQuery,
     StructuralError,
     TBox,
@@ -44,6 +49,14 @@ from elhlearn.syntax import (
     terminology,
 )
 from elhlearn.updates import _atomic_repair, _failing_atom, generalise
+
+
+def repr_keyed_membership(self, a: ABox, q: Query) -> bool:
+    key = (a, repr(q))
+    if key not in self._mq:
+        self._mq[key] = self.session.membership(a, q)
+    return self._mq[key]
+
 
 BUDGET_DEGREE_IQ = 4
 BUDGET_COEFF_IQ = 300

@@ -10,6 +10,12 @@ which reruns the whole sweep for every pair it is asked about), and the
 It also keeps ``Interpretation`` and ``abox_interpretation``, the explicit
 graph of an ABox that ``updates.check_bisim_preservation`` bisimulated
 before it read an ABox as its model over the empty TBox.
+
+``repr_read`` and ``product_separating_witness`` are ``_read`` and
+``separating_witness`` as they were before each model was read once, with
+its elements sorted by value, and before the witness refinement was seeded
+with the pairs reachable from the anchors: elements sorted by ``repr``, and
+one refinement of the full product of the two graphs.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
+from elhlearn import reasoner
 from elhlearn.reasoner import (
     LANG_AQ,
     LANG_CQR,
@@ -310,3 +317,33 @@ def inseparability_gap(
             if push(Separation(q, first)):
                 return out
     return out
+
+
+# ``_read`` and ``separating_witness`` as they were before the reachable seed.
+def repr_read(view, bundles: bool) -> tuple[list, dict, dict, dict]:
+    """Sorted elements, labels, edges and the edges to match, read once.
+
+    Without bundles an edge is matched role by role, so it is split into one
+    singleton edge per role, in sorted role order.
+    """
+    els = sorted(view.elements(), key=repr)
+    labels = {x: view.label_of(x) for x in els}
+    edges = {x: tuple(view.successors(x)) for x in els}
+    if bundles:
+        return els, labels, edges, edges
+    wants = {
+        x: tuple((frozenset({r}), x1) for roles, x1 in out for r in sorted(roles))
+        for x, out in edges.items()
+    }
+    return els, labels, edges, wants
+
+
+def product_separating_witness(gi, anchors: Iterable, gj, bundles: bool = False) -> dict:
+    """``{d: tree}`` for each anchor ``d`` at which ``gj`` does not simulate ``gi``.
+
+    The tree query is true at ``d`` in ``gi`` but not at ``d`` in ``gj``.
+    All witnesses are read from one refinement.
+    """
+    reason = reasoner._refine(gi, gj, bundles)[1]
+    memo: dict = {}
+    return {d: reasoner._witness(reason, (d, d), memo) for d in anchors if (d, d) in reason}

@@ -16,6 +16,7 @@ import pytest
 import reference_learners as ref
 from genkb import covering_abox, random_abox, random_query_pool, random_terminology
 from elhlearn.batch import build_batch, dump_batch, learn_from_batch
+from elhlearn.learn_aq import CachedOracle
 from elhlearn.learn_cqr import learn_cqr
 from elhlearn.learn_iq import learn_iq
 from elhlearn.pac import pac_from_exact, uniform_distribution
@@ -87,6 +88,23 @@ def test_learner_matches_reference(learner, reference, lang, policy, updates):
         looped += '"counterexample"' in got[1]
     # about one seed in five takes a counterexample after the atomic phase
     assert looped >= len(SEEDS) // 10
+
+
+@pytest.mark.parametrize(
+    "learner, lang, policy",
+    [case[:1] + case[2:4] for case in LEARNER_CASES[:5]],
+    ids=[f"{case[0].__name__}-{case[3]}" for case in LEARNER_CASES[:5]],
+)
+def test_value_keyed_memo_matches_repr_keyed(learner, lang, policy, monkeypatch):
+    def runs():
+        for seed in SEEDS:
+            t, a0, _ = _kb(seed)
+            yield _learner_run(learner, OracleSession(t, framework_for(t, a0, lang), policy, seed))
+
+    got = list(runs())
+    monkeypatch.setattr(CachedOracle, "membership", ref.repr_keyed_membership)
+    for seed, have, want in zip(SEEDS, got, runs()):
+        assert have == want, f"{learner.__name__} ({policy}) differs on genkb seed {seed}"
 
 
 class _SpentAfterFirstEq:

@@ -5,6 +5,9 @@
 pairs of least models (both from ``genkb``) the engine must give the same
 greatest simulations and bisimulations, the same ``is_simulation`` verdicts,
 the same witness for every removed pair, and the same inseparability gaps.
+On models, ``separating_witness`` seeded with the pairs reachable from its
+anchors must give the witnesses of a refinement of the full product, and
+``_read`` must sort elements as ``repr`` does.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from elhlearn.reasoner import (
     LANG_AQ,
     LANG_CQR,
     LANG_IQ,
+    _read,
     _refine,
     _witness,
     bisimilar,
@@ -137,6 +141,43 @@ def test_anchored_witnesses_match_reference(models, bundles):
     found = separating_witness(gi, anchors, gj, bundles)
     for d in anchors:
         assert found.get(d) == ref.separating_witness(gi, d, gj, d, bundles)
+
+
+def assert_same_as_product(gi, gj) -> None:
+    """The reachable seed gives the full product's witness at every anchor.
+
+    Every element of either graph is an anchor, and so is an individual of
+    neither: an anchor missing from one graph has no witness.
+    """
+    anchors = sorted(set(gi.elements()) | set(gj.elements()) | {("n", "nobody")})
+    for bundles in (False, True):
+        found = separating_witness(gi, anchors, gj, bundles)
+        assert found == ref.product_separating_witness(gi, anchors, gj, bundles)
+        assert all(d in gi.labels and d in gj.labels for d in found)
+
+
+def assert_read_as_by_repr(model) -> None:
+    for bundles in (False, True):
+        assert _read(model, bundles) == ref.repr_read(model, bundles)
+
+
+@SETTINGS
+@given(model_pairs())
+def test_reachable_seed_witnesses_match_product(models):
+    assert_same_as_product(*models)
+    for model in models:
+        assert_read_as_by_repr(model)
+
+
+def test_reachable_seed_on_fixed_genkb_models():
+    for seed in range(100):
+        t, h = random_terminology(seed), random_terminology(seed + 1000)
+        a = random_abox(seed, terminology(t.cis | h.cis, t.ris | h.ris))
+        for first, second in ((t, h), (t, TBox()), (TBox(), t)):
+            gi, gj = build_model(first, a), build_model(second, a)
+            assert_same_as_product(gi, gj)
+            for model in (gi, gj):
+                assert_read_as_by_repr(model)
 
 
 @SETTINGS
