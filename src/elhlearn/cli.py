@@ -3,8 +3,9 @@
 Subcommands: ``reason``, ``learn``, ``update-check``, ``batch build``,
 ``batch learn``, ``pac run``, ``vc check``.  Verdicts go to stdout as plain
 text, statistics as JSON.  Exit codes: 0 ok/entailed, 1 not-entailed or
-separable or not-preserved, 2 parse error or bad input (a name used as two
-of concept, role and individual, say), 3 unsupported query language,
+separable or not-preserved, 2 parse error, bad input (a name used as two
+of concept, role and individual, say) or an output file that cannot be
+written, 3 unsupported query language,
 4 budget exceeded.  Set ``ELH_LOG`` to a logging level name for diagnostics.
 """
 
@@ -28,6 +29,7 @@ from .syntax import (
     AtomicQuery,
     BudgetExceededError,
     ConceptQuery,
+    ConfigurationError,
     ElhError,
     Query,
     TBox,
@@ -58,6 +60,13 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc}")
 
 
 def _check_namespaces(tboxes: list[TBox], aboxes: list[ABox]) -> None:
@@ -123,7 +132,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
         log.warning("budget exceeded: %s", exc)
         partial = exc.partial
         if args.out and partial is not None:
-            Path(args.out).write_text(textio.serialize_tbox(partial), encoding="utf-8")
+            _write(args.out, textio.serialize_tbox(partial))
         print(json.dumps({"budgetExceeded": True, "partialWritten": partial is not None}))
         return EXIT_BUDGET
     verified = reasoner.inseparable(target, hypothesis, a0, lang) is None
@@ -138,13 +147,13 @@ def cmd_learn(args: argparse.Namespace) -> int:
         "verifiedInseparable": verified,
     }
     if args.out:
-        Path(args.out).write_text(textio.serialize_tbox(hypothesis), encoding="utf-8")
+        _write(args.out, textio.serialize_tbox(hypothesis))
     else:
         sys.stdout.write(textio.serialize_tbox(hypothesis))
     if args.stats:
-        Path(args.stats).write_text(json.dumps(stats, indent=2, sort_keys=True), encoding="utf-8")
+        _write(args.stats, json.dumps(stats, indent=2, sort_keys=True))
     if args.transcript:
-        Path(args.transcript).write_text(session.export_transcript(), encoding="utf-8")
+        _write(args.transcript, session.export_transcript())
     print(json.dumps(stats, sort_keys=True))
     return EXIT_OK if verified else EXIT_NEGATIVE
 
@@ -167,7 +176,7 @@ def cmd_batch_build(args: argparse.Namespace) -> int:
     items = batchmod.build_batch(target, a0, LANGS[args.mode], seed=args.seed)
     text = batchmod.dump_batch(items)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     print(json.dumps({"items": len(items)}, sort_keys=True))
@@ -180,13 +189,17 @@ def cmd_batch_learn(args: argparse.Namespace) -> int:
     _check_namespaces([], [a0] + [item.abox for item in items])
     h = batchmod.learn_from_batch(items, a0, LANGS[args.mode])
     if args.out:
-        Path(args.out).write_text(textio.serialize_tbox(h), encoding="utf-8")
+        _write(args.out, textio.serialize_tbox(h))
     else:
         sys.stdout.write(textio.serialize_tbox(h))
     return EXIT_OK
 
 
 def cmd_pac_run(args: argparse.Namespace) -> int:
+    if args.trials < 1:
+        raise ConfigurationError("--trials must be at least 1")
+    if not (args.dist or args.queries):
+        raise ConfigurationError("pac run needs --dist or --queries")
     target = textio.parse_tbox(_read(args.target))
     a0 = textio.parse_abox(_read(args.abox))
     lang = LANGS[args.mode]
@@ -230,14 +243,14 @@ def cmd_pac_run(args: argparse.Namespace) -> int:
     }
     print(json.dumps(report, sort_keys=True))
     if args.stats:
-        Path(args.stats).write_text(json.dumps(report, indent=2, sort_keys=True), encoding="utf-8")
+        _write(args.stats, json.dumps(report, indent=2, sort_keys=True))
     if args.csv:
         rows = ["seed,samplesUsed,eqRounds,trueError"]
         rows += [
             f"{t['seed']},{t['samplesUsed']},{len(t['schedule'])},{t['trueError']}"
             for t in trials
         ]
-        Path(args.csv).write_text("\n".join(rows) + "\n", encoding="utf-8")
+        _write(args.csv, "\n".join(rows) + "\n")
     return EXIT_OK
 
 

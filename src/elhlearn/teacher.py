@@ -3,7 +3,13 @@
 An ``OracleSession`` owns the hidden target, the fixed ABox and the query
 language, answers queries through the reasoner, and keeps full accounting:
 counts, summed input sizes, the largest counterexample handed out, and an
-append-only transcript.  Sessions are not thread-safe; use one per learner.
+append-only transcript.
+
+Consecutive sessions on one target share one ``reasoner.ModelCache``: the
+teacher keeps the cache of the target asked about last, at most 512 models,
+until a session on another target starts.  The cache is a memo of the
+reasoner, so sharing it changes no answer, count or transcript.  Sessions
+and the shared cache are not thread-safe; use them from one thread.
 
 The counterexample policy is pluggable because a learner must work no matter
 which separating query the oracle picks:
@@ -119,8 +125,27 @@ class TranscriptEntry:
         }
 
 
+# the target asked about last and its cache, reused by the next session on
+# an equal target
+_last_target: tuple[TBox | None, reasoner.ModelCache | None] = (None, None)
+
+
+def _target_cache(target: TBox) -> reasoner.ModelCache:
+    global _last_target
+    last, cache = _last_target
+    if target != last:
+        cache = reasoner.ModelCache()
+        _last_target = (target, cache)
+    return cache
+
+
 class OracleSession:
-    """Query interface to a hidden target; the target never leaks."""
+    """Query interface to a hidden target; the target never leaks.
+
+    Consecutive sessions on one target share one model cache.  The cache
+    of the last target, at most 512 models, stays until a session on
+    another target starts.  Use sessions from one thread.
+    """
 
     def __init__(
         self,
@@ -146,7 +171,7 @@ class OracleSession:
         self.eq_input_size_sum = 0
         self.largest_counterexample = 0
         self.transcript: list[TranscriptEntry] = []
-        self._cache = reasoner.ModelCache()
+        self._cache = _target_cache(target)
         # fixed for the session: the update closure of the fixed ABox, made
         # on first use, the distributions whose support was checked, and the
         # size of every ABox asked about

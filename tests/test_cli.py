@@ -471,6 +471,69 @@ def test_pac_run_with_distribution_file_and_csv(workdir, capsys):
     assert (workdir / "rows.csv").read_text().startswith("seed,")
 
 
+def _one_error_line(err: str, message: str) -> None:
+    assert err.count("\n") == 1 and message in err and "Traceback" not in err
+
+
+def test_pac_run_without_a_distribution_exits_2(workdir, capsys):
+    args = ["pac", "run", "--mode", "aq", str(workdir / "t.tbox"), str(workdir / "a.abox")]
+    assert main(args) == 2
+    _one_error_line(capsys.readouterr().err, "error: pac run needs --dist or --queries")
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_pac_run_needs_at_least_one_trial(workdir, capsys, trials):
+    (workdir / "p.q").write_text("Q: AQ A(a)\n")
+    args = ["pac", "run", "--mode", "aq", str(workdir / "t.tbox"), str(workdir / "a.abox")]
+    assert main(args + ["--queries", str(workdir / "p.q"), "--trials", trials]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    _one_error_line(out.err, "error: --trials must be at least 1")
+
+
+# one command line per output flag; files are named relative to the work
+# directory, and the flag's value points into a directory that does not exist
+UNWRITABLE = {
+    "learn --out": "learn --mode aq t.tbox a.abox --out",
+    "learn --stats": "learn --mode aq t.tbox a.abox --stats",
+    "learn --transcript": "learn --mode aq t.tbox a.abox --transcript",
+    # batch construction needs every name of the target in the ABox
+    "batch build --out": "batch build --mode aq t.tbox full.abox --out",
+    "batch learn --out": "batch learn --mode aq empty.jsonl a.abox --out",
+    "pac run --stats": "pac run --mode aq t.tbox a.abox --queries p.q --stats",
+    "pac run --csv": "pac run --mode aq t.tbox a.abox --queries p.q --csv",
+}
+
+
+def _unwritable_run(workdir, flag: str) -> tuple[list[str], str]:
+    (workdir / "p.q").write_text("Q: AQ A(a)\n")
+    (workdir / "empty.jsonl").write_text("")
+    (workdir / "full.abox").write_text("A: r(a,b)\nA: B(b)\nA: A(c)\nA: s(d,d)\n")
+    bad = str(workdir / "missing" / "out")
+    words = UNWRITABLE[flag].split()
+    return [str(workdir / w) if "." in w else w for w in words] + [bad], bad
+
+
+@pytest.mark.parametrize("flag", UNWRITABLE)
+def test_an_unwritable_output_exits_2(workdir, capsys, flag):
+    args, bad = _unwritable_run(workdir, flag)
+    assert main(args) == 2
+    _one_error_line(capsys.readouterr().err, f"error: cannot write {bad}: ")
+
+
+def test_an_unwritable_partial_hypothesis_exits_2(workdir, capsys, monkeypatch):
+    from elhlearn import cli
+    from elhlearn.syntax import BudgetExceededError, TBox
+
+    def over_budget(session):
+        raise BudgetExceededError("query budget 0 exceeded", partial=TBox())
+
+    monkeypatch.setitem(cli.LEARNERS, "aq", over_budget)
+    args, bad = _unwritable_run(workdir, "learn --out")
+    assert main(args) == 2
+    _one_error_line(capsys.readouterr().err, f"error: cannot write {bad}: ")
+
+
 def test_vc_check(capsys):
     assert main(["vc", "check", "--n", "2"]) == 0
     assert "SHATTERED" in capsys.readouterr().out
