@@ -7,11 +7,16 @@ separable or not-preserved, 2 parse error, bad input (a name used as two
 of concept, role and individual, say) or an output file that cannot be
 written, 3 unsupported query language,
 4 budget exceeded.  Set ``ELH_LOG`` to a logging level name for diagnostics.
+
+``main`` may be called any number of times in one process.  The argument
+parser is built once per process, the first time it is needed, and
+``ELH_LOG`` is read afresh on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -51,8 +56,10 @@ log = logging.getLogger("elhlearn")
 
 
 def _setup_logging() -> None:
-    level = os.environ.get("ELH_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    """Give the root logger a handler once; set ``log``'s level from ``ELH_LOG`` each call."""
+    logging.basicConfig()
+    level = getattr(logging, os.environ.get("ELH_LOG", "WARNING").upper(), None)
+    log.setLevel(level if isinstance(level, int) else logging.WARNING)
 
 
 def _read(path: str) -> str:
@@ -200,6 +207,8 @@ def cmd_pac_run(args: argparse.Namespace) -> int:
         raise ConfigurationError("--trials must be at least 1")
     if not (args.dist or args.queries):
         raise ConfigurationError("pac run needs --dist or --queries")
+    if args.dist and args.queries:
+        raise ConfigurationError("pac run takes --dist or --queries, not both")
     target = textio.parse_tbox(_read(args.target))
     a0 = textio.parse_abox(_read(args.abox))
     lang = LANGS[args.mode]
@@ -273,7 +282,15 @@ def cmd_vc_check(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``elh`` parser, built on the first call and returned by every later one.
+
+    In-process callers of ``main`` (tests, the benchmark, programs that
+    embed the CLI) pay for the build once, not per call; a one-shot ``elh``
+    process builds it once, as before.  Each ``parse_args`` still returns a
+    fresh ``Namespace``.  The parser is shared, so callers must not modify it.
+    """
     p = argparse.ArgumentParser(prog="elh", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -349,6 +366,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one ``elh`` command line and return its exit code.
+
+    May be called repeatedly in one process: the parser is built on the
+    first call only, and ``ELH_LOG`` is read on every call.
+    """
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)

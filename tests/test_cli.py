@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -8,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import elhlearn
-from elhlearn import pac
+from elhlearn import cli, pac
 from elhlearn.cli import main
 from elhlearn.textio import MAX_NESTING
 
@@ -491,6 +494,17 @@ def test_pac_run_needs_at_least_one_trial(workdir, capsys, trials):
     _one_error_line(out.err, "error: --trials must be at least 1")
 
 
+def test_pac_run_with_both_dist_and_queries_exits_2(workdir, capsys):
+    dist = {"examples": [{"abox": EX1_ABOX, "query": "Q: AQ A(a)"}], "weights": [1]}
+    (workdir / "d.json").write_text(json.dumps(dist))
+    args = ["pac", "run", "--mode", "aq", str(workdir / "t.tbox"), str(workdir / "a.abox")]
+    args += ["--dist", str(workdir / "d.json"), "--queries", "/nonexistent/q.q"]
+    assert main(args) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    _one_error_line(out.err, "error: pac run takes --dist or --queries, not both")
+
+
 # one command line per output flag; files are named relative to the work
 # directory, and the flag's value points into a directory that does not exist
 UNWRITABLE = {
@@ -616,3 +630,63 @@ def test_batch_learn_rejects_a_malformed_item(workdir, capsys, kind, abox, query
     assert main(args + ["--out", str(workdir / "out.tbox")]) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert (workdir / "out.tbox").read_text() == ""
+
+
+def test_elh_log_is_read_on_every_call(monkeypatch, capsys):
+    levels = []
+    # "basic_format" names a string attribute of logging, not a level
+    for value in (None, "DEBUG", None, "basic_format"):
+        if value is None:
+            monkeypatch.delenv("ELH_LOG", raising=False)
+        else:
+            monkeypatch.setenv("ELH_LOG", value)
+        assert main(["vc", "check", "--n", "2"]) == 0
+        levels.append(logging.getLogger("elhlearn").getEffectiveLevel())
+    assert levels == [logging.WARNING, logging.DEBUG, logging.WARNING, logging.WARNING]
+
+
+# every subcommand, with most of its flags, interleaved with command lines
+# that argparse rejects or answers with help; paths are never opened
+PARSER_ARGV = [
+    "reason t.tbox a.abox q.q --explain",
+    "",
+    "learn --mode iq t.tbox a.abox --oracle-policy randomized --seed 3 --budget 9 "
+    "--out h.tbox --stats s.json --transcript tr.jsonl",
+    "frobnicate t.tbox",
+    "update-check t.tbox h.tbox a0.abox a.abox",
+    "reason t.tbox a.abox",
+    "batch build --mode aq t.tbox a.abox --seed 2 --out b.jsonl",
+    "learn --mode cq t.tbox a.abox",
+    "batch learn --mode cqr b.jsonl a.abox --out h.tbox",
+    "pac run --mode aq t.tbox a.abox --trials two --queries q.q",
+    "pac run --mode aq t.tbox a.abox --eps 0.2 --delta 0.3 --trials 2 --seed 1 "
+    "--dist d.json --stats s.json --csv rows.csv",
+    "vc check --n 3 --verbose",
+    "vc check --n 3 --extra-loop",
+    "--help",
+    "learn --mode aq t.tbox a.abox",
+    "pac run --help",
+]
+
+
+def _parse(parser, argv: list[str]) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parsed = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            parsed = exc.code
+    return parsed, out.getvalue(), err.getvalue()
+
+
+def test_the_shared_parser_parses_like_a_fresh_one():
+    assert cli.build_parser() is cli.build_parser()
+    outcomes = []
+    for line in PARSER_ARGV * 2:
+        argv = line.split()
+        got = _parse(cli.build_parser(), argv)
+        assert got == _parse(cli.build_parser.__wrapped__(), argv), line
+        outcomes.append(got[0] if isinstance(got[0], int) else "ok")
+    # eight command lines parse (learn twice), six are rejected, two print help
+    assert outcomes == outcomes[: len(PARSER_ARGV)] * 2
+    assert [outcomes.count(kind) for kind in ("ok", 2, 0)] == [16, 12, 4]
