@@ -21,9 +21,9 @@ from .syntax import (
     Signature,
     TBox,
     TOP,
+    Tree,
     Var,
     abox,
-    abox_of_concept,
     canonical,
     conj,
     normalize,

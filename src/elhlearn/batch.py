@@ -20,7 +20,6 @@ import json
 from dataclasses import dataclass
 
 from . import reasoner, teacher, textio
-from .learn_aq import find_cycle, tree_concept
 from .learn_cqr import cq_step
 from .learn_iq import counterexample_loop, start
 from .syntax import (
@@ -34,6 +33,7 @@ from .syntax import (
     RI,
     StructuralError,
     TBox,
+    Tree,
     signature_of_abox,
     signature_of_tbox,
     terminology,
@@ -124,13 +124,12 @@ def learn_from_batch(items: list[BatchItem], a0: ABox, lang: str) -> TBox:
         elif item.kind == "ri":
             ris.add(RI(_fact(item)[0], item.query.pred))
         elif item.kind == "tree":
-            if find_cycle(item.abox) is not None:
-                raise StructuralError("tree example contains a cycle")
+            # ``Tree.of_abox`` rejects every ABox that is not a tree below the root
             q = item.query
             root = q.args[0] if isinstance(q, AtomicQuery) and len(q.args) == 1 else None
             if root not in item.abox.individuals():
                 raise StructuralError("'tree' item needs a unary query on an individual of its ABox")
-            cis.add(CI(tree_concept(item.abox, root), Atom(q.pred)))
+            cis.add(CI(Tree.of_abox(item.abox, root).concept(), Atom(q.pred)))
         elif item.kind == "iq":
             iq_pairs.append((_fact(item)[0], item.query.concept))
         else:

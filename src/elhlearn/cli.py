@@ -69,11 +69,22 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}")
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, text: str, mode: str = "w") -> None:
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, mode, encoding="utf-8") as f:
+            f.write(text)
     except OSError as exc:
         raise ConfigurationError(f"cannot write {path}: {exc}")
+
+
+def _check_writable(*paths: str | None) -> None:
+    """Open each given output for appending, so that an unwritable one fails before the run.
+
+    An existing file keeps its contents; a new one stays empty if the run fails.
+    """
+    for path in paths:
+        if path:
+            _write(path, "", "a")
 
 
 def _check_namespaces(tboxes: list[TBox], aboxes: list[ABox]) -> None:
@@ -132,6 +143,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
     session = teacher.OracleSession(
         target, fw, policy=args.oracle_policy, seed=args.seed, max_total_input=args.budget
     )
+    _check_writable(args.out, args.stats, args.transcript)
     try:
         result = LEARNERS[args.mode](session)
         hypothesis = result.hypothesis
@@ -180,6 +192,7 @@ def cmd_batch_build(args: argparse.Namespace) -> int:
     target = textio.parse_tbox(_read(args.target))
     a0 = textio.parse_abox(_read(args.abox))
     _check_namespaces([target], [a0])
+    _check_writable(args.out)
     items = batchmod.build_batch(target, a0, LANGS[args.mode], seed=args.seed)
     text = batchmod.dump_batch(items)
     if args.out:

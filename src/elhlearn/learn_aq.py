@@ -1,9 +1,9 @@
 """Learning all atomic-query consequences of a hidden terminology.
 
-The loop receives (or, in membership-only mode, enumerates) atomic
-counterexamples over the fixed ABox, shapes the ABox into a tree by
-alternating minimization with cycle unfolding, reads the tree off as a
-concept ``C`` and adds ``C [= B`` to the hypothesis.  Every addition is a
+The loop finds atomic counterexamples over the fixed ABox with membership
+questions alone, shapes the ABox into a tree by alternating minimization
+with cycle unfolding, reads the tree off as a concept ``C``
+(``Tree.of_abox``) and adds ``C [= B`` to the hypothesis.  Every addition is a
 consequence of the target, so the hypothesis is positive bounded throughout.
 
 ``unfold_cycle`` doubles one undirected cycle: it opens the cycle at one
@@ -25,15 +25,12 @@ from .syntax import (
     AtomicQuery,
     BudgetExceededError,
     CI,
-    Concept,
-    ConceptQuery,
     Query,
     RI,
     Signature,
     StructuralError,
     TBox,
-    concept_of_tree,
-    ConceptTree,
+    Tree,
     size_of,
     terminology,
 )
@@ -343,18 +340,6 @@ def tree_shape(oracle: CachedOracle, a: ABox, h: TBox) -> tuple[ABox, tuple[str,
         prev_count = count
 
 
-def tree_concept(a: ABox, root: str) -> Concept:
-    """Read a tree-shaped ABox off as the concept rooted at ``root``."""
-    inds = sorted(a.individuals())
-    index = {ind: i for i, ind in enumerate(inds)}
-    labels = []
-    for ind in inds:
-        labels.append(frozenset(n for n, i in a.concept_assertions if i == ind))
-    edges = tuple((index[x], index[y], r) for r, x, y in sorted(a.role_assertions))
-    tree = ConceptTree(tuple(labels), edges, index[root])
-    return concept_of_tree(tree)
-
-
 def check_budget(oracle: CachedOracle, h: TBox, degree: int) -> None:
     """Stop the run once the oracle input outgrows the monitored budget."""
     base = (
@@ -385,20 +370,8 @@ def _record_iteration(result: LearnResult, oracle: CachedOracle, h: TBox) -> Non
     )
 
 
-def _next_aq_counterexample(
-    oracle: CachedOracle, h: TBox, use_eq: bool
-) -> tuple[ABox, str, str] | None:
+def _next_aq_counterexample(oracle: CachedOracle, h: TBox) -> tuple[ABox, str, str] | None:
     fixed = oracle.framework.fixed_abox
-    if use_eq:
-        hit = oracle.inseparability(h)
-        if hit is None:
-            return None
-        a, q = hit
-        if isinstance(q, AtomicQuery) and len(q.args) == 1:
-            return a, q.pred, q.args[0]
-        if isinstance(q, ConceptQuery) and isinstance(q.concept, Atom):
-            return a, q.concept.name, q.ind
-        raise StructuralError(f"atomic-language oracle returned {q!r}")
     sig = oracle.framework.signature
     for name in sorted(sig.concept_names):
         for ind in sorted(fixed.individuals()):
@@ -414,13 +387,12 @@ def aq_phase(
     oracle: CachedOracle,
     h: TBox,
     result: LearnResult,
-    use_eq: bool = False,
     on_tree=None,
 ) -> TBox:
     """Drive the atomic-counterexample loop until none remain."""
     while True:
         check_budget(oracle, h, BUDGET_DEGREE_AQ)
-        hit = _next_aq_counterexample(oracle, h, use_eq)
+        hit = _next_aq_counterexample(oracle, h)
         if hit is None:
             return h
         a, name, ind = hit
@@ -429,20 +401,20 @@ def aq_phase(
             raise StructuralError("witness individual must come from the fixed ABox")
         if on_tree is not None:
             on_tree(shaped, wname, wind)
-        concept = tree_concept(shaped, wind)
+        concept = Tree.of_abox(shaped, wind).concept()
         h = terminology(set(h.cis) | {CI(concept, Atom(wname))}, h.ris)
         _record_iteration(result, oracle, h)
         if not oracle.holds_locally(h, a, AtomicQuery(wname, (wind,))):
             raise StructuralError("new inclusion failed to cover its counterexample")
 
 
-def learn_aq(session, use_eq: bool = False, on_tree=None) -> LearnResult:
-    """Membership-only by default; ``use_eq`` asks inseparability instead."""
+def learn_aq(session, on_tree=None) -> LearnResult:
+    """Atomic-query consequences of the target, from membership questions only."""
     oracle = CachedOracle(session)
     result = LearnResult(TBox())
     cis, ris = bootstrap_atomic(oracle)
     h = terminology(cis, ris)
     _record_iteration(result, oracle, h)
-    h = aq_phase(oracle, h, result, use_eq=use_eq, on_tree=on_tree)
+    h = aq_phase(oracle, h, result, on_tree=on_tree)
     result.hypothesis = h
     return result

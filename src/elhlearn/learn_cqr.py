@@ -24,9 +24,7 @@ from .learn_aq import CachedOracle, LearnResult
 from .learn_iq import Run, concept_query, counterexample_loop, iq_step, role_classes, start
 from .syntax import (
     ABox,
-    Atom,
     AtomicQuery,
-    Concept,
     ConceptAtom,
     ConceptQuery,
     ConjunctiveQuery,
@@ -35,13 +33,11 @@ from .syntax import (
     Query,
     QueryAtom,
     RoleAtom,
-    StructuralError,
     TBox,
     Term,
+    Tree,
     Var,
-    conj,
     is_rooted,
-    normalize,
 )
 
 
@@ -173,35 +169,6 @@ def saturate_counterexample(
     return q
 
 
-def variable_subquery_concept(q: ConjunctiveQuery, x: Var) -> Concept:
-    """Concept read off the tree below ``x``; fails if it is not a tree."""
-    succ: dict[Var, list[tuple[str, Var]]] = {}
-    for atom in q.atoms:
-        if isinstance(atom, RoleAtom) and isinstance(atom.subj, Var):
-            if isinstance(atom.obj, Var):
-                succ.setdefault(atom.subj, []).append((atom.role, atom.obj))
-            else:
-                raise StructuralError("variable with an individual successor")
-    labels: dict[Var, set[str]] = {}
-    for atom in q.atoms:
-        if isinstance(atom, ConceptAtom) and isinstance(atom.term, Var):
-            labels.setdefault(atom.term, set()).add(atom.name)
-
-    on_path: set[Var] = set()
-
-    def build(v: Var) -> Concept:
-        if v in on_path:
-            raise StructuralError("variable subquery has a cycle")
-        on_path.add(v)
-        parts: list[Concept] = [Atom(n) for n in sorted(labels.get(v, ()))]
-        for role, w in sorted(succ.get(v, ()), key=lambda p: (p[0], p[1].name)):
-            parts.append(Exists(role, build(w)))
-        on_path.discard(v)
-        return conj(*parts)
-
-    return normalize(build(x))
-
-
 def cq_to_iq(oracle: CachedOracle, h: TBox, q: ConjunctiveQuery, classes=None) -> Query:
     """Convert a positive rooted-CQ counterexample into an instance query."""
     a = oracle.framework.fixed_abox
@@ -215,7 +182,7 @@ def cq_to_iq(oracle: CachedOracle, h: TBox, q: ConjunctiveQuery, classes=None) -
         if not oracle.holds_locally(h, a, AtomicQuery(atom.name, (atom.term,))):
             return AtomicQuery(atom.name, (atom.term,))
     for x in sorted(q.exist_vars, key=_var_key):
-        body = variable_subquery_concept(q, x)
+        body = Tree.of_cq(q, x).concept()
         for role in sorted(oracle.framework.signature.role_names):
             probe = Exists(role, body)
             for ind in sorted(a.individuals()):

@@ -14,6 +14,13 @@ normalized by four reductions driven by membership queries:
   already implies the subtree, or drop the subtree when the hypothesis knows
   it.
 
+Each reduction reads the right-hand side as a ``syntax.Tree`` and builds
+every candidate as a new tree with one node replaced, the node named by its
+path of child positions; a rejected candidate is simply dropped.  The
+candidates come in a fixed order, which fixes the membership questions:
+nodes in preorder, children in conjunct order, names sorted, and sibling
+pairs ``(i, j)`` with ``i < j``.
+
 Reduced inclusions for the same left-hand name are combined by conjoining
 the right-hand trees and re-reducing, which keeps the per-name inclusion
 unique and strictly grows its tree, so the loop terminates.
@@ -64,62 +71,15 @@ from .syntax import (
     StructuralError,
     TBox,
     Top,
+    Tree,
     conj,
     normalize,
     size_of,
     terminology,
     top_existentials,
-    tree_of_concept,
 )
 
 MAX_ITERATIONS = 10_000
-
-
-# ---------------------------------------------------------------------------
-# Mutable working tree for the reductions
-# ---------------------------------------------------------------------------
-
-
-class _Node:
-    __slots__ = ("label", "children")
-
-    def __init__(self, label: set[str] | None = None, children: list | None = None):
-        self.label: set[str] = set(label or ())
-        self.children: list[tuple[str, _Node]] = list(children or ())
-
-    @staticmethod
-    def of(c: Concept) -> "_Node":
-        node = _Node()
-        node._add(c)
-        return node
-
-    def _add(self, c: Concept) -> None:
-        if isinstance(c, Top):
-            return
-        if isinstance(c, Atom):
-            self.label.add(c.name)
-        elif isinstance(c, Exists):
-            self.children.append((c.role, _Node.of(c.filler)))
-        elif isinstance(c, And):
-            for a in c.args:
-                self._add(a)
-        else:
-            raise TypeError(f"not a concept: {c!r}")
-
-    def concept(self) -> Concept:
-        parts: list[Concept] = [Atom(a) for a in sorted(self.label)]
-        parts += [Exists(r, ch.concept()) for r, ch in self.children]
-        return normalize(conj(*parts))
-
-    def nodes(self) -> list["_Node"]:
-        out = [self]
-        for _, ch in self.children:
-            out.extend(ch.nodes())
-        return out
-
-
-def tree_node_count(c: Concept) -> int:
-    return tree_of_concept(c).node_count()
 
 
 # ---------------------------------------------------------------------------
@@ -223,70 +183,91 @@ def _positive(oracle: CachedOracle, lhs: str, c: Concept) -> bool:
     return oracle.membership(single, ConceptQuery(c, "e0"))
 
 
+def _preorder(tree: Tree, path: tuple[int, ...] = ()):
+    """``(path, node)`` for every node in preorder; a path lists child positions."""
+    yield path, tree
+    for i, (_, child) in enumerate(tree.children):
+        yield from _preorder(child, path + (i,))
+
+
+def _at(tree: Tree, path: tuple[int, ...]) -> Tree:
+    for i in path:
+        tree = tree.children[i][1]
+    return tree
+
+
+def _replace(tree: Tree, path: tuple[int, ...], node: Tree) -> Tree:
+    """``tree`` with ``node`` in place of its node at ``path``."""
+    if not path:
+        return node
+    kids = list(tree.children)
+    roles, child = kids[path[0]]
+    kids[path[0]] = (roles, _replace(child, path[1:], node))
+    return Tree(tree.labels, tuple(kids))
+
+
 def concept_saturate(oracle: CachedOracle, lhs: str, c: Concept) -> Concept:
     """Largest label extension that keeps ``lhs [= c`` target-entailed."""
     sig = oracle.framework.signature
-    root = _Node.of(c)
-    for node in root.nodes():
+    tree = Tree.of_concept(c)
+    # a node's subtree is untouched until the preorder reaches it
+    for path, node in _preorder(tree):
         for name in sorted(sig.concept_names):
-            if name in node.label:
+            if name in node.labels:
                 continue
-            node.label.add(name)
-            if not _positive(oracle, lhs, root.concept()):
-                node.label.discard(name)
-    return root.concept()
+            grown = Tree(node.labels | {name}, node.children)
+            cand = _replace(tree, path, grown)
+            if _positive(oracle, lhs, cand.concept()):
+                tree, node = cand, grown
+    return tree.concept()
 
 
 def role_saturate(oracle: CachedOracle, classes: RoleClasses, lhs: str, c: Concept) -> Concept:
-    root = _Node.of(c)
+    """Swap each edge's role for a strict subrole while positive, edges in preorder."""
+    tree = Tree.of_concept(c)
+    for path, _ in list(_preorder(tree))[1:]:
+        up, i = path[:-1], path[-1]
+        changed = True
+        while changed:
+            changed = False
+            parent = _at(tree, up)
+            (current,), child = parent.children[i]
+            for cand in classes.strict_subroles(current):
+                kids = list(parent.children)
+                kids[i] = (frozenset({cand}), child)
+                swapped = _replace(tree, up, Tree(parent.labels, tuple(kids)))
+                if _positive(oracle, lhs, swapped.concept()):
+                    tree = swapped
+                    changed = True
+                    break
+    return tree.concept()
 
-    def visit(node: _Node) -> None:
-        for i, (role, child) in enumerate(node.children):
-            current = role
-            changed = True
-            while changed:
-                changed = False
-                for cand in classes.strict_subroles(current):
-                    node.children[i] = (cand, child)
-                    if _positive(oracle, lhs, root.concept()):
-                        current = cand
-                        changed = True
-                        break
-                    node.children[i] = (current, child)
-            visit(child)
 
-    visit(root)
-    return root.concept()
+def _merges(tree: Tree):
+    """``tree`` with two equal-role children of one node merged, in the order tried."""
+    for path, node in _preorder(tree):
+        kids = node.children
+        for i in range(len(kids)):
+            for j in range(i + 1, len(kids)):
+                (role, first), (other, second) = kids[i], kids[j]
+                if role != other:
+                    continue
+                merged = list(kids)
+                both = Tree(first.labels | second.labels, first.children + second.children)
+                merged[i] = (role, both)
+                del merged[j]
+                yield _replace(tree, path, Tree(node.labels, tuple(merged)))
 
 
 def sibling_merge(oracle: CachedOracle, lhs: str, c: Concept) -> Concept:
-    root = _Node.of(c)
-    merged = True
-    while merged:
-        merged = False
-        for node in root.nodes():
-            pairs = [
-                (i, j)
-                for i in range(len(node.children))
-                for j in range(i + 1, len(node.children))
-                if node.children[i][0] == node.children[j][0]
-            ]
-            for i, j in pairs:
-                role, ci_node = node.children[i]
-                _, cj_node = node.children[j]
-                combined = _Node(
-                    ci_node.label | cj_node.label, ci_node.children + cj_node.children
-                )
-                saved = list(node.children)
-                node.children[i] = (role, combined)
-                del node.children[j]
-                if _positive(oracle, lhs, root.concept()):
-                    merged = True
-                    break
-                node.children[:] = saved
-            if merged:
+    tree = Tree.of_concept(c)
+    while True:
+        for cand in _merges(tree):
+            if _positive(oracle, lhs, cand.concept()):
+                tree = cand
                 break
-    return root.concept()
+        else:
+            return tree.concept()
 
 
 def decompose_right(
@@ -297,48 +278,40 @@ def decompose_right(
     c: Concept,
 ) -> tuple[str, Concept] | None:
     """One decomposition step, or None when none applies."""
-    root = _Node.of(c)
+    tree = Tree.of_concept(c)
 
-    def scan(node: _Node, at_root: bool):
-        for name in sorted(node.label):
-            for role, child in node.children:
-                if at_root and equivalent_names(name, lhs):
+    def scan(node: Tree, path: tuple[int, ...]):
+        for name in sorted(node.labels):
+            for i, ((role,), child) in enumerate(node.children):
+                if not path and equivalent_names(name, lhs):
                     continue
                 sub = Exists(role, child.concept())
                 if not _positive(oracle, name, sub):
                     continue
-                if not oracle.holds_locally(
+                split = not oracle.holds_locally(
                     h,
                     ABox(frozenset({(name, "e0")}), frozenset(), frozenset()),
                     ConceptQuery(sub, "e0"),
-                ):
-                    return ("split", name, sub, child)
-                return ("drop", name, sub, child)
-        for _, child in node.children:
-            hit = scan(child, False)
+                )
+                return split, name, sub, path + (i,)
+        for i, (_, child) in enumerate(node.children):
+            hit = scan(child, path + (i,))
             if hit:
                 return hit
         return None
 
-    hit = scan(root, True)
+    hit = scan(tree, ())
     if hit is None:
         return None
-    kind, name, sub, child = hit
-
-    if kind == "split":
+    split, name, sub, path = hit
+    if split:
         return name, normalize(sub)
-
-    def drop(node: _Node) -> bool:
-        for i, (_, ch) in enumerate(node.children):
-            if ch is child:
-                del node.children[i]
-                return True
-            if drop(ch):
-                return True
-        return False
-
-    drop(root)
-    return lhs, root.concept()
+    # the child is named by its position: equal siblings are equal values
+    up = path[:-1]
+    parent = _at(tree, up)
+    kids = list(parent.children)
+    del kids[path[-1]]
+    return lhs, _replace(tree, up, Tree(parent.labels, tuple(kids))).concept()
 
 
 def reduce_ci(
@@ -446,7 +419,7 @@ def iq_step(
         combined = merge_reduced(
             oracle, h, classes, equivalent_names, ci.lhs.name, old.rhs, ci.rhs
         )
-        if tree_node_count(combined) <= tree_node_count(old.rhs):
+        if Tree.of_concept(combined).node_count() <= Tree.of_concept(old.rhs).node_count():
             raise ContractViolationError("replacement did not grow the right-hand tree")
         new_cis = {
             prev
@@ -479,7 +452,7 @@ def start(session, on_tree=None) -> tuple[Run, TBox]:
     run = Run(oracle, result, atomic_cis, classes, _atomic_equivalence(atomic_cis))
     h = terminology(atomic_cis, ris)
     _record_iteration(result, oracle, h)
-    return run, aq_phase(oracle, h, result, use_eq=False, on_tree=on_tree)
+    return run, aq_phase(oracle, h, result, on_tree=on_tree)
 
 
 def counterexample_loop(run: Run, h: TBox, step) -> LearnResult:

@@ -49,8 +49,10 @@ from a relation between two graphs until the rest is a (bundle) simulation,
 or with ``back`` a bisimulation, and records why each pair went.
 ``simulation``, ``bisimilar`` and ``is_simulation`` read the pairs kept;
 ``separating_witness`` turns the reasons of removed anchor pairs into the
-distinguishing tree queries, and ``inseparability_gap`` asks it once per
-direction between the two models.  It refines only the pairs reachable
+distinguishing tree queries, ``syntax.Tree`` values whose edges carry role
+sets, and ``inseparability_gap`` asks it once per direction between the two
+models and emits each tree as a concept query, or as a CQ when an edge
+carries several roles.  It refines only the pairs reachable
 from the anchor pairs, which are all that the reasons of anchor pairs
 read.  The graphs are ``RegularModel`` values, and each is read
 (``_read``: elements sorted by value, labels, edges) once per bundle mode.
@@ -80,19 +82,16 @@ from .syntax import (
     ConjunctiveQuery,
     Exists,
     Query,
-    QueryAtom,
-    RoleAtom,
     RoleQuery,
     Signature,
     TBox,
     Term,
     Top,
+    Tree,
     UnsupportedQueryError,
     Var,
-    abox_of_concept,
     canonical,
     concept_depth,
-    conj,
     is_existential_atom_query,
     is_terminology,
     normalize,
@@ -466,7 +465,7 @@ def concept_holds(model: RegularModel, ind: str, c: Concept) -> bool:
 
 def entails_ci(t: TBox, c: Concept, d: Concept, cache: ModelCache | None = None) -> bool:
     """Subsumption via evaluation at the root of the encoding of ``c``."""
-    a, root = abox_of_concept(normalize(c))
+    a, root = Tree.of_concept(normalize(c)).abox()
     model = cache.get(t, a) if cache else build_model(t, a)
     return concept_holds(model, root, d)
 
@@ -723,62 +722,22 @@ def is_simulation(rel: Iterable[tuple], gi, gj) -> bool:
     return bool(rel) and not _refine(gi, gj, start=rel)[1]
 
 
-@dataclass(frozen=True)
-class BundleTree:
-    """Tree query with role-set labelled edges; singleton sets give a concept."""
-
-    labels: frozenset[str]
-    children: tuple[tuple[frozenset[str], "BundleTree"], ...] = ()
-
-    def as_concept(self) -> Concept | None:
-        parts: list[Concept] = [Atom(a) for a in sorted(self.labels)]
-        for roles, sub in self.children:
-            if len(roles) != 1:
-                return None
-            inner = sub.as_concept()
-            if inner is None:
-                return None
-            (role,) = roles
-            parts.append(Exists(role, inner))
-        return normalize(conj(*parts))
-
-    def as_cq(self, ind: str) -> ConjunctiveQuery:
-        counter = itertools.count()
-        atoms: set[QueryAtom] = set()
-        variables: set[Var] = set()
-
-        def emit(node: "BundleTree", term: Term) -> None:
-            for a in sorted(node.labels):
-                atoms.add(ConceptAtom(a, term))
-            for roles, sub in node.children:
-                v = Var(f"x{next(counter)}")
-                variables.add(v)
-                for r in sorted(roles):
-                    atoms.add(RoleAtom(r, term, v))
-                emit(sub, v)
-
-        emit(self, ind)
-        return ConjunctiveQuery((ind,), frozenset(variables), frozenset(atoms))
-
-
-def _witness(reason: dict[tuple, tuple], pair: tuple, memo: dict) -> BundleTree:
+def _witness(reason: dict[tuple, tuple], pair: tuple, memo: dict) -> Tree:
     """The tree query that the removal of ``pair`` by ``_refine`` records."""
     if pair in memo:
         return memo[pair]
     kind = reason[pair]
     if kind[0] == "atom":
-        tree = BundleTree(frozenset({kind[1]}))
+        tree = Tree(frozenset({kind[1]}))
     else:
         _, roles, d1, targets = kind
         merged_labels: set[str] = set()
-        children: list[tuple[frozenset[str], BundleTree]] = []
+        children: list[tuple[frozenset[str], Tree]] = []
         for e1 in targets:
             sub = _witness(reason, (d1, e1), memo)
             merged_labels |= sub.labels
             children.extend(sub.children)
-        tree = BundleTree(
-            frozenset(), ((roles, BundleTree(frozenset(merged_labels), tuple(children))),)
-        )
+        tree = Tree(frozenset(), ((roles, Tree(frozenset(merged_labels), tuple(children))),))
     memo[pair] = tree
     return tree
 
@@ -894,11 +853,11 @@ def inseparability_gap(
             witness = witnesses[first].get(el)
             if witness is None:
                 continue
-            concept = witness.as_concept()
+            concept = witness.concept()
             if concept is not None:
                 q = ConceptQuery(concept, el[1])
             else:
-                q = witness.as_cq(el[1])
+                q = witness.cq(el[1])
             if push(Separation(q, first)):
                 return out
     return out

@@ -1,10 +1,16 @@
-"""Core ELH syntax: concepts, inclusions, ABoxes, queries, sizes, encodings.
+"""Core ELH syntax: concepts, inclusions, ABoxes, queries, trees and sizes.
 
 Concepts are built from ``top``, concept names, flattened conjunctions and
 existential restrictions.  A TBox holds concept inclusions (CIs) and role
 inclusions (RIs); an ABox holds concept and role assertions over named
 individuals (individuals may also be declared without assertions, which is
 what the encoding of a bare ``top`` concept produces).
+
+``Tree`` is the one tree value: names at each node, a set of roles on each
+edge.  It is read from a concept, from a tree-shaped ABox below a root and
+from a CQ below a variable, and written out as a concept, as an ABox over
+``x0, x1, ...`` (root ``x0``) and as a CQ over ``x0, x1, ...`` below an
+individual, both named in preorder.
 
 Everything here is an immutable value.  ``normalize`` flattens, deduplicates
 and sorts conjunctions; the canonical serialization of a normalized concept
@@ -21,6 +27,7 @@ fixes the symbol counts reported by ``size_of``:
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Union
@@ -68,6 +75,11 @@ class RejectedQueryError(ElhError):
 # the one pattern of concept, role and individual names
 NAME = "[A-Za-z][A-Za-z0-9_]*"
 NAME_RE = re.compile(f"^{NAME}$")
+
+# The parsers, the reasoner and the trees read from ABoxes recurse once per
+# level of a concept, and the reasoner once per variable of a CQ; past this
+# many the input is rejected instead of exhausting the stack.
+MAX_NESTING = 200
 
 
 # ---------------------------------------------------------------------------
@@ -218,95 +230,6 @@ def concept_depth(concept: Concept) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Tree representation
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConceptTree:
-    """Rooted labelled tree encoding of a concept.
-
-    Nodes are ``0 .. len(labels)-1`` with the root at index ``root``;
-    ``edges`` are ``(parent, child, role)`` triples.
-    """
-
-    labels: tuple[frozenset[str], ...]
-    edges: tuple[tuple[int, int, str], ...]
-    root: int = 0
-
-    def node_count(self) -> int:
-        return len(self.labels)
-
-    def children(self, node: int) -> list[tuple[int, str]]:
-        return [(c, r) for p, c, r in self.edges if p == node]
-
-
-def tree_of_concept(concept: Concept) -> ConceptTree:
-    """Inductive tree encoding; duplicate conjuncts keep separate subtrees."""
-    labels: list[set[str]] = []
-    edges: list[tuple[int, int, str]] = []
-
-    def build(c: Concept) -> int:
-        node = len(labels)
-        labels.append(set())
-        _fill(c, node)
-        return node
-
-    def _fill(c: Concept, node: int) -> None:
-        if isinstance(c, Top):
-            return
-        if isinstance(c, Atom):
-            labels[node].add(c.name)
-            return
-        if isinstance(c, Exists):
-            child = build(c.filler)
-            edges.append((node, child, c.role))
-            return
-        if isinstance(c, And):
-            for a in c.args:
-                _fill(a, node)
-            return
-        raise TypeError(f"not a concept: {c!r}")
-
-    root = build(concept)
-    return ConceptTree(tuple(frozenset(s) for s in labels), tuple(edges), root)
-
-
-def concept_of_tree(tree: ConceptTree) -> Concept:
-    """Decode a tree back into a normalized concept.
-
-    Raises StructuralError for cyclic, multi-rooted or disconnected input.
-    """
-    n = tree.node_count()
-    indeg = [0] * n
-    for p, c, _ in tree.edges:
-        if not (0 <= p < n and 0 <= c < n):
-            raise StructuralError("edge endpoint out of range")
-        indeg[c] += 1
-    roots = [v for v in range(n) if indeg[v] == 0]
-    if indeg[tree.root] != 0 or len(roots) != 1:
-        raise StructuralError("tree must have exactly one root")
-    if any(d > 1 for d in indeg):
-        raise StructuralError("node with two parents")
-
-    seen: set[int] = set()
-
-    def decode(node: int) -> Concept:
-        if node in seen:
-            raise StructuralError("cycle in tree")
-        seen.add(node)
-        parts: list[Concept] = [Atom(a) for a in sorted(tree.labels[node])]
-        for child, role in tree.children(node):
-            parts.append(Exists(role, decode(child)))
-        return conj(*parts)
-
-    concept = decode(tree.root)
-    if len(seen) != n:
-        raise StructuralError("disconnected tree")
-    return normalize(concept)
-
-
-# ---------------------------------------------------------------------------
 # ABoxes, inclusions, TBoxes
 # ---------------------------------------------------------------------------
 
@@ -361,19 +284,6 @@ def abox(
     declared: Iterable[str] = (),
 ) -> ABox:
     return ABox(frozenset(concepts), frozenset(roles), frozenset(declared))
-
-
-def abox_of_concept(concept: Concept) -> tuple[ABox, str]:
-    """Tree-shaped ABox encoding with fresh individuals ``x0, x1, ...``, plus its root.
-
-    A bare ``top`` yields an assertion-free ABox whose root is only declared.
-    """
-    tree = tree_of_concept(concept)
-    names = {v: f"x{v}" for v in range(tree.node_count())}
-    cas = {(a, names[v]) for v in range(tree.node_count()) for a in tree.labels[v]}
-    ras = {(r, names[p], names[c]) for p, c, r in tree.edges}
-    root = names[tree.root]
-    return ABox(frozenset(cas), frozenset(ras), frozenset({root})), root
 
 
 @dataclass(frozen=True)
@@ -556,24 +466,163 @@ def is_existential_atom_query(q: ConjunctiveQuery) -> bool:
     return isinstance(atom, ConceptAtom) and isinstance(atom.term, Var)
 
 
-def concept_query_as_cq(q: ConceptQuery) -> ConjunctiveQuery:
-    """Unfold a tree-shaped instance query into atoms over fresh variables."""
-    tree = tree_of_concept(q.concept)
-    term_of: dict[int, Term] = {tree.root: q.ind}
-    variables: list[Var] = []
-    for v in range(tree.node_count()):
-        if v != tree.root:
-            var = Var(f"x{len(variables)}")
-            variables.append(var)
-            term_of[v] = var
-    atoms: set[QueryAtom] = set()
-    for v in range(tree.node_count()):
-        for a in tree.labels[v]:
-            atoms.add(ConceptAtom(a, term_of[v]))
-        for child, role in tree.children(v):
-            atoms.add(RoleAtom(role, term_of[v], term_of[child]))
-    return ConjunctiveQuery((q.ind,), frozenset(variables), frozenset(atoms))
+# ---------------------------------------------------------------------------
+# Trees
+# ---------------------------------------------------------------------------
 
+
+@dataclass(frozen=True)
+class Tree:
+    """A rooted tree with a set of names at each node and a set of roles on each edge.
+
+    The one tree value of the package: concepts, tree-shaped ABoxes, the
+    part of a CQ below a variable and the separating witnesses are all read
+    into it and written out of it.  A tree whose every edge carries one role
+    is a concept.  Children keep their order: the conjunct order of a
+    concept, the sorted role assertions of an ABox, the role atoms of a CQ
+    sorted by role and variable name.  Equal subtrees are equal values, so
+    a node is named by its path of child positions, not by identity.
+    """
+
+    labels: frozenset[str]
+    children: tuple[tuple[frozenset[str], Tree], ...] = ()
+
+    @classmethod
+    def of_concept(cls, c: Concept) -> Tree:
+        """One node per existential; duplicate conjuncts keep separate subtrees."""
+        labels: set[str] = set()
+        children: list[tuple[frozenset[str], Tree]] = []
+        for part in c.args if isinstance(c, And) else (c,):
+            if isinstance(part, Atom):
+                labels.add(part.name)
+            elif isinstance(part, Exists):
+                children.append((frozenset({part.role}), cls.of_concept(part.filler)))
+            elif not isinstance(part, Top):
+                raise TypeError(f"not a concept: {part!r}")
+        return cls(frozenset(labels), tuple(children))
+
+    @classmethod
+    def of_abox(cls, a: ABox, root: str) -> Tree:
+        """The tree-shaped ABox ``a`` below ``root``, one edge per role assertion.
+
+        Raises StructuralError unless ``root`` is the only individual without
+        a parent, no individual has two, every individual lies below ``root``,
+        and no individual lies more than ``MAX_NESTING`` edges below it.  The
+        checks walk the ABox without recursion, and the tree is built bottom
+        up, so a deep ABox is rejected rather than exhausting the stack.
+        """
+        indegree = dict.fromkeys(a.individuals(), 0)
+        below: dict[str, list[tuple[str, str]]] = {}
+        for r, x, y in sorted(a.role_assertions):
+            indegree[y] += 1
+            below.setdefault(x, []).append((r, y))
+        if indegree[root] or sum(d == 0 for d in indegree.values()) != 1:
+            raise StructuralError("tree must have exactly one root")
+        if max(indegree.values()) > 1:
+            raise StructuralError("node with two parents")
+        depth = {root: 0}
+        order = [root]
+        for x in order:
+            for _, y in below.get(x, ()):
+                depth[y] = depth[x] + 1
+                if depth[y] > MAX_NESTING:
+                    raise StructuralError(f"tree nested deeper than {MAX_NESTING} levels")
+                order.append(y)
+        if len(order) != len(indegree):
+            raise StructuralError("disconnected tree")
+        labels: dict[str, set[str]] = {}
+        for name, x in a.concept_assertions:
+            labels.setdefault(x, set()).add(name)
+        node: dict[str, Tree] = {}
+        for x in reversed(order):
+            kids = tuple((frozenset({r}), node[y]) for r, y in below.get(x, ()))
+            node[x] = cls(frozenset(labels.get(x, ())), kids)
+        return node[root]
+
+    @classmethod
+    def of_cq(cls, q: ConjunctiveQuery, x: Var) -> Tree:
+        """The part of ``q`` below ``x``, unfolded; one edge per role atom.
+
+        Raises StructuralError for a cycle below ``x`` and for a role atom
+        from a variable to an individual anywhere in ``q``.
+        """
+        below: dict[Var, list[tuple[str, Var]]] = {}
+        labels: dict[Var, set[str]] = {}
+        for atom in q.atoms:
+            if isinstance(atom, RoleAtom) and isinstance(atom.subj, Var):
+                if not isinstance(atom.obj, Var):
+                    raise StructuralError("variable with an individual successor")
+                below.setdefault(atom.subj, []).append((atom.role, atom.obj))
+            elif isinstance(atom, ConceptAtom) and isinstance(atom.term, Var):
+                labels.setdefault(atom.term, set()).add(atom.name)
+        on_path: set[Var] = set()
+
+        def build(v: Var) -> Tree:
+            if v in on_path:
+                raise StructuralError("variable subquery has a cycle")
+            on_path.add(v)
+            kids = sorted(below.get(v, ()), key=lambda p: (p[0], p[1].name))
+            tree = cls(
+                frozenset(labels.get(v, ())),
+                tuple((frozenset({r}), build(w)) for r, w in kids),
+            )
+            on_path.discard(v)
+            return tree
+
+        return build(x)
+
+    def concept(self) -> Concept | None:
+        """The normalized concept; None when some edge carries several roles."""
+
+        def build(node: Tree) -> Concept | None:
+            parts: list[Concept] = [Atom(a) for a in node.labels]
+            for roles, child in node.children:
+                inner = build(child) if len(roles) == 1 else None
+                if inner is None:
+                    return None
+                (role,) = roles
+                parts.append(Exists(role, inner))
+            return conj(*parts)
+
+        c = build(self)
+        return None if c is None else normalize(c)
+
+    def abox(self) -> tuple[ABox, str]:
+        """The tree as an ABox over ``x0, x1, ...`` in preorder, and its root ``x0``.
+
+        The root is declared, so a bare ``top`` gives one individual.
+        """
+        count = itertools.count(1)
+        labels, edges, _ = self._facts("x0", lambda: f"x{next(count)}")
+        return ABox(frozenset(labels), frozenset(edges), frozenset({"x0"})), "x0"
+
+    def cq(self, ind: str) -> ConjunctiveQuery:
+        """The tree as a CQ rooted at ``ind``, over ``x0, x1, ...`` in preorder."""
+        count = itertools.count()
+        labels, edges, variables = self._facts(ind, lambda: Var(f"x{next(count)}"))
+        atoms: set[QueryAtom] = {ConceptAtom(a, t) for a, t in labels}
+        atoms |= {RoleAtom(r, s, o) for r, s, o in edges}
+        return ConjunctiveQuery((ind,), frozenset(variables), frozenset(atoms))
+
+    def _facts(self, root: Term, fresh) -> tuple[list, list, list]:
+        """Labels, edges and the terms below the root: ``root``, then ``fresh()`` in preorder."""
+        labels: list[tuple[str, Term]] = []
+        edges: list[tuple[str, Term, Term]] = []
+        terms: list[Term] = []
+
+        def walk(node: Tree, term: Term) -> None:
+            labels.extend((a, term) for a in node.labels)
+            for roles, child in node.children:
+                sub = fresh()
+                terms.append(sub)
+                edges.extend((r, term, sub) for r in roles)
+                walk(child, sub)
+
+        walk(self, root)
+        return labels, edges, terms
+
+    def node_count(self) -> int:
+        return 1 + sum(child.node_count() for _, child in self.children)
 
 # ---------------------------------------------------------------------------
 # Signatures and sizes

@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import json
 import random
+from collections import deque
 from dataclasses import dataclass
 
 from . import reasoner
 from .syntax import (
     ABox,
-    Atom,
     AtomicQuery,
     BudgetExceededError,
     ConceptQuery,
@@ -45,14 +45,13 @@ from .syntax import (
     Signature,
     TBox,
     Var,
+    Tree,
     check_disjoint_namespaces,
-    concept_query_as_cq,
     is_rooted,
     signature_of_abox,
     signature_of_query,
     signature_of_tbox,
     size_of,
-    tree_of_concept,
 )
 
 POLICY_MINIMAL = "minimal"
@@ -272,7 +271,7 @@ class OracleSession:
                 if self.policy == POLICY_ADVERSARIAL_CQ:
                     query = duplicate_variables(query)
                 else:
-                    query = concept_query_as_cq(query)
+                    query = Tree.of_concept(query.concept).cq(query.ind)
         tv = reasoner.answers_query(self._target, a, query, self._cache)
         hv = reasoner.answers_query(hypothesis, a, query, self._cache)
         if tv == hv:
@@ -311,36 +310,24 @@ def duplicate_variables(q: ConceptQuery) -> ConjunctiveQuery:
     copies j and j+1 of each child, so the result collapses back onto the
     original chain and stays equivalent to it.
     """
-    tree = tree_of_concept(q.concept)
-    depth: dict[int, int] = {tree.root: 0}
-    order = [tree.root]
-    i = 0
-    while i < len(order):
-        node = order[i]
-        i += 1
-        for child, _ in tree.children(node):
-            depth[child] = depth[node] + 1
-            order.append(child)
-
-    copies: dict[int, list] = {tree.root: [q.ind]}
-    variables: list[Var] = []
-    counter = [0]
-
-    def var() -> Var:
-        counter[0] += 1
-        v = Var(f"x{counter[0]}")
-        variables.append(v)
-        return v
-
     atoms: set[QueryAtom] = set()
-    for node in order:
-        if node != tree.root:
-            copies[node] = [var() for _ in range(depth[node] + 1)]
-        for a in tree.labels[node]:
-            for c in copies[node]:
-                atoms.add(ConceptAtom(a, c))
-    for parent, child, role in tree.edges:
-        for j, pc in enumerate(copies[parent]):
-            atoms.add(RoleAtom(role, pc, copies[child][j]))
-            atoms.add(RoleAtom(role, pc, copies[child][j + 1]))
+    variables: list[Var] = []
+
+    def copy() -> Var:
+        variables.append(Var(f"x{len(variables) + 1}"))
+        return variables[-1]
+
+    # breadth first: a node's copies are named when its parent is expanded
+    queue = deque([(Tree.of_concept(q.concept), [q.ind])])
+    while queue:
+        node, copies = queue.popleft()
+        for a in node.labels:
+            atoms.update(ConceptAtom(a, c) for c in copies)
+        for roles, child in node.children:
+            below = [copy() for _ in range(len(copies) + 1)]
+            for role in roles:
+                for j, pc in enumerate(copies):
+                    atoms.add(RoleAtom(role, pc, below[j]))
+                    atoms.add(RoleAtom(role, pc, below[j + 1]))
+            queue.append((child, below))
     return ConjunctiveQuery((q.ind,), frozenset(variables), frozenset(atoms))

@@ -19,8 +19,8 @@ Grammar (UTF-8, one statement per line, ``#`` starts a comment)::
 ``some`` binds tighter than ``and``: ``some r. A and B`` is the conjunction
 of ``some r. A`` with ``B``; a conjunctive filler needs parentheses.  In a
 CQ line the terms listed after ``exists`` are variables, all other terms are
-individuals.  A concept nests at most ``MAX_NESTING`` levels of ``some`` and
-parentheses, and a CQ has at most ``MAX_NESTING`` variables; deeper or
+individuals.  A concept nests at most ``syntax.MAX_NESTING`` levels of ``some``
+and parentheses, and a CQ has at most that many variables; deeper or
 larger input is a ``ParseError``.  ``NAME`` is ``syntax.NAME``
 everywhere, and an inclusion needs a name (or ``top``) on one side.  The
 parsers raise no error but ``ParseError``, which gives the line and the
@@ -52,6 +52,7 @@ from .syntax import (
     Term,
     Top,
     And,
+    MAX_NESTING,
     NAME,
     NAME_RE,
     Var,
@@ -87,11 +88,6 @@ def json_field(obj, key: str, kind: type, line: int = 0):
         raise ParseError(f"key {key!r} must be of type {kind.__name__}", line, 1)
     return obj[key]
 
-
-# The parser, and the reasoner after it, recurse once per level of a
-# concept, and the reasoner once per variable of a CQ; past this many a line
-# is rejected instead of exhausting the stack.
-MAX_NESTING = 200
 
 _TOKEN = re.compile(rf"\s*(\[=|==|{NAME}|[().,;:])")
 

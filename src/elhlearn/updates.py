@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Callable, Iterator
 
 from . import reasoner
-from .learn_aq import CachedOracle, LearnResult, tree_concept, tree_shape, _record_iteration
+from .learn_aq import CachedOracle, LearnResult, tree_shape, _record_iteration
 from .learn_iq import Run, concept_query, counterexample_loop, iq_step, start
 from .syntax import (
     ABox,
@@ -43,7 +43,7 @@ from .syntax import (
     TBox,
     TOP,
     Top,
-    abox_of_concept,
+    Tree,
     canonical,
     conj,
     normalize,
@@ -110,7 +110,7 @@ def generalise(oracle: CachedOracle, h: TBox, atomic_cis: set[CI]) -> TBox:
     roles = sorted(oracle.framework.signature.role_names)
 
     def entailed_by_target(lhs: Concept, rhs_name: str) -> bool:
-        enc, root = abox_of_concept(lhs)
+        enc, root = Tree.of_concept(lhs).abox()
         return oracle.membership(enc, AtomicQuery(rhs_name, (root,)))
 
     new_cis: set[CI] = set()
@@ -279,7 +279,7 @@ def _atomic_repair(oracle: CachedOracle, h: TBox, a: ABox, name: str, ind: str) 
     shaped, (wname, wind) = tree_shape(oracle, a, h)
     if wind not in a.individuals():
         raise StructuralError("witness individual must come from the updated ABox")
-    concept = tree_concept(shaped, wind)
+    concept = Tree.of_abox(shaped, wind).concept()
     return terminology(set(h.cis) | {CI(concept, Atom(wname))}, h.ris)
 
 

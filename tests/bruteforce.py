@@ -22,12 +22,13 @@ from elhlearn.syntax import (
     TBox,
     Term,
     Top,
-    abox_of_concept,
     normalize,
     top_atoms,
     top_existentials,
 )
 from elhlearn.reasoner import superroles
+
+import reference_tree
 
 
 class BruteModel:
@@ -103,7 +104,8 @@ def brute_instance(t: TBox, a: ABox, concept: Concept, ind: str, max_depth: int 
 
 
 def brute_subsumes(t: TBox, c: Concept, d: Concept, max_depth: int = 6) -> bool:
-    a, root = abox_of_concept(normalize(c))
+    # the encoding as it was written before ``syntax.Tree``, kept apart from src
+    a, root = reference_tree.abox_of_concept(normalize(c))
     return brute_instance(t, a, d, root, max_depth)
 
 

@@ -83,7 +83,7 @@ def learn_iq(session) -> LearnResult:
     equivalent_names = _atomic_equivalence(atomic_cis)
     h = terminology(atomic_cis, ris)
     _record_iteration(result, oracle, h)
-    h = aq_phase(oracle, h, result, use_eq=False)
+    h = aq_phase(oracle, h, result)
 
     iterations = 0
     while True:
@@ -115,7 +115,7 @@ def learn_cqr(session) -> LearnResult:
     equivalent_names = _atomic_equivalence(atomic_cis)
     h = terminology(atomic_cis, ris)
     _record_iteration(result, oracle, h)
-    h = aq_phase(oracle, h, result, use_eq=False)
+    h = aq_phase(oracle, h, result)
 
     iterations = 0
     while True:
@@ -159,7 +159,7 @@ def learn_with_updates(session) -> LearnResult:
     equivalent_names = _atomic_equivalence(atomic_cis)
     h = terminology(atomic_cis, ris)
     _record_iteration(result, oracle, h)
-    h = aq_phase(oracle, h, result, use_eq=False)
+    h = aq_phase(oracle, h, result)
     h = generalise(oracle, h, atomic_cis)
     _record_iteration(result, oracle, h)
 
@@ -212,7 +212,7 @@ def build_batch(target: TBox, a0: ABox, lang: str, seed: int = 0) -> list[BatchI
     def record_tree(shaped: ABox, name: str, ind: str) -> None:
         items.append(BatchItem("tree", shaped, AtomicQuery(name, (ind,))))
 
-    h = aq_phase(oracle, h, result, use_eq=False, on_tree=record_tree)
+    h = aq_phase(oracle, h, result, on_tree=record_tree)
 
     if lang in (reasoner.LANG_IQ, reasoner.LANG_CQR):
         classes = role_classes(frozenset(ris), fw.signature.role_names)

@@ -16,6 +16,9 @@ before it read an ABox as its model over the empty TBox.
 its elements sorted by value, and before the witness refinement was seeded
 with the pairs reachable from the anchors: elements sorted by ``repr``, and
 one refinement of the full product of the two graphs.
+
+The witnesses are built as ``syntax.Tree`` values, as the package's are
+(they were ``reasoner.BundleTree``), so that the two compare equal.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from elhlearn.reasoner import (
     LANG_CQR,
     ABox,
     AtomicQuery,
-    BundleTree,
+    Tree,
     ConceptQuery,
     ModelCache,
     Query,
@@ -234,30 +237,30 @@ def _elimination_rounds(gi, gj, bundles: bool) -> _Rounds:
     return _Rounds(eliminated, reason)
 
 
-def _witness(rounds: _Rounds, pair: tuple, memo: dict | None = None) -> BundleTree:
+def _witness(rounds: _Rounds, pair: tuple, memo: dict | None = None) -> Tree:
     if memo is None:
         memo = {}
     if pair in memo:
         return memo[pair]
     kind = rounds.reason[pair]
     if kind[0] == "atom":
-        tree = BundleTree(frozenset({kind[1]}))
+        tree = Tree(frozenset({kind[1]}))
     else:
         _, roles, d1, failures = kind
         merged_labels: set[str] = set()
-        children: list[tuple[frozenset[str], BundleTree]] = []
+        children: list[tuple[frozenset[str], Tree]] = []
         for _, e1 in failures:
             sub = _witness(rounds, (d1, e1), memo)
             merged_labels |= sub.labels
             children.extend(sub.children)
-        tree = BundleTree(
-            frozenset(), ((roles, BundleTree(frozenset(merged_labels), tuple(children))),)
+        tree = Tree(
+            frozenset(), ((roles, Tree(frozenset(merged_labels), tuple(children))),)
         )
     memo[pair] = tree
     return tree
 
 
-def separating_witness(gi, d, gj, e, bundles: bool = False) -> BundleTree | None:
+def separating_witness(gi, d, gj, e, bundles: bool = False) -> Tree | None:
     """A tree query true at ``d`` in ``gi`` but not at ``e`` in ``gj``."""
     rounds = _elimination_rounds(gi, gj, bundles)
     if (d, e) not in rounds.eliminated:
@@ -309,11 +312,11 @@ def inseparability_gap(
             witness = separating_witness(gi, el, gj, el, bundles=bundles)
             if witness is None:
                 continue
-            concept = witness.as_concept()
+            concept = witness.concept()
             if concept is not None:
                 q = ConceptQuery(concept, ind)
             else:
-                q = witness.as_cq(ind)
+                q = witness.cq(ind)
             if push(Separation(q, first)):
                 return out
     return out

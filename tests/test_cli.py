@@ -232,6 +232,42 @@ def test_deep_concept_exits_2_without_a_traceback(workdir):
     assert done.stderr.startswith("parse error: line 1") and "Traceback" not in done.stderr
 
 
+def _elh(*args: str) -> subprocess.CompletedProcess:
+    src = Path(elhlearn.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run(
+        [sys.executable, "-m", "elhlearn.cli", *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def _chain_batch(workdir, n: int) -> list[str]:
+    """A batch of one ``tree`` item, an r-chain of ``n`` edges below c0, and its ABox."""
+    chain = "\n".join(f"A: r(c{i},c{i + 1})" for i in range(n))
+    item = {"kind": "tree", "abox": chain, "query": "Q: AQ M(c0)", "label": 1}
+    (workdir / "chain.jsonl").write_text(json.dumps(item) + "\n")
+    (workdir / "chain.abox").write_text(chain + "\n")
+    return [str(workdir / "chain.jsonl"), str(workdir / "chain.abox")]
+
+
+def test_a_tree_item_nested_to_the_cap_learns_and_reads_back(workdir):
+    out = str(workdir / "h.tbox")
+    done = _elh("batch", "learn", "--mode", "aq", *_chain_batch(workdir, MAX_NESTING), "--out", out)
+    assert done.returncode == 0, done.stderr
+    (workdir / "m.q").write_text("Q: AQ M(c0)\n")
+    done = _elh("reason", out, str(workdir / "chain.abox"), str(workdir / "m.q"))
+    assert (done.returncode, done.stdout) == (0, "AQ M(c0): ENTAILED\n"), done.stderr
+
+
+@pytest.mark.parametrize("n", [MAX_NESTING + 1, 1500])
+def test_a_deeper_tree_item_exits_2_without_a_traceback(workdir, n):
+    out = workdir / "h.tbox"
+    done = _elh("batch", "learn", "--mode", "aq", *_chain_batch(workdir, n), "--out", str(out))
+    assert done.returncode == 2
+    assert done.stderr == f"error: tree nested deeper than {MAX_NESTING} levels\n"
+    assert not out.exists()
+
+
 def test_learn_writes_hypothesis_and_stats(workdir, capsys):
     out_file = workdir / "h.tbox"
     stats_file = workdir / "stats.json"
@@ -546,6 +582,38 @@ def test_an_unwritable_partial_hypothesis_exits_2(workdir, capsys, monkeypatch):
     args, bad = _unwritable_run(workdir, "learn --out")
     assert main(args) == 2
     _one_error_line(capsys.readouterr().err, f"error: cannot write {bad}: ")
+
+
+@pytest.mark.parametrize(
+    "flag", ["learn --out", "learn --stats", "learn --transcript", "batch build --out"]
+)
+def test_an_unwritable_output_exits_2_before_the_run(workdir, capsys, monkeypatch, flag):
+    from elhlearn import batch
+
+    def not_reached(*args, **kwargs):
+        pytest.fail("the run started before its outputs were checked")
+
+    monkeypatch.setitem(cli.LEARNERS, "aq", not_reached)
+    monkeypatch.setattr(batch, "build_batch", not_reached)
+    args, bad = _unwritable_run(workdir, flag)
+    assert main(args) == 2
+    _one_error_line(capsys.readouterr().err, f"error: cannot write {bad}: ")
+
+
+def test_a_failed_run_leaves_an_existing_output_as_it_was(workdir, monkeypatch):
+    from elhlearn.syntax import ConfigurationError
+
+    def fails(session):
+        raise ConfigurationError("the run fails")
+
+    monkeypatch.setitem(cli.LEARNERS, "aq", fails)
+    for name in ("h.tbox", "s.json", "t.jsonl"):
+        (workdir / name).write_text("kept\n")
+    args = ["learn", "--mode", "aq", str(workdir / "t.tbox"), str(workdir / "a.abox")]
+    args += ["--out", str(workdir / "h.tbox"), "--stats", str(workdir / "s.json")]
+    args += ["--transcript", str(workdir / "t.jsonl")]
+    assert main(args) == 2
+    assert all((workdir / name).read_text() == "kept\n" for name in ("h.tbox", "s.json", "t.jsonl"))
 
 
 def test_vc_check(capsys):

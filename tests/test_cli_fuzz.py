@@ -181,6 +181,24 @@ def _item(kind: str, abox: str, query: str) -> str:
                 + "\n",
             },
         ),
+        # tree items: a chain far deeper than the cap, a root with a parent, two
+        # roots, an individual not below the root, and a node with two parents
+        (
+            "batch-learn",
+            {
+                "b": _item(
+                    "tree", "\n".join(f"A: r(e{k},e{k + 1})" for k in range(1500)), "Q: AQ A(e0)"
+                ),
+                "a": ABOX,
+            },
+        ),
+        ("batch-learn", {"b": _item("tree", "A: r(e1,e0)", "Q: AQ A(e0)"), "a": ABOX}),
+        ("batch-learn", {"b": _item("tree", "A: r(e0,e1)\nA: B(e2)", "Q: AQ A(e0)"), "a": ABOX}),
+        (
+            "batch-learn",
+            {"b": _item("tree", "A: r(e0,e1)\nA: r(e2,e3)\nA: r(e3,e2)", "Q: AQ A(e0)"), "a": ABOX},
+        ),
+        ("batch-learn", {"b": _item("tree", "A: r(e0,e1)\nA: s(e0,e1)", "Q: AQ A(e0)"), "a": ABOX}),
     ],
 )
 def test_reported_crashes_exit_2(command, files):

@@ -8,7 +8,6 @@ from elhlearn.learn_aq import (
     find_cycle,
     learn_aq,
     minimize_abox,
-    tree_concept,
     tree_shape,
     unfold_cycle,
 )
@@ -25,6 +24,7 @@ from elhlearn.syntax import (
     StructuralError,
     TBox,
     TOP,
+    Tree,
     abox,
     canonical,
     size_of,
@@ -202,18 +202,8 @@ class TestLearnAq:
     def test_mq_only_mode_uses_no_eq(self):
         t, a0 = ex1()
         sess = session_for(t, a0)
-        learn_aq(sess, use_eq=False)
+        learn_aq(sess)
         assert sess.eq_count == 0
-
-    def test_eq_mode_converges_to_same_consequences(self):
-        for seed in range(25):
-            t = random_terminology(seed)
-            a0 = random_abox(seed, t)
-            h1 = learn_aq(session_for(t, a0), use_eq=False).hypothesis
-            h2 = learn_aq(session_for(t, a0), use_eq=True).hypothesis
-            assert inseparable(t, h1, a0, LANG_AQ) is None
-            assert inseparable(t, h2, a0, LANG_AQ) is None
-            assert inseparable(h1, h2, a0, LANG_AQ) is None
 
     def test_positive_bounded(self):
         for seed in range(25):
@@ -228,7 +218,7 @@ class TestLearnAq:
     def test_each_iteration_adds_a_covering_inclusion(self):
         # per iteration: target entails the witness fact, the old hypothesis
         # does not, and the extended hypothesis does
-        from elhlearn.learn_aq import aq_phase, tree_shape, tree_concept, _record_iteration, LearnResult
+        from elhlearn.learn_aq import aq_phase, tree_shape, _record_iteration, LearnResult
         from elhlearn.reasoner import answers_query
 
         for seed in range(20):
@@ -255,7 +245,8 @@ class TestLearnAq:
                 fact = AtomicQuery(wname, (wind,))
                 assert answers_query(t, a0, fact)
                 assert not answers_query(h, a0, fact)
-                h = terminology(set(h.cis) | {CI(tree_concept(shaped, wind), Atom(wname))}, h.ris)
+                learned = CI(Tree.of_abox(shaped, wind).concept(), Atom(wname))
+                h = terminology(set(h.cis) | {learned}, h.ris)
                 assert answers_query(h, a0, fact)
             assert inseparable(t, h, a0, LANG_AQ) is None
 

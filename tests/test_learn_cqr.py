@@ -6,7 +6,6 @@ from elhlearn.learn_cqr import (
     cq_to_iq,
     learn_cqr,
     saturate_counterexample,
-    variable_subquery_concept,
 )
 from elhlearn.reasoner import LANG_CQR, answers_query, inseparable
 from elhlearn.syntax import (
@@ -20,6 +19,7 @@ from elhlearn.syntax import (
     StructuralError,
     TBox,
     TOP,
+    Tree,
     Var,
     abox,
     size_of,
@@ -31,7 +31,7 @@ from elhlearn.teacher import OracleSession, POLICY_ADVERSARIAL_CQ, framework_for
 def check_saturated_shape(q: ConjunctiveQuery) -> None:
     """After saturation every variable heads a tree with one individual above it."""
     for x in sorted(q.exist_vars, key=_var_key):
-        variable_subquery_concept(q, x)  # raises when not tree shaped
+        Tree.of_cq(q, x)  # raises when not tree shaped
         feeders = {
             atom.subj
             for atom in q.atoms

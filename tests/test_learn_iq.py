@@ -13,7 +13,6 @@ from elhlearn.learn_iq import (
     role_classes,
     role_saturate,
     sibling_merge,
-    tree_node_count,
     _atomic_equivalence,
 )
 from elhlearn.reasoner import LANG_IQ, answers_query, entails_ci, entails_ri, inseparable
@@ -27,6 +26,7 @@ from elhlearn.syntax import (
     Signature,
     TBox,
     TOP,
+    Tree,
     abox,
     canonical,
     conj,
@@ -233,34 +233,35 @@ def _unravel(model, anchor, depth):
 
 
 def _all_homs(tree, model, anchor, depth):
+    """Every map of ``tree``'s nodes, each named by its path, into the unravelling."""
     nodes, edges, label = _unravel(model, anchor, depth)
     out_edges = {}
     for src, roles, dst in edges:
         out_edges.setdefault(src, []).append((roles, dst))
     results = []
 
-    def go(node, el, assignment):
-        if not tree.labels[node] <= label(el):
+    def go(path, node, el, assignment):
+        if not node.labels <= label(el):
             return
         assignment = dict(assignment)
-        assignment[node] = el
-        kids = tree.children(node)
+        assignment[path] = el
+        kids = [(path + (i,), child, role) for i, ((role,), child) in enumerate(node.children)]
 
         def assign_kids(k, current):
             if k == len(kids):
                 results.append(dict(current))
                 return
-            child, role = kids[k]
+            child_path, child, role = kids[k]
             for roles, dst in out_edges.get(el, []):
                 if role in roles:
-                    sub = _collect(child, dst, current)
+                    sub = _collect(child_path, child, dst, current)
                     for filled in sub:
                         assign_kids(k + 1, filled)
 
-        def _collect(node2, el2, current):
+        def _collect(path2, node2, el2, current):
             saved = list(results)
             results.clear()
-            go(node2, el2, current)
+            go(path2, node2, el2, current)
             found = list(results)
             results.clear()
             results.extend(saved)
@@ -268,13 +269,12 @@ def _all_homs(tree, model, anchor, depth):
 
         assign_kids(0, assignment)
 
-    go(tree.root, ("n", anchor), {})
+    go((), tree, ("n", anchor), {})
     return results
 
 
 class TestIsomorphicEmbedding:
     def test_root_homs_into_own_model_are_injective(self):
-        from elhlearn.syntax import abox_of_concept, tree_of_concept
         from elhlearn.reasoner import build_model
 
         checked = 0
@@ -285,8 +285,8 @@ class TestIsomorphicEmbedding:
             for ci in res.hypothesis.cis:
                 if not isinstance(ci.lhs, Atom) or isinstance(ci.rhs, Atom):
                     continue
-                tree = tree_of_concept(normalize(ci.rhs))
-                enc, root = abox_of_concept(normalize(ci.rhs))
+                tree = Tree.of_concept(normalize(ci.rhs))
+                enc, root = tree.abox()
                 model = build_model(t, enc)
                 for hom in _all_homs(tree, model, root, tree.node_count() + 1):
                     if len(hom) == tree.node_count():
@@ -330,7 +330,7 @@ class TestLearnIq:
         res = learn_iq(OracleSession(t, framework_for(t, a0, LANG_IQ)))
         assert inseparable(t, res.hypothesis, a0, LANG_IQ) is None
         (ci,) = [c for c in res.hypothesis.cis if isinstance(c.lhs, Atom)]
-        assert tree_node_count(ci.rhs) >= 3
+        assert Tree.of_concept(ci.rhs).node_count() >= 3
 
     def test_role_equivalences_are_collapsed(self):
         t = terminology(

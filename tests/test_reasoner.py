@@ -36,6 +36,7 @@ from elhlearn.syntax import (
     RoleQuery,
     TBox,
     TOP,
+    Tree,
     UnsupportedQueryError,
     Var,
     abox,
@@ -386,8 +387,6 @@ class TestInseparability:
 
 def _enumerate_concepts(concepts, roles, max_nodes=4):
     """All normalized concepts over the tiny signature, up to a node budget."""
-    from elhlearn.syntax import tree_of_concept
-
     level = {canonical(TOP): TOP}
     for name in concepts:
         level[canonical(Atom(name))] = Atom(name)
@@ -404,15 +403,13 @@ def _enumerate_concepts(concepts, roles, max_nodes=4):
                 cand = normalize(conj(c, d))
                 new[canonical(cand)] = cand
         for key, cand in new.items():
-            if key not in out and tree_of_concept(cand).node_count() <= max_nodes:
+            if key not in out and Tree.of_concept(cand).node_count() <= max_nodes:
                 out[key] = cand
     return sorted(out.values(), key=canonical)
 
 
 def _rooted_query_pool(concepts, roles, inds):
     """Tree queries plus parallel-edge variants that tell bundles apart."""
-    from elhlearn.syntax import concept_query_as_cq
-
     pool = []
     for c in concepts:
         for ind in inds:

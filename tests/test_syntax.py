@@ -18,11 +18,10 @@ from elhlearn.syntax import (
     TOP,
     TerminologyError,
     Var,
+    Tree,
     abox,
-    abox_of_concept,
     canonical,
     check_disjoint_namespaces,
-    concept_of_tree,
     conj,
     is_rooted,
     is_terminology,
@@ -30,8 +29,6 @@ from elhlearn.syntax import (
     signature_of_tbox,
     size_of,
     terminology,
-    tree_of_concept,
-    ConceptTree,
     Signature,
 )
 
@@ -80,45 +77,43 @@ class TestSize:
 
 class TestTreeEncoding:
     def test_top_tree(self):
-        t = tree_of_concept(TOP)
-        assert t.node_count() == 1 and t.labels[t.root] == frozenset()
+        t = Tree.of_concept(TOP)
+        assert t.node_count() == 1 and t.labels == frozenset() and t.children == ()
 
     def test_exists_tree(self):
-        t = tree_of_concept(Exists("r", Atom("A")))
+        t = Tree.of_concept(Exists("r", Atom("A")))
         assert t.node_count() == 2
-        assert t.children(t.root) == [(1, "r")]
-        assert t.labels[1] == frozenset({"A"})
+        assert t == Tree(frozenset(), ((frozenset({"r"}), Tree(frozenset({"A"}))),))
 
     def test_duplicate_conjuncts_keep_two_subtrees(self):
         c = conj(conj(Atom("A"), Exists("r", Atom("B"))), Exists("r", Atom("B")))
-        t = tree_of_concept(c)
-        assert t.labels[t.root] == frozenset({"A"})
-        kids = t.children(t.root)
-        assert len(kids) == 2 and all(role == "r" for _, role in kids)
-        for node, _ in kids:
-            assert t.labels[node] == frozenset({"B"})
+        t = Tree.of_concept(c)
+        assert t.labels == frozenset({"A"})
+        assert len(t.children) == 2 and all(roles == {"r"} for roles, _ in t.children)
+        for _, child in t.children:
+            assert child.labels == frozenset({"B"})
 
     def test_single_node_decodes_to_top(self):
-        assert concept_of_tree(ConceptTree((frozenset(),), ())) == TOP
+        assert Tree(frozenset()).concept() == TOP
 
     def test_labelled_edge_decodes(self):
-        t = ConceptTree((frozenset({"A"}), frozenset({"B"})), ((0, 1, "r"),))
-        assert concept_of_tree(t) == normalize(conj(Atom("A"), Exists("r", Atom("B"))))
+        t = Tree(frozenset({"A"}), ((frozenset({"r"}), Tree(frozenset({"B"}))),))
+        assert t.concept() == normalize(conj(Atom("A"), Exists("r", Atom("B"))))
 
     def test_cycle_rejected(self):
-        t = ConceptTree((frozenset(), frozenset()), ((0, 1, "r"), (1, 0, "r")))
         with pytest.raises(StructuralError):
-            concept_of_tree(t)
+            Tree.of_abox(abox(roles=[("r", "x0", "x1"), ("r", "x1", "x0")]), "x0")
 
     def test_two_roots_rejected(self):
-        t = ConceptTree((frozenset(), frozenset()), ())
         with pytest.raises(StructuralError):
-            concept_of_tree(t)
+            Tree.of_abox(abox(declared=["x0", "x1"]), "x0")
 
     @given(concepts())
     @settings(max_examples=200, deadline=None)
     def test_round_trip_normalizes(self, c):
-        assert concept_of_tree(tree_of_concept(c)) == normalize(c)
+        assert Tree.of_concept(c).concept() == normalize(c)
+        a, root = Tree.of_concept(c).abox()
+        assert Tree.of_abox(a, root).concept() == normalize(c)
 
     @given(concepts())
     @settings(max_examples=100, deadline=None)
@@ -128,18 +123,18 @@ class TestTreeEncoding:
 
 class TestAboxEncoding:
     def test_atom(self):
-        a, root = abox_of_concept(Atom("A"))
+        a, root = Tree.of_concept(Atom("A")).abox()
         assert a.concept_assertions == frozenset({("A", root)})
         assert not a.role_assertions
 
     def test_chain(self):
-        a, root = abox_of_concept(Exists("r", Exists("s", Atom("B"))))
+        a, root = Tree.of_concept(Exists("r", Exists("s", Atom("B")))).abox()
         assert len(a.role_assertions) == 2
         assert ("B", "x2") in a.concept_assertions
         assert root == "x0"
 
     def test_top_declares_root(self):
-        a, root = abox_of_concept(TOP)
+        a, root = Tree.of_concept(TOP).abox()
         assert not a.concept_assertions and not a.role_assertions
         assert root in a.individuals()
 
@@ -148,7 +143,7 @@ class TestAboxEncoding:
     def test_tree_shaped(self, c):
         from elhlearn.learn_aq import find_cycle
 
-        a, root = abox_of_concept(c)
+        a, root = Tree.of_concept(c).abox()
         assert len(a.role_assertions) == len(a.individuals()) - 1
         assert find_cycle(a) is None
 

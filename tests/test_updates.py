@@ -173,7 +173,7 @@ class TestGeneralise:
             from elhlearn.learn_aq import LearnResult, aq_phase
 
             h = terminology(atomic_cis, ris)
-            h = aq_phase(oracle, h, LearnResult(h), use_eq=False)
+            h = aq_phase(oracle, h, LearnResult(h))
             g = generalise(oracle, h, atomic_cis)
             from elhlearn.reasoner import entails_ci, LANG_AQ
 
