@@ -192,7 +192,12 @@ def find_cycle(a: ABox) -> Cycle | None:
 
     Every cycle contains some assertion e, and the shortest one through e is
     the shortest path between e's endpoints that avoids e, closed by e.
+    There is none exactly when the assertions form a forest, which one pass
+    checks first; a self-loop or a second assertion between the same two
+    individuals, in either direction, is a cycle.
     """
+    if _is_forest(a.role_assertions):
+        return None
     edges: list[tuple[str, str, str]] = sorted(a.role_assertions)
     adj: dict[str, list[tuple[tuple[str, str, str], str, bool]]] = {}
     for e in edges:
@@ -254,6 +259,23 @@ def find_cycle(a: ABox) -> Cycle | None:
         if fwd:
             return rev[i:] + rev[:i]
     raise StructuralError("cycle with no usable orientation")
+
+
+def _is_forest(assertions) -> bool:
+    """Do the role assertions, read as undirected edges, form a forest?"""
+    root: dict[str, str] = {}  # union-find with path halving
+
+    def find(x: str) -> str:
+        while root.get(x, x) != x:
+            root[x] = x = root.get(root[x], root[x])
+        return x
+
+    for _, x, y in assertions:
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            return False
+        root[rx] = ry
+    return True
 
 
 def cycle_nodes(cycle: Cycle) -> list[str]:

@@ -9,19 +9,23 @@ membership-backed rewrites until none applies:
 * merging: identify two variables,
 * query role saturation: replace an atom's role by a subrole.
 
-Each candidate costs at most one membership query ever: once the target
-rejects a rewrite it stays rejected, because later rewrites only strengthen
-the query.  After the fixpoint the subquery below any variable is a tree, so
-it reads off as a concept, and some ``some r. C_x`` at some individual is a
-positive counterexample; that instance query is the conversion result.
+The rewrites form one lazily generated candidate sequence, in that order,
+and one loop takes the first candidate the target accepts and starts over
+from the new query.  Each candidate costs at most one membership query
+ever: once the target rejects a rewrite it stays rejected, because later
+rewrites only strengthen the query.  After the fixpoint the subquery below
+any variable is a tree, so it reads off as a concept, and some
+``some r. C_x`` at some individual is a positive counterexample; that
+instance query is the conversion result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .learn_aq import CachedOracle, LearnResult
-from .learn_iq import Run, concept_query, counterexample_loop, iq_step, role_classes, start
+from .learn_iq import Run, concept_query, counterexample_loop, iq_step, start
 from .syntax import (
     ABox,
     AtomicQuery,
@@ -46,9 +50,6 @@ class SaturationStats:
     individual_mqs: int = 0
     merge_mqs: int = 0
     role_mqs: int = 0
-
-    def total(self) -> int:
-        return self.individual_mqs + self.merge_mqs + self.role_mqs
 
 
 def _substitute(q: ConjunctiveQuery, old: Term, new: Term) -> ConjunctiveQuery:
@@ -84,92 +85,67 @@ def rewrite_query_roles(q: ConjunctiveQuery, classes) -> ConjunctiveQuery:
     return ConjunctiveQuery(q.answer_inds, q.exist_vars, frozenset(atoms))
 
 
+def _rewrites(q: ConjunctiveQuery, a: ABox, classes):
+    """``(key, build)`` for every rewrite of ``q``, in the order they are tried.
+
+    Individual substitutions, then merges of ``x`` with a later ``y``, then
+    role replacements by a strict subrole; ``build()`` makes the candidate.
+    A key starts with its kind, which names its ``SaturationStats`` counter.
+    """
+    inds = sorted(a.individuals())
+    variables = sorted(q.exist_vars, key=_var_key)
+    for x in variables:
+        for ind in inds:
+            yield ("individual", x, ind), partial(_substitute, q, x, ind)
+    for i, x in enumerate(variables):
+        for y in variables[i + 1 :]:
+            yield ("merge", x, y), partial(_substitute, q, y, x)
+    for atom in sorted(
+        (at for at in q.atoms if isinstance(at, RoleAtom)),
+        key=lambda at: (at.role, repr(at.subj), repr(at.obj)),
+    ):
+        for r in classes.strict_subroles(atom.role):
+            new = RoleAtom(r, atom.subj, atom.obj)
+            yield ("role", atom, r), partial(_replace_atom, q, atom, new)
+
+
 def saturate_counterexample(
     oracle: CachedOracle,
     h: TBox,
     q: ConjunctiveQuery,
-    classes=None,
+    classes,
     stats: SaturationStats | None = None,
 ) -> ConjunctiveQuery:
-    """Exhaustively apply the three rewrites, cheapest bookkeeping first.
+    """Apply the first accepted rewrite, and start over, until none is accepted.
 
     A rejected candidate is never asked again: rewrites only ever strengthen
-    the query, so a target-side "no" is permanent.  Role replacement works on
-    equivalence-class representatives, otherwise two equivalent roles would
-    swap forever.
+    the query, so a target-side "no" is permanent.  A candidate that already
+    holds under ``h`` is skipped without a question and stays open.  Role
+    replacement works on equivalence-class representatives, otherwise two
+    equivalent roles would swap forever.
     """
     a = oracle.framework.fixed_abox
     stats = stats if stats is not None else SaturationStats()
     dead: set[tuple] = set()
-    if classes is None:
-        classes = role_classes(h.ris, oracle.framework.signature.role_names)
     q = rewrite_query_roles(q, classes)
-
-    changed = True
-    while changed:
-        changed = False
-        for x in sorted(q.exist_vars, key=_var_key):
-            for ind in sorted(a.individuals()):
-                key = ("ind", x, ind)
-                if key in dead:
-                    continue
-                cand = _substitute(q, x, ind)
-                if oracle.holds_locally(h, a, cand):
-                    continue
-                stats.individual_mqs += 1
-                if oracle.membership(a, cand):
-                    q = cand
-                    changed = True
-                    break
-                dead.add(key)
-            if changed:
+    while True:
+        for key, build in _rewrites(q, a, classes):
+            if key in dead:
+                continue
+            cand = build()
+            if oracle.holds_locally(h, a, cand):
+                continue
+            counter = f"{key[0]}_mqs"
+            setattr(stats, counter, getattr(stats, counter) + 1)
+            if oracle.membership(a, cand):
+                q = cand
                 break
-        if changed:
-            continue
-        for x in sorted(q.exist_vars, key=_var_key):
-            for y in sorted(q.exist_vars, key=_var_key):
-                if _var_key(y) <= _var_key(x):
-                    continue
-                key = ("merge", x, y)
-                if key in dead:
-                    continue
-                cand = _substitute(q, y, x)
-                if oracle.holds_locally(h, a, cand):
-                    continue
-                stats.merge_mqs += 1
-                if oracle.membership(a, cand):
-                    q = cand
-                    changed = True
-                    break
-                dead.add(key)
-            if changed:
-                break
-        if changed:
-            continue
-        role_atoms = sorted(
-            (at for at in q.atoms if isinstance(at, RoleAtom)),
-            key=lambda at: (at.role, repr(at.subj), repr(at.obj)),
-        )
-        for atom in role_atoms:
-            for r in classes.strict_subroles(atom.role):
-                key = ("role", atom, r)
-                if key in dead:
-                    continue
-                cand = _replace_atom(q, atom, RoleAtom(r, atom.subj, atom.obj))
-                if oracle.holds_locally(h, a, cand):
-                    continue
-                stats.role_mqs += 1
-                if oracle.membership(a, cand):
-                    q = cand
-                    changed = True
-                    break
-                dead.add(key)
-            if changed:
-                break
-    return q
+            dead.add(key)
+        else:
+            return q
 
 
-def cq_to_iq(oracle: CachedOracle, h: TBox, q: ConjunctiveQuery, classes=None) -> Query:
+def cq_to_iq(oracle: CachedOracle, h: TBox, q: ConjunctiveQuery, classes) -> Query:
     """Convert a positive rooted-CQ counterexample into an instance query."""
     a = oracle.framework.fixed_abox
     if not is_rooted(q):

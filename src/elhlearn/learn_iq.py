@@ -99,12 +99,9 @@ class RoleClasses:
 
     def strict_subroles(self, role: str) -> list[str]:
         """Representative roles strictly below ``role``."""
-        t = TBox(frozenset(), self.ris)
-        out = []
-        for s in sorted(set(self.representative.values())):
-            if s != self.rep(role) and reasoner.entails_ri(t, s, self.rep(role)):
-                out.append(s)
-        return out
+        up = reasoner.role_closure(self.ris)
+        rep = self.rep(role)
+        return [s for s in sorted(set(self.representative.values())) if s != rep and rep in up[s]]
 
     def rewrite(self, c: Concept) -> Concept:
         if isinstance(c, Exists):
@@ -115,13 +112,9 @@ class RoleClasses:
 
 
 def role_classes(ris: frozenset[RI], roles: frozenset[str]) -> RoleClasses:
-    t = TBox(frozenset(), ris)
-    rep: dict[str, str] = {}
-    for r in sorted(roles):
-        cls = sorted(
-            s for s in roles if reasoner.entails_ri(t, r, s) and reasoner.entails_ri(t, s, r)
-        )
-        rep[r] = cls[0]
+    """Each role's representative: the least role of ``roles`` equivalent to it."""
+    up = reasoner.role_closure(ris)
+    rep = {r: min(s for s in up[r] if s in roles and r in up[s]) for r in sorted(roles)}
     return RoleClasses(rep, ris)
 
 
@@ -338,15 +331,7 @@ def reduce_ci(
         lhs, rhs = step
 
 
-def merge_reduced(
-    oracle: CachedOracle,
-    h: TBox,
-    classes: RoleClasses,
-    equivalent_names,
-    lhs: str,
-    c1: Concept,
-    c2: Concept,
-) -> Concept:
+def merge_reduced(oracle: CachedOracle, lhs: str, c1: Concept, c2: Concept) -> Concept:
     """Combine two reduced right-hand sides for the same name.
 
     The conjunction is concept-saturated and sibling-merged only; both steps
@@ -369,13 +354,16 @@ def merge_reduced(
 # ---------------------------------------------------------------------------
 
 
-def _atomic_equivalence(atomic_cis: set[CI]):
-    pairs = {(ci.lhs.name, ci.rhs.name) for ci in atomic_cis if isinstance(ci.rhs, Atom)}
+def name_order(atomic_cis: set[CI]) -> reasoner.Closure:
+    """The learned order of concept names: each name -> every name it entails."""
+    return reasoner.closure(
+        (ci.lhs.name, ci.rhs.name) for ci in atomic_cis if isinstance(ci.rhs, Atom)
+    )
 
-    def equivalent(a: str, b: str) -> bool:
-        return a == b or ((a, b) in pairs and (b, a) in pairs)
 
-    return equivalent
+def _atomic_equivalence(atomic_cis: set[CI]) -> Callable[[str, str], bool]:
+    up = name_order(atomic_cis)
+    return lambda a, b: b in up[a] and a in up[b]
 
 
 def iq_step(
@@ -416,9 +404,7 @@ def iq_step(
         old = reduce_ci(oracle, h, classes, equivalent_names, ci.lhs.name, old_rhs)
         if old.lhs.name != ci.lhs.name:
             raise ContractViolationError("reduction moved an inclusion to another name")
-        combined = merge_reduced(
-            oracle, h, classes, equivalent_names, ci.lhs.name, old.rhs, ci.rhs
-        )
+        combined = merge_reduced(oracle, ci.lhs.name, old.rhs, ci.rhs)
         if Tree.of_concept(combined).node_count() <= Tree.of_concept(old.rhs).node_count():
             raise ContractViolationError("replacement did not grow the right-hand tree")
         new_cis = {

@@ -11,6 +11,11 @@ closure of the role that introduced it), because conjunctive queries can
 constrain several roles between the same pair of elements while instance
 queries cannot.
 
+Role hierarchy: ``role_closure`` is the one reflexive-transitive closure of
+a set of role inclusions, memoised on the frozenset ``t.ris``.  Saturation,
+role assertions, ``superroles``, ``entails_ri`` and the learners all read it;
+a role that no inclusion mentions is below itself only.
+
 Saturation works from a compiled form of the TBox (``_compile``, cached per
 TBox): the inclusions with a name or ``top`` on the left, in sorted order,
 with their right-hand names and edges (role closures applied, targets
@@ -82,6 +87,7 @@ from .syntax import (
     ConjunctiveQuery,
     Exists,
     Query,
+    RI,
     RoleQuery,
     Signature,
     TBox,
@@ -107,21 +113,40 @@ from .syntax import ContractViolationError
 # ---------------------------------------------------------------------------
 
 
+class Closure(dict):
+    """name -> the names at or above it; a name no pair mentions is only above itself."""
+
+    def __missing__(self, name: str) -> frozenset[str]:
+        return frozenset((name,))
+
+
+def closure(pairs: Iterable[tuple[str, str]]) -> Closure:
+    """The reflexive-transitive closure of the ``(sub, sup)`` pairs (Warshall's rule)."""
+    up: dict[str, set[str]] = {}
+    for sub, sup in pairs:
+        up.setdefault(sub, {sub}).add(sup)
+        up.setdefault(sup, {sup})
+    for via in up:
+        for above in up.values():
+            if via in above:
+                above |= up[via]
+    return Closure((name, frozenset(above)) for name, above in up.items())
+
+
+# keyed on ``t.ris``: a frozenset keeps its hash, a ``TBox`` rehashes every concept
+@functools.lru_cache(maxsize=256)
+def role_closure(ris: frozenset[RI]) -> Closure:
+    """Every role -> its superroles under ``ris``: the one role hierarchy, shared, read only."""
+    return closure((ri.lhs, ri.rhs) for ri in ris)
+
+
 def superroles(t: TBox, role: str) -> frozenset[str]:
-    """Reflexive-transitive closure of the role inclusions above ``role``."""
-    out = {role}
-    frontier = [role]
-    while frontier:
-        r = frontier.pop()
-        for ri in t.ris:
-            if ri.lhs == r and ri.rhs not in out:
-                out.add(ri.rhs)
-                frontier.append(ri.rhs)
-    return frozenset(out)
+    """``role`` and every role above it under ``t``."""
+    return role_closure(t.ris)[role]
 
 
 def entails_ri(t: TBox, sub: str, sup: str) -> bool:
-    return sup in superroles(t, sub)
+    return sup in role_closure(t.ris)[sub]
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +270,6 @@ class _Compiled:
     # inclusions with a complex left side, in firing order: right name, left side
     complex_rules: tuple[tuple[str, Concept], ...]
     depth: int  # largest existential depth of a complex left side
-    closure: dict[str, frozenset[str]]  # superroles of every role of the TBox
 
 
 def _rule_order(ci) -> tuple[str, str]:
@@ -257,14 +281,14 @@ def _rule_order(ci) -> tuple[str, str]:
 def _compile(t: TBox) -> _Compiled:
     if not is_terminology(t):
         raise ContractViolationError("model construction expects a terminology")
-    closure = {r: superroles(t, r) for r in signature_of_tbox(t).role_names}
+    up = role_closure(t.ris)
     fillers = _existential_fillers(t)
     anon_keys = tuple(sorted(fillers))
     index = {key: i for i, key in enumerate(anon_keys)}
 
     def rule_edges(c: Concept) -> tuple[_IndexEdge, ...]:
         return tuple(
-            (closure[ex.role], index[canonical(ex.filler)]) for ex in top_existentials(c)
+            (up[ex.role], index[canonical(ex.filler)]) for ex in top_existentials(c)
         )
 
     name_cis = sorted((ci for ci in t.cis if isinstance(ci.lhs, (Atom, Top))), key=_rule_order)
@@ -288,7 +312,6 @@ def _compile(t: TBox) -> _Compiled:
         ),
         tuple((ci.rhs.name, ci.lhs) for ci in complex_cis),
         max((concept_depth(ci.lhs) for ci in complex_cis), default=0),
-        closure,
     )
 
 
@@ -300,11 +323,10 @@ def build_model(t: TBox, a: ABox) -> RegularModel:
     concepts_of: dict[str, set[str]] = {}
     for name, ind in a.concept_assertions:
         concepts_of.setdefault(ind, set()).add(name)
+    up = role_closure(t.ris)
     pair_roles: dict[tuple[str, str], set[str]] = {}
     for role, x, y in a.role_assertions:
-        # a role the TBox does not mention has no role above it
-        roles = comp.closure.get(role) or frozenset((role,))
-        pair_roles.setdefault((x, y), set()).update(roles)
+        pair_roles.setdefault((x, y), set()).update(up[role])
     inds = set(a.declared)
     inds.update(concepts_of)
     for x, y in pair_roles:
@@ -471,9 +493,8 @@ def entails_ci(t: TBox, c: Concept, d: Concept, cache: ModelCache | None = None)
 
 
 def role_assertion_holds(t: TBox, a: ABox, role: str, x: str, y: str) -> bool:
-    return any(
-        sx == x and sy == y and entails_ri(t, s, role) for s, sx, sy in a.role_assertions
-    )
+    up = role_closure(t.ris)
+    return any(sx == x and sy == y and role in up[s] for s, sx, sy in a.role_assertions)
 
 
 def _existential_atom_holds(model: RegularModel, name: str) -> bool:
@@ -795,13 +816,9 @@ def _aq_closure(t: TBox, a: ABox, sig: Signature, cache: ModelCache | None):
         for i in inds
         if name in model.labels[("n", i)]
     }
-    # a role the TBox does not mention has no role above it
-    closure = _compile(t).closure
+    up = role_closure(t.ris)
     role_facts = {
-        (r, x, y)
-        for (s, x, y) in a.role_assertions
-        for r in closure.get(s) or (s,)
-        if r in sig.role_names
+        (r, x, y) for (s, x, y) in a.role_assertions for r in up[s] if r in sig.role_names
     }
     return concept_facts, role_facts
 

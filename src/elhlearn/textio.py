@@ -21,7 +21,8 @@ of ``some r. A`` with ``B``; a conjunctive filler needs parentheses.  In a
 CQ line the terms listed after ``exists`` are variables, all other terms are
 individuals.  A concept nests at most ``syntax.MAX_NESTING`` levels of ``some``
 and parentheses, and a CQ has at most that many variables; deeper or
-larger input is a ``ParseError``.  ``NAME`` is ``syntax.NAME``
+larger input is a ``ParseError``, and a deeper concept is not written
+either (``StructuralError``).  ``NAME`` is ``syntax.NAME``
 everywhere, and an inclusion needs a name (or ``top``) on one side.  The
 parsers raise no error but ``ParseError``, which gives the line and the
 column of the offending character.  Inclusions with one name on the left
@@ -60,7 +61,7 @@ from .syntax import (
     normalize,
     terminology,
 )
-from .syntax import ElhError
+from .syntax import ElhError, StructuralError
 
 
 class ParseError(ElhError):
@@ -192,20 +193,26 @@ def parse_concept(text: str, line: int = 0, start: int = 0) -> Concept:
 
 
 def serialize_concept(c: Concept) -> str:
+    """``c`` in the text format; ``StructuralError`` where ``parse_concept`` would refuse it."""
+    return _written(c, 0)
+
+
+def _written(c: Concept, depth: int, unit: bool = False) -> str:
+    """``c`` inside ``depth`` levels of ``some`` and of parentheses, which a
+    conjunction gets where the grammar wants a ``unit`` (as ``_parse_unit`` counts)."""
     if isinstance(c, Top):
         return "top"
     if isinstance(c, Atom):
         return c.name
+    if isinstance(c, Exists) or unit:
+        if depth == MAX_NESTING:
+            raise StructuralError(f"concept nested deeper than {MAX_NESTING} levels")
+        depth += 1
     if isinstance(c, Exists):
-        filler = serialize_concept(c.filler)
-        if isinstance(c.filler, And):
-            return f"some {c.role}. ({filler})"
-        return f"some {c.role}. {filler}"
+        return f"some {c.role}. {_written(c.filler, depth, True)}"
     if isinstance(c, And):
-        return " and ".join(
-            f"({serialize_concept(a)})" if isinstance(a, And) else serialize_concept(a)
-            for a in c.args
-        )
+        text = " and ".join(_written(a, depth, True) for a in c.args)
+        return f"({text})" if unit else text
     raise TypeError(f"not a concept: {c!r}")
 
 

@@ -5,13 +5,16 @@ individual is bisimilar to an old one.  Without that guarantee the learned
 left-hand sides may be too specific, so ``generalise`` weakens them:
 concept names get replaced by strictly weaker names or dropped, roles by
 strictly weaker roles, as long as the target still entails the inclusion.
+"Weaker" is read from two closures: the learned order of concept names
+(``learn_iq.name_order``) and the role hierarchy (``reasoner.role_closure``).
 A generalised hypothesis stays inseparable on every ABox reachable from the
 fixed one by replacing single assertions along linear derivations (a name
 may step to another only when that step is forced by everything above it).
 The subsumers of every concept name come from one saturation, over an ABox
 with one unconnected individual per name, so ``enumerate_closure`` builds
-one model for all its linear derivations; the oracle session enumerates
-the capped family once and replays it on later equivalence questions.
+one model for all its linear derivations, and roles step along
+``role_closure``; the oracle session enumerates the capped family once and
+replays it on later equivalence questions.
 
 ``learn_with_updates`` generalises after the atomic phase, then runs the one
 counterexample loop of ``learn_iq`` with the update step ``update_step``: a
@@ -26,7 +29,7 @@ from typing import Callable, Iterator
 
 from . import reasoner
 from .learn_aq import CachedOracle, LearnResult, tree_shape, _record_iteration
-from .learn_iq import Run, concept_query, counterexample_loop, iq_step, start
+from .learn_iq import Run, concept_query, counterexample_loop, iq_step, name_order, start
 from .syntax import (
     ABox,
     And,
@@ -67,10 +70,8 @@ def check_bisim_preservation(t: TBox, h: TBox, a0: ABox, a: ABox) -> bool:
     and instance-query inseparability on the original ABox.
     """
     roles = signature_of_tbox(t).union(signature_of_tbox(h)).role_names
-    for r in sorted(roles):
-        for s in sorted(roles):
-            if reasoner.entails_ri(t, r, s) != reasoner.entails_ri(h, r, s):
-                raise ContractViolationError("preservation check needs equal role inclusions")
+    if any(reasoner.superroles(t, r) != reasoner.superroles(h, r) for r in roles):
+        raise ContractViolationError("preservation check needs equal role inclusions")
     if reasoner.inseparable(t, h, a0, reasoner.LANG_IQ) is not None:
         raise ContractViolationError(
             "preservation check needs inseparability on the original ABox"
@@ -85,28 +86,14 @@ def check_bisim_preservation(t: TBox, h: TBox, a0: ABox, a: ABox) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _atomic_subsumers(oracle: CachedOracle, atomic_cis: set[CI]) -> dict[str, set[str]]:
-    """name -> strictly weaker names, from the learned atomic inclusions."""
-    weaker: dict[str, set[str]] = {}
-    entailed = {(ci.lhs.name, ci.rhs.name) for ci in atomic_cis if isinstance(ci.rhs, Atom)}
-    names = {n for pair in entailed for n in pair} | set(
-        oracle.framework.signature.concept_names
-    )
-    for b in sorted(names):
-        weaker[b] = {
-            b2 for b2 in names if (b, b2) in entailed and (b2, b) not in entailed
-        }
-    return weaker
-
-
 def generalise(oracle: CachedOracle, h: TBox, atomic_cis: set[CI]) -> TBox:
     """Exhaustively weaken complex left-hand sides, membership-checked.
 
     Only inclusions with a concept name on the right are touched; the run
     costs a number of steps polynomial in the signature and hypothesis size.
     """
-    weaker = _atomic_subsumers(oracle, atomic_cis)
-    hier = TBox(frozenset(), h.ris)
+    name_up = name_order(atomic_cis)
+    role_up = reasoner.role_closure(h.ris)
     roles = sorted(oracle.framework.signature.role_names)
 
     def entailed_by_target(lhs: Concept, rhs_name: str) -> bool:
@@ -128,7 +115,7 @@ def generalise(oracle: CachedOracle, h: TBox, atomic_cis: set[CI]) -> TBox:
             steps += 1
             if steps > 10_000:
                 raise BudgetExceededError("generalisation did not stabilise")
-            stepped = _generalise_pass(lhs, rhs_name, weaker, hier, roles, entailed_by_target)
+            stepped = _generalise_pass(lhs, rhs_name, name_up, role_up, roles, entailed_by_target)
             if stepped is None:
                 break
             lhs = stepped
@@ -139,21 +126,22 @@ def generalise(oracle: CachedOracle, h: TBox, atomic_cis: set[CI]) -> TBox:
 def _generalise_pass(
     lhs: Concept,
     rhs_name: str,
-    weaker: dict[str, set[str]],
-    hier: TBox,
+    name_up: reasoner.Closure,
+    role_up: reasoner.Closure,
     roles: list[str],
     entailed_by_target: Callable[[Concept, str], bool],
 ) -> Concept | None:
-    """One accepted replacement (concept names first, then roles), or None."""
+    """One accepted replacement by a strictly weaker name (first) or role, or None."""
 
     def candidates(c: Concept) -> Iterator[Concept]:
         if isinstance(c, Atom):
             yield TOP
-            for b in sorted(weaker.get(c.name, ())):
-                yield Atom(b)
+            for b in sorted(name_up[c.name]):
+                if c.name not in name_up[b]:
+                    yield Atom(b)
         elif isinstance(c, Exists):
             for s in roles:
-                if s != c.role and reasoner.entails_ri(hier, c.role, s) and not reasoner.entails_ri(hier, s, c.role):
+                if s in role_up[c.role] and c.role not in role_up[s]:
                     yield Exists(s, c.filler)
             for inner in candidates(c.filler):
                 yield Exists(c.role, inner)
@@ -184,20 +172,15 @@ def _is_concept_name_change(old: Concept, new: Concept) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _entailed_names(t: TBox, names, kind: str = "concept") -> dict[str, frozenset[str]]:
-    """name -> every name it entails under ``t``, for each of ``names``.
+def _entailed_names(t: TBox, names) -> dict[str, frozenset[str]]:
+    """Concept name -> every name it entails under ``t``, for each of ``names``.
 
-    Concept names are read from one model of an ABox with one individual per
-    name (named after it).  The individuals are unconnected, so each one's
-    label is what ``entails_ci(t, name, ·)`` would read at the root of a
-    model of its own.  Role names take their closure under the inclusions.
+    Read from one model of an ABox with one individual per name (named
+    after it).  The individuals are unconnected, so each one's label is what
+    ``entails_ci(t, name, ·)`` would read at the root of a model of its own.
     """
-    if kind == "concept":
-        model = reasoner.build_model(t, ABox(frozenset((n, n) for n in names)))
-        return {n: model.labels[model.named(n)] for n in names}
-    if kind == "role":
-        return {r: reasoner.superroles(t, r) for r in names}
-    raise ConfigurationError(f"unknown kind {kind!r}")
+    model = reasoner.build_model(t, ABox(frozenset((n, n) for n in names)))
+    return {n: model.labels[model.named(n)] for n in names}
 
 
 def _steps_to(sub: dict[str, frozenset[str]], x: str, y: str) -> bool:
@@ -208,9 +191,10 @@ def _steps_to(sub: dict[str, frozenset[str]], x: str, y: str) -> bool:
 def _one_step_targets(t: TBox) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
     sig = signature_of_tbox(t)
     csub = _entailed_names(t, sig.concept_names)
-    rsub = _entailed_names(t, sig.role_names, "role")
+    rsub = reasoner.role_closure(t.ris)
+    roles = sig.role_names
     cmap = {a: {b for b in csub if b != a and _steps_to(csub, a, b)} for a in sorted(csub)}
-    rmap = {r: {s for s in rsub if s != r and _steps_to(rsub, r, s)} for r in sorted(rsub)}
+    rmap = {r: {s for s in roles if s != r and _steps_to(rsub, r, s)} for r in sorted(roles)}
     return cmap, rmap
 
 
@@ -270,7 +254,7 @@ def _failing_atom(oracle: CachedOracle, h: TBox, a: ABox, concept, ind: str) -> 
     return None
 
 
-def _atomic_repair(oracle: CachedOracle, h: TBox, a: ABox, name: str, ind: str) -> TBox:
+def _atomic_repair(oracle: CachedOracle, h: TBox, a: ABox) -> TBox:
     """Atomic counterexample over an updated ABox: learn a tree inclusion there.
 
     A replaced assertion can become derivable rather than asserted, which the
@@ -290,7 +274,7 @@ def update_step(run: Run, h: TBox, a: ABox, q: Query) -> TBox:
     atom = _failing_atom(run.oracle, h, a, concept, q.ind)
     if atom is None:
         return iq_step(run.oracle, h, run.classes, run.equivalent_names, a, concept, q.ind)
-    return generalise(run.oracle, _atomic_repair(run.oracle, h, a, atom, q.ind), run.atomic_cis)
+    return generalise(run.oracle, _atomic_repair(run.oracle, h, a), run.atomic_cis)
 
 
 def learn_with_updates(session) -> LearnResult:

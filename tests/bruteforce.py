@@ -26,9 +26,8 @@ from elhlearn.syntax import (
     top_atoms,
     top_existentials,
 )
-from elhlearn.reasoner import superroles
-
 import reference_tree
+from reference_roles import superroles
 
 
 class BruteModel:

@@ -183,7 +183,7 @@ def learn_with_updates(session) -> LearnResult:
         concept = classes.rewrite(normalize(q.concept))
         atom = _failing_atom(oracle, h, a, concept, q.ind)
         if atom is not None:
-            h = _atomic_repair(oracle, h, a, atom, q.ind)
+            h = _atomic_repair(oracle, h, a)
             h = generalise(oracle, h, atomic_cis)
         else:
             h = iq_step(oracle, h, classes, equivalent_names, a, concept, q.ind)
@@ -227,7 +227,7 @@ def build_batch(target: TBox, a0: ABox, lang: str, seed: int = 0) -> list[BatchI
                 break
             a, q = hit
             if isinstance(q, teacher.ConjunctiveQuery):
-                q = cq_to_iq(oracle, h, q)
+                q = cq_to_iq(oracle, h, q, role_classes(h.ris, fw.signature.role_names))
             if isinstance(q, AtomicQuery) and len(q.args) == 1:
                 q = ConceptQuery(Atom(q.pred), q.args[0])
             if not isinstance(q, ConceptQuery):

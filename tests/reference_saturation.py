@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from elhlearn.reasoner import Edge, Element, RegularModel, superroles
+from elhlearn.reasoner import Edge, Element, RegularModel
 from elhlearn.syntax import (
     ABox,
     And,
@@ -26,6 +26,7 @@ from elhlearn.syntax import (
     top_atoms,
     top_existentials,
 )
+from reference_roles import superroles
 
 
 def _existential_fillers(t: TBox) -> dict[str, Concept]:

@@ -24,7 +24,7 @@ from pac_fixture import (
 from elhlearn.batch import build_batch, learn_from_batch
 from elhlearn.learn_aq import CachedOracle, learn_aq
 from elhlearn.learn_cqr import cq_to_iq, learn_cqr
-from elhlearn.learn_iq import learn_iq
+from elhlearn.learn_iq import learn_iq, role_classes
 from elhlearn.pac import (
     cyclic_abox,
     pac_from_exact,
@@ -153,7 +153,8 @@ class TestCriterion1Goldens:
         )
         started = time.time()
         oracle = CachedOracle(OracleSession(t, framework_for(t, a0, LANG_CQR)))
-        out = cq_to_iq(oracle, TBox(), q)
+        classes = role_classes(frozenset(), oracle.framework.signature.role_names)
+        out = cq_to_iq(oracle, TBox(), q, classes)
         ok = out == ConceptQuery(Exists("r", Exists("s", TOP)), "a")
         report("criterion 1b: six-atom query converts to the chain instance query", ok and time.time() - started < 1)
 

@@ -241,9 +241,14 @@ def _elh(*args: str) -> subprocess.CompletedProcess:
     )
 
 
-def _chain_batch(workdir, n: int) -> list[str]:
-    """A batch of one ``tree`` item, an r-chain of ``n`` edges below c0, and its ABox."""
+def _chain_batch(workdir, n: int, label: str | None = None) -> list[str]:
+    """A batch of one ``tree`` item, an r-chain of ``n`` edges below c0, and its ABox.
+
+    With ``label``, every individual of the chain has that concept name.
+    """
     chain = "\n".join(f"A: r(c{i},c{i + 1})" for i in range(n))
+    if label:
+        chain += "".join(f"\nA: {label}(c{i})" for i in range(n + 1))
     item = {"kind": "tree", "abox": chain, "query": "Q: AQ M(c0)", "label": 1}
     (workdir / "chain.jsonl").write_text(json.dumps(item) + "\n")
     (workdir / "chain.abox").write_text(chain + "\n")
@@ -266,6 +271,35 @@ def test_a_deeper_tree_item_exits_2_without_a_traceback(workdir, n):
     assert done.returncode == 2
     assert done.stderr == f"error: tree nested deeper than {MAX_NESTING} levels\n"
     assert not out.exists()
+
+
+def test_a_tree_item_too_deep_to_write_exits_2_and_writes_nothing(workdir):
+    # 150 edges, but each labelled node adds ``some`` and a parenthesis
+    out = workdir / "h.tbox"
+    batch = _chain_batch(workdir, 150, "B")
+    done = _elh("batch", "learn", "--mode", "aq", *batch, "--out", str(out))
+    assert done.returncode == 2
+    assert done.stderr == f"error: concept nested deeper than {MAX_NESTING} levels\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("to_file", [True, False])
+def test_a_hypothesis_too_deep_to_write_exits_2(workdir, capsys, monkeypatch, to_file):
+    from elhlearn.learn_aq import LearnResult
+    from elhlearn.textio import parse_concept, serialize_tbox
+    from elhlearn.syntax import CI, Atom, Exists, terminology
+
+    deep = parse_concept("some r. (B and " * 100 + "A" + ")" * 100)
+    hypothesis = terminology([CI(Atom("A"), Exists("r", deep))])
+    monkeypatch.setitem(cli.LEARNERS, "aq", lambda session: LearnResult(hypothesis))
+    out = workdir / "h.tbox"
+    args = ["learn", "--mode", "aq", str(workdir / "t.tbox"), str(workdir / "a.abox")]
+    assert main(args + (["--out", str(out)] if to_file else [])) == 2
+    written = capsys.readouterr()
+    assert written.err == f"error: concept nested deeper than {MAX_NESTING} levels\n"
+    assert written.out == ""
+    # the output was opened before the run; it stays empty, which reads as the empty TBox
+    assert not to_file or out.read_text() == ""
 
 
 def test_learn_writes_hypothesis_and_stats(workdir, capsys):

@@ -1,4 +1,7 @@
+import time
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from genkb import random_abox, random_terminology
 from elhlearn import reasoner
@@ -109,6 +112,59 @@ class TestUnfold:
 
     def test_tree_has_no_cycle(self):
         assert find_cycle(abox(roles=[("r", "a", "b"), ("s", "a", "c")])) is None
+
+
+def is_forest(role_assertions) -> bool:
+    """Does no undirected path lead from an assertion's end back to its start without it?
+
+    Checked by deleting each assertion in turn and searching for another path
+    between its endpoints; a self-loop is a cycle on its own.
+    """
+    for e in role_assertions:
+        _, x, y = e
+        if x == y:
+            return False
+        seen, frontier = {x}, [x]
+        while frontier:
+            node = frontier.pop()
+            for other in role_assertions - {e}:
+                _, u, v = other
+                for here, there in ((u, v), (v, u)):
+                    if here == node and there not in seen:
+                        seen.add(there)
+                        frontier.append(there)
+        if y in seen:
+            return False
+    return True
+
+
+class TestFindCycle:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.frozensets(
+            st.tuples(st.sampled_from("rs"), st.sampled_from("abcdef"), st.sampled_from("abcdef")),
+            max_size=7,
+        )
+    )
+    def test_none_exactly_when_the_assertions_form_a_forest(self, roles):
+        a = ABox(frozenset(), roles, frozenset())
+        cycle = find_cycle(a)
+        assert (cycle is None) == is_forest(roles)
+        if cycle is not None:
+            unfold_cycle(a, cycle)  # checks that the cycle is one
+
+    def test_a_long_chain_has_no_cycle_at_once(self):
+        chain = abox(roles=[("r", f"c{i}", f"c{i + 1}") for i in range(20_000)])
+        started = time.perf_counter()
+        assert find_cycle(chain) is None
+        # the per-assertion search took 0.6 s at 1,500 edges
+        assert time.perf_counter() - started < 5
+
+    def test_one_closing_assertion_is_found_on_a_long_chain(self):
+        n = 300
+        roles = [("r", f"c{i}", f"c{i + 1}") for i in range(n)] + [("s", f"c{n}", "c0")]
+        cycle = find_cycle(abox(roles=roles))
+        assert cycle is not None and len(cycle) == n + 1
 
 
 class TestMinimize:

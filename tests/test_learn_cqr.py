@@ -7,6 +7,7 @@ from elhlearn.learn_cqr import (
     learn_cqr,
     saturate_counterexample,
 )
+from elhlearn.learn_iq import role_classes
 from elhlearn.reasoner import LANG_CQR, answers_query, inseparable
 from elhlearn.syntax import (
     Atom,
@@ -26,6 +27,11 @@ from elhlearn.syntax import (
     terminology,
 )
 from elhlearn.teacher import OracleSession, POLICY_ADVERSARIAL_CQ, framework_for
+
+
+def classes_of(oracle):
+    """The role classes of the empty hypothesis over the oracle's roles."""
+    return role_classes(frozenset(), oracle.framework.signature.role_names)
 
 
 def check_saturated_shape(q: ConjunctiveQuery) -> None:
@@ -70,7 +76,7 @@ class TestSaturation:
     def test_figure_query_merges_to_chain(self):
         t, a0, q = fig1()
         oracle = CachedOracle(OracleSession(t, framework_for(t, a0, LANG_CQR)))
-        out = saturate_counterexample(oracle, TBox(), q)
+        out = saturate_counterexample(oracle, TBox(), q, classes_of(oracle))
         assert len(out.exist_vars) == 2
         assert len(out.atoms) == 2
         check_saturated_shape(out)
@@ -80,13 +86,13 @@ class TestSaturation:
         oracle = CachedOracle(OracleSession(t, framework_for(t, a0, LANG_CQR)))
         q = ConjunctiveQuery(("a",), frozenset(), frozenset({RoleAtom("r", "a", "a")}))
         # not a positive counterexample, but saturation has nothing to touch
-        assert saturate_counterexample(oracle, TBox(), q) == q
+        assert saturate_counterexample(oracle, TBox(), q, classes_of(oracle)) == q
 
     def test_saturation_budget(self):
         t, a0, q = fig1()
         oracle = CachedOracle(OracleSession(t, framework_for(t, a0, LANG_CQR)))
         stats = SaturationStats()
-        saturate_counterexample(oracle, TBox(), q, stats=stats)
+        saturate_counterexample(oracle, TBox(), q, classes_of(oracle), stats=stats)
         qsize = size_of(q)
         a0size = size_of(a0)
         assert stats.individual_mqs <= a0size * qsize
@@ -104,7 +110,7 @@ class TestSaturation:
             frozenset({Var("x")}),
             frozenset({RoleAtom("r1", "a", Var("x")), ConceptAtom("A2", Var("x"))}),
         )
-        out = saturate_counterexample(oracle, TBox(), q)
+        out = saturate_counterexample(oracle, TBox(), q, classes_of(oracle))
         assert not out.exist_vars  # x became the individual b
         assert ConceptAtom("A2", "b") in out.atoms
 
@@ -113,7 +119,7 @@ class TestConversion:
     def test_figure_conversion(self):
         t, a0, q = fig1()
         oracle = CachedOracle(OracleSession(t, framework_for(t, a0, LANG_CQR)))
-        iq = cq_to_iq(oracle, TBox(), q)
+        iq = cq_to_iq(oracle, TBox(), q, classes_of(oracle))
         assert iq == ConceptQuery(Exists("r", Exists("s", TOP)), "a")
 
     def test_atom_query_short_circuits(self):
@@ -123,7 +129,7 @@ class TestConversion:
         from elhlearn.syntax import ConceptAtom, AtomicQuery
 
         q = ConjunctiveQuery(("a",), frozenset(), frozenset({ConceptAtom("A2", "a")}))
-        out = cq_to_iq(oracle, TBox(), q)
+        out = cq_to_iq(oracle, TBox(), q, classes_of(oracle))
         assert out == AtomicQuery("A2", ("a",))
 
     def test_conversion_output_is_counterexample(self):
@@ -140,7 +146,7 @@ class TestConversion:
             if not isinstance(q, ConjunctiveQuery):
                 continue
             oracle = CachedOracle(sess)
-            out = cq_to_iq(oracle, TBox(), q)
+            out = cq_to_iq(oracle, TBox(), q, classes_of(oracle))
             assert answers_query(t, a, out)
             assert not answers_query(TBox(), a, out)
 
@@ -158,7 +164,7 @@ class TestConversion:
             if not isinstance(q, ConjunctiveQuery):
                 continue
             oracle = CachedOracle(sess)
-            out = saturate_counterexample(oracle, TBox(), q)
+            out = saturate_counterexample(oracle, TBox(), q, classes_of(oracle))
             check_saturated_shape(out)
 
 

@@ -174,7 +174,7 @@ class TestMerge:
         classes = role_classes(frozenset(), frozenset({"r"}))
         equivalent = _atomic_equivalence(set())
         c = reduce_ci(oracle, TBox(), classes, equivalent, "A", Exists("r", Atom("B"))).rhs
-        merged = merge_reduced(oracle, TBox(), classes, equivalent, "A", c, c)
+        merged = merge_reduced(oracle, "A", c, c)
         assert entails_ci(TBox(), merged, c)
         assert entails_ci(TBox(), c, merged)
 
@@ -185,7 +185,7 @@ class TestMerge:
         equivalent = _atomic_equivalence(set())
         c1 = reduce_ci(oracle, TBox(), classes, equivalent, "A", Exists("r", Atom("B"))).rhs
         c2 = reduce_ci(oracle, TBox(), classes, equivalent, "A", Exists("r", Atom("C"))).rhs
-        merged = merge_reduced(oracle, TBox(), classes, equivalent, "A", c1, c2)
+        merged = merge_reduced(oracle, "A", c1, c2)
         assert entails_ci(TBox(), merged, Exists("r", conj(Atom("B"), Atom("C"))))
         assert entails_ci(TBox(), merged, c1) and entails_ci(TBox(), merged, c2)
 
@@ -196,7 +196,7 @@ class TestMerge:
         equivalent = _atomic_equivalence(set())
         c1 = reduce_ci(oracle, TBox(), classes, equivalent, "A", Exists("r", Atom("B"))).rhs
         c2 = reduce_ci(oracle, TBox(), classes, equivalent, "A", Exists("r", Atom("C"))).rhs
-        merged = merge_reduced(oracle, TBox(), classes, equivalent, "A", c1, c2)
+        merged = merge_reduced(oracle, "A", c1, c2)
         assert is_fully_reduced(oracle, TBox(), classes, equivalent, CI(Atom("A"), merged))
 
 

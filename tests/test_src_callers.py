@@ -11,6 +11,11 @@ definitions mention.  The roots are:
 * ``ALLOWED``, whose entries each say why they stay in the package.
 
 Code that only tests reach belongs under ``tests/``.
+
+Likewise every parameter of every function in ``src/elhlearn``, nested
+functions and methods included, is read in its body; ``self``, ``cls`` and
+names starting with ``_`` are exempt, and so is each entry of
+``UNREAD_ALLOWED``, which says why it stays.
 """
 
 from __future__ import annotations
@@ -31,7 +36,15 @@ ALLOWED = {
     "textio.parse_concept": "the text format's public entry point for one concept",
 }
 
+# ``module.function.parameter`` -> why the parameter stays although unread
+UNREAD_ALLOWED = {
+    "batch.learn_from_batch.a0": "perfbench/workloads.py passes it; the benchmark is kept as is",
+    "batch.learn_from_batch.lang": "perfbench/workloads.py passes it; the benchmark is kept as is",
+    "pac.true_error.a0": "perfbench/workloads.py passes it; the benchmark is kept as is",
+}
+
 DEFINITION = (ast.FunctionDef, ast.ClassDef)
+FUNCTION = (ast.FunctionDef, ast.AsyncFunctionDef)
 # an import in ``src`` only binds a name; it is used where it is mentioned
 IMPORT = (ast.Import, ast.ImportFrom)
 
@@ -103,3 +116,39 @@ def test_allowlist_names_definitions_that_need_it():
     finally:
         ALLOWED.clear()
         ALLOWED.update(saved)
+
+
+def unread_parameters(src: Path = SRC) -> list[str]:
+    """``module.function.parameter`` for every parameter its function never reads."""
+    out: list[str] = []
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, FUNCTION + (ast.ClassDef,)):
+                visit(child, prefix)
+                continue
+            name = f"{prefix}.{child.name}"
+            if isinstance(child, FUNCTION):
+                args = child.args
+                params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+                params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+                body = [sub for stmt in child.body for sub in ast.walk(stmt)]
+                read = {sub.id for sub in body if isinstance(sub, ast.Name)}
+                out.extend(
+                    f"{name}.{p}"
+                    for p in params
+                    if p not in read and p not in ("self", "cls") and not p.startswith("_")
+                )
+            visit(child, name)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return out
+
+
+def test_every_parameter_is_read():
+    assert [p for p in unread_parameters() if p not in UNREAD_ALLOWED] == []
+
+
+def test_unread_allowlist_names_parameters_that_need_it():
+    assert sorted(UNREAD_ALLOWED) == sorted(set(unread_parameters()) & set(UNREAD_ALLOWED))

@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from elhlearn.reasoner import entails_ci
 from elhlearn.syntax import (
+    MAX_NESTING,
     Atom,
     AtomicQuery,
     CI,
@@ -12,6 +13,7 @@ from elhlearn.syntax import (
     RI,
     RoleAtom,
     RoleQuery,
+    StructuralError,
     TOP,
     Var,
     abox,
@@ -175,6 +177,37 @@ def test_tbox_round_trip():
         [RI("r", "s")],
     )
     assert parse_tbox(serialize_tbox(t)) == t
+
+
+def _nested(levels: int) -> str:
+    """A concept of exactly ``levels`` levels: ``some r. (B and ...)`` pairs, then ``some``s."""
+    pairs = levels // 2
+    return "some r. (B and " * pairs + "some r. " * (levels % 2) + "A" + ")" * pairs
+
+
+@pytest.mark.parametrize("levels", [MAX_NESTING - 1, MAX_NESTING])
+def test_a_concept_at_the_nesting_cap_is_written_and_read_back(levels):
+    c = parse_concept(_nested(levels))
+    assert parse_concept(serialize_concept(c)) == c
+    t = terminology([CI(Atom("A"), c)])
+    assert parse_tbox(serialize_tbox(t)) == t
+    assert parse_query(serialize_query(ConceptQuery(c, "a"))) == ConceptQuery(c, "a")
+
+
+@pytest.mark.parametrize("levels", [MAX_NESTING + 1, MAX_NESTING + 2])
+def test_a_concept_past_the_nesting_cap_is_not_written(levels):
+    c = parse_concept(_nested(MAX_NESTING))
+    for _ in range(levels - MAX_NESTING):
+        c = Exists("r", c)
+    with pytest.raises(ParseError, match=f"nested deeper than {MAX_NESTING} levels"):
+        parse_concept("some r. " * (levels - MAX_NESTING) + _nested(MAX_NESTING))
+    for write in (
+        lambda: serialize_concept(c),
+        lambda: serialize_tbox(terminology([CI(Atom("A"), c)])),
+        lambda: serialize_query(ConceptQuery(c, "a")),
+    ):
+        with pytest.raises(StructuralError, match=f"nested deeper than {MAX_NESTING} levels"):
+            write()
 
 
 # Pieces of every statement kind, names, bad names and stray characters;
