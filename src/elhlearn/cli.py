@@ -237,11 +237,10 @@ def cmd_pac_run(args: argparse.Namespace) -> int:
         weights = textio.json_field(payload, "weights", list)
         if not all(isinstance(w, (int, float)) for w in weights):
             raise ParseError("weights must be numbers")
-        seed = textio.json_field(payload, "seed", int) if "seed" in payload else 0
-        dist = pacmod.Distribution(support, tuple(weights), seed)
+        dist = pacmod.Distribution(support, tuple(weights))
     else:
         queries = textio.parse_queries(_read(args.queries))
-        dist = pacmod.uniform_distribution([(a0, q) for q in queries], seed=args.seed)
+        dist = pacmod.uniform_distribution([(a0, q) for q in queries])
     _check_namespaces([target], [a0] + [a for a, _ in dist.support])
     trials = []
     for trial in range(args.trials):
@@ -289,8 +288,7 @@ def cmd_vc_check(args: argparse.Namespace) -> int:
             ring.role_assertions | {("s", f"a{args.n}", f"a{args.n}")},
             ring.declared,
         )
-    examples = [(ring, AtomicQuery("A", (f"a{i}",))) for i in range(1, args.n + 1)]
-    ok = pacmod.shatters(pacmod.ring_hypotheses(args.n), examples)
+    ok = pacmod.ring_shattered(ring, args.n)
     print("SHATTERED" if ok else "NOT_SHATTERED")
     return EXIT_OK if ok else EXIT_NEGATIVE
 

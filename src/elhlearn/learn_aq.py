@@ -136,23 +136,12 @@ def minimize_abox(
     Returns the minimized ABox and the witness ``(conceptName, individual)``
     pair that drove the minimization, or None when nothing separates.
     """
-    sig = oracle.framework.signature
-    a = saturate_with_hypothesis(h, a, sig, oracle.cache)
+    a = saturate_with_hypothesis(h, a, oracle.framework.signature, oracle.cache)
 
     # pick the first separating pair, preferring original individuals
-    witness: tuple[str, str] | None = None
     candidates = [i for i in sorted(a.individuals()) if i in originals]
     candidates += [i for i in sorted(a.individuals()) if i not in originals]
-    for name in sorted(sig.concept_names):
-        for ind in candidates:
-            q = AtomicQuery(name, (ind,))
-            if oracle.holds_locally(h, a, q):
-                continue
-            if oracle.membership(a, q):
-                witness = (name, ind)
-                break
-        if witness:
-            break
+    witness = _first_positive(oracle, h, a, candidates)
     if witness is None:
         return a, None
 
@@ -392,17 +381,37 @@ def _record_iteration(result: LearnResult, oracle: CachedOracle, h: TBox) -> Non
     )
 
 
-def _next_aq_counterexample(oracle: CachedOracle, h: TBox) -> tuple[ABox, str, str] | None:
-    fixed = oracle.framework.fixed_abox
-    sig = oracle.framework.signature
-    for name in sorted(sig.concept_names):
-        for ind in sorted(fixed.individuals()):
+def _first_positive(
+    oracle: CachedOracle, h: TBox, a: ABox, inds: list[str]
+) -> tuple[str, str] | None:
+    """First ``(name, ind)`` the target gives ``a`` and ``h`` does not.
+
+    Names in sorted order, individuals in the given order; a pair ``h``
+    already entails costs no membership question.
+    """
+    for name in sorted(oracle.framework.signature.concept_names):
+        for ind in inds:
             q = AtomicQuery(name, (ind,))
-            if oracle.holds_locally(h, fixed, q):
+            if oracle.holds_locally(h, a, q):
                 continue
-            if oracle.membership(fixed, q):
-                return fixed, name, ind
+            if oracle.membership(a, q):
+                return name, ind
     return None
+
+
+def tree_inclusion(
+    oracle: CachedOracle, h: TBox, a: ABox
+) -> tuple[TBox, ABox, tuple[str, str]]:
+    """Shape a positive example of ``a`` into a tree and add its inclusion.
+
+    Returns the extended hypothesis, the tree-shaped ABox and its witness
+    ``(conceptName, individual)``, an individual of ``a``.
+    """
+    shaped, (wname, wind) = tree_shape(oracle, a, h)
+    if wind not in a.individuals():
+        raise StructuralError("witness individual must come from the ABox")
+    concept = Tree.of_abox(shaped, wind).concept()
+    return terminology(set(h.cis) | {CI(concept, Atom(wname))}, h.ris), shaped, (wname, wind)
 
 
 def aq_phase(
@@ -412,21 +421,16 @@ def aq_phase(
     on_tree=None,
 ) -> TBox:
     """Drive the atomic-counterexample loop until none remain."""
+    fixed = oracle.framework.fixed_abox
     while True:
         check_budget(oracle, h, BUDGET_DEGREE_AQ)
-        hit = _next_aq_counterexample(oracle, h)
-        if hit is None:
+        if _first_positive(oracle, h, fixed, sorted(fixed.individuals())) is None:
             return h
-        a, name, ind = hit
-        shaped, (wname, wind) = tree_shape(oracle, a, h)
-        if wind not in oracle.framework.fixed_abox.individuals():
-            raise StructuralError("witness individual must come from the fixed ABox")
+        h, shaped, (wname, wind) = tree_inclusion(oracle, h, fixed)
         if on_tree is not None:
             on_tree(shaped, wname, wind)
-        concept = Tree.of_abox(shaped, wind).concept()
-        h = terminology(set(h.cis) | {CI(concept, Atom(wname))}, h.ris)
         _record_iteration(result, oracle, h)
-        if not oracle.holds_locally(h, a, AtomicQuery(wname, (wind,))):
+        if not oracle.holds_locally(h, fixed, AtomicQuery(wname, (wind,))):
             raise StructuralError("new inclusion failed to cover its counterexample")
 
 

@@ -70,7 +70,6 @@ from .syntax import (
     RI,
     StructuralError,
     TBox,
-    Top,
     Tree,
     conj,
     normalize,
@@ -382,25 +381,11 @@ def iq_step(
     seed = reduce_counterexample(oracle, saturated, concept, ind, h)
     ci = reduce_ci(oracle, h, classes, equivalent_names, seed.lhs.name, seed.rhs)
 
-    existing = None
-    for prev in h.cis:
-        if isinstance(prev.lhs, Atom) and prev.lhs.name == ci.lhs.name and not isinstance(
-            prev.rhs, (Atom, Top)
-        ):
-            existing = prev
-            break
-    if existing is None:
-        atomics = [
-            prev
-            for prev in h.cis
-            if isinstance(prev.lhs, Atom)
-            and prev.lhs.name == ci.lhs.name
-            and isinstance(prev.rhs, (Atom, Top))
-        ]
-        if atomics:
-            existing = CI(ci.lhs, normalize(conj(*(p.rhs for p in atomics))))
-    if existing is not None:
-        old_rhs = classes.rewrite(normalize(existing.rhs))
+    # ``h`` comes from ``terminology``: a name with a complex right side has
+    # no other inclusion, else its right sides are all names
+    rhss = [p.rhs for p in h.cis if isinstance(p.lhs, Atom) and p.lhs.name == ci.lhs.name]
+    if rhss:
+        old_rhs = classes.rewrite(normalize(conj(*rhss)))
         old = reduce_ci(oracle, h, classes, equivalent_names, ci.lhs.name, old_rhs)
         if old.lhs.name != ci.lhs.name:
             raise ContractViolationError("reduction moved an inclusion to another name")

@@ -6,10 +6,10 @@ oracle; any draw the hypothesis misclassifies doubles as a counterexample.
 ``true_error`` integrates the disagreement set against a finite-support
 distribution.
 
-``shatters`` and the ring hypotheses behind ``elh vc check`` test whether a
-hypothesis class realizes every labelling of a set of examples.  The
-hidden-chain targets that separate PAC from exact learning are a test
-fixture, in ``tests/pac_fixture.py``.
+``ring_shattered`` decides for ``elh vc check`` whether the ring hypotheses
+realize every labelling of the ring's individuals, from one model of the
+ring.  The hidden-chain targets that separate PAC from exact learning are a
+test fixture, in ``tests/pac_fixture.py``.
 """
 
 from __future__ import annotations
@@ -21,10 +21,8 @@ from dataclasses import dataclass
 from . import reasoner, teacher
 from .syntax import (
     ABox,
-    Atom,
-    BudgetExceededError,
-    CI,
     Concept,
+    ConceptQuery,
     ConfigurationError,
     Exists,
     Query,
@@ -33,7 +31,6 @@ from .syntax import (
     abox,
     conj,
     normalize,
-    terminology,
 )
 
 
@@ -48,7 +45,6 @@ class Distribution:
 
     support: tuple[tuple[ABox, Query], ...]
     weights: tuple[float, ...]
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.support:
@@ -63,16 +59,13 @@ class Distribution:
     def sample(self, rng: random.Random) -> tuple[ABox, Query]:
         return rng.choices(self.support, weights=self.weights, k=1)[0]
 
-    def rng(self) -> random.Random:
-        return random.Random(self.seed)
-
 
 def uniform_distribution(examples, seed: int = 0) -> Distribution:
     examples = tuple(examples)
     n = len(examples)
     if n == 0:
         raise ConfigurationError("distribution needs a non-empty support")
-    return Distribution(examples, tuple(1.0 / n for _ in range(n)), seed)
+    return Distribution(examples, tuple(1.0 / n for _ in range(n)))
 
 
 def sample_count(eps: float, delta: float, i: int) -> int:
@@ -101,7 +94,11 @@ class PacOutcome:
 
 
 class SampledEqOracle:
-    """Session wrapper: inseparability questions become sampling rounds."""
+    """Session wrapper: inseparability questions become sampling rounds.
+
+    Everything else (the framework, membership, the counters the learners
+    read) is the wrapped session's own.
+    """
 
     def __init__(self, session: teacher.OracleSession, eps: float, delta: float, dist: Distribution):
         self.session = session
@@ -113,32 +110,8 @@ class SampledEqOracle:
         self.samples_used = 0
         self._cache = reasoner.ModelCache()
 
-    @property
-    def framework(self):
-        return self.session.framework
-
-    @property
-    def mq_count(self):
-        return self.session.mq_count
-
-    @property
-    def eq_count(self):
-        return self.session.eq_count
-
-    @property
-    def mq_input_size_sum(self):
-        return self.session.mq_input_size_sum
-
-    @property
-    def eq_input_size_sum(self):
-        return self.session.eq_input_size_sum
-
-    @property
-    def largest_counterexample(self):
-        return self.session.largest_counterexample
-
-    def membership(self, a: ABox, q: Query) -> bool:
-        return self.session.membership(a, q)
+    def __getattr__(self, name: str):
+        return getattr(self.session, name)
 
     def inseparability(self, hypothesis: TBox):
         self.round += 1
@@ -170,40 +143,18 @@ def pac_from_exact(
 # Shattering
 # ---------------------------------------------------------------------------
 
-SHATTER_BUDGET = 200_000  # evaluations ``shatters`` spends at most by default
+SHATTER_BUDGET = 200_000  # behaviour labels ``ring_shattered`` lists at most
 
 
 def shattering_exceeds_budget(n: int) -> bool:
     """Does shattering ``n`` examples surely cost more than ``SHATTER_BUDGET``?
 
-    Each of the ``2**n`` classifications needs a hypothesis of its own,
-    evaluated on all ``n`` examples: at least ``n * 2**n`` evaluations.  Once
-    ``n`` reaches the bit length of the budget, ``2**n`` alone exceeds it, so
-    the bound is decided without forming ``2**n`` for large ``n``.
+    Each of the ``2**n`` classifications needs a hypothesis of its own, whose
+    behaviour labels all ``n`` examples: ``n * 2**n`` labels.  Once ``n``
+    reaches the bit length of the budget, ``2**n`` alone exceeds it, so the
+    bound is decided without forming ``2**n`` for large ``n``.
     """
     return n > 0 and (n >= SHATTER_BUDGET.bit_length() or n << n > SHATTER_BUDGET)
-
-
-def shatters(hypotheses, examples, budget: int = SHATTER_BUDGET) -> bool:
-    """Do the hypotheses realize every classification of the examples?"""
-    examples = list(examples)
-    behaviors: set[tuple[bool, ...]] = set()
-    cache = reasoner.ModelCache()
-    spent = 0
-    for h in hypotheses:
-        row = []
-        for a, q in examples:
-            spent += 1
-            if spent > budget:
-                raise BudgetExceededError(
-                    f"shattering check stopped after {budget} evaluations; "
-                    f"saw {len(behaviors)} of {2 ** len(examples)} behaviours"
-                )
-            row.append(reasoner.answers_query(h, a, q, cache))
-        behaviors.add(tuple(row))
-        if len(behaviors) == 2 ** len(examples):
-            return True
-    return len(behaviors) == 2 ** len(examples)
 
 
 def cyclic_abox(n: int) -> ABox:
@@ -224,23 +175,35 @@ def ring_identifying_concept(n: int, i: int) -> Concept:
     return c
 
 
-def ring_hypotheses(n: int) -> list[TBox]:
-    """One hypothesis per subset of ring nodes, built to shatter them.
+def ring_shattered(ring: ABox, n: int) -> bool:
+    """Do the ring hypotheses realize every labelling of ``a1 … an`` in ``ring``?
 
-    The conjunction of all identifying concepts but the j-th is satisfied by
-    exactly the j-th node, so a union of such inclusions marks any chosen
-    subset with ``A`` (the empty subset gets the all-out conjunction).
+    There is one hypothesis per subset of the nodes: the inclusions
+    ``C_j [= A`` for each chosen ``j``, where ``C_j`` conjoins every
+    identifying concept but the j-th, and the empty subset gets the
+    conjunction of all of them.  ``A`` is on no left side and no ``C_j``
+    mentions a concept name, so ``A`` holds at ``a_i`` under a hypothesis
+    exactly when one of its ``C_j`` holds at ``a_i`` in the ring itself, over
+    the empty TBox.  One model of the ring gives each ``C_j``'s column, and a
+    hypothesis's behaviour is the union of its columns.
     """
     concepts = [ring_identifying_concept(n, i) for i in range(1, n + 1)]
-    exactly = [
-        normalize(conj(*(c for i, c in enumerate(concepts) if i != j)))
+    cache = reasoner.ModelCache()
+
+    def column(c: Concept) -> int:
+        return sum(
+            1 << i
+            for i in range(n)
+            if reasoner.answers_query(TBox(), ring, ConceptQuery(c, f"a{i + 1}"), cache)
+        )
+
+    columns = [
+        column(normalize(conj(*(c for i, c in enumerate(concepts) if i != j))))
         for j in range(n)
     ]
-    out = []
-    for mask in range(2 ** n):
-        if mask == 0:
-            cis = {CI(normalize(conj(*concepts)), Atom("A"))}
-        else:
-            cis = {CI(exactly[j], Atom("A")) for j in range(n) if mask & (1 << j)}
-        out.append(terminology(cis))
-    return out
+    behaviours = [column(normalize(conj(*concepts)))]
+    for mask in range(1, 2**n):
+        low = mask & -mask
+        rest = behaviours[mask ^ low] if mask != low else 0
+        behaviours.append(rest | columns[low.bit_length() - 1])
+    return len(set(behaviours)) == 2**n

@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Callable, Iterator
 
 from . import reasoner
-from .learn_aq import CachedOracle, LearnResult, tree_shape, _record_iteration
+from .learn_aq import CachedOracle, LearnResult, _record_iteration, tree_inclusion
 from .learn_iq import Run, concept_query, counterexample_loop, iq_step, name_order, start
 from .syntax import (
     ABox,
@@ -42,7 +42,6 @@ from .syntax import (
     ContractViolationError,
     Exists,
     Query,
-    StructuralError,
     TBox,
     TOP,
     Top,
@@ -254,19 +253,6 @@ def _failing_atom(oracle: CachedOracle, h: TBox, a: ABox, concept, ind: str) -> 
     return None
 
 
-def _atomic_repair(oracle: CachedOracle, h: TBox, a: ABox) -> TBox:
-    """Atomic counterexample over an updated ABox: learn a tree inclusion there.
-
-    A replaced assertion can become derivable rather than asserted, which the
-    fixed-ABox run never had to cover, so the tree loop reruns on the update.
-    """
-    shaped, (wname, wind) = tree_shape(oracle, a, h)
-    if wind not in a.individuals():
-        raise StructuralError("witness individual must come from the updated ABox")
-    concept = Tree.of_abox(shaped, wind).concept()
-    return terminology(set(h.cis) | {CI(concept, Atom(wname))}, h.ris)
-
-
 def update_step(run: Run, h: TBox, a: ABox, q: Query) -> TBox:
     """Repair an atomic miss on the updated ABox, else take the instance step."""
     q = concept_query(q)
@@ -274,7 +260,10 @@ def update_step(run: Run, h: TBox, a: ABox, q: Query) -> TBox:
     atom = _failing_atom(run.oracle, h, a, concept, q.ind)
     if atom is None:
         return iq_step(run.oracle, h, run.classes, run.equivalent_names, a, concept, q.ind)
-    return generalise(run.oracle, _atomic_repair(run.oracle, h, a), run.atomic_cis)
+    # a replaced assertion can become derivable rather than asserted, which
+    # the fixed-ABox run never had to cover, so the tree step reruns here
+    h, _, _ = tree_inclusion(run.oracle, h, a)
+    return generalise(run.oracle, h, run.atomic_cis)
 
 
 def learn_with_updates(session) -> LearnResult:

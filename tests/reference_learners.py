@@ -4,9 +4,11 @@ Each of ``learn_iq``, ``learn_cqr``, ``learn_with_updates`` and
 ``build_batch`` wrote out its own "budget check, ask for a counterexample,
 normalise it, ``iq_step``, record" loop, and the instance loops had their own
 budget function ``_budget_limit_iq``.  They are kept verbatim, apart from the
-imports, as the reference that ``tests/test_learner_loop.py`` compares the
-one driver in ``elhlearn.learn_iq`` against.  Everything they call (the
-phases, the reductions, the conversion, the repairs) is the package's own.
+imports and the atomic repair, which calls ``learn_aq.tree_inclusion`` (the
+step ``updates._atomic_repair`` was), as the reference that
+``tests/test_learner_loop.py`` compares the one driver in ``elhlearn.learn_iq``
+against.  Everything they call (the phases, the reductions, the conversion,
+the repairs) is the package's own.
 
 ``repr_keyed_membership`` is ``CachedOracle.membership`` as it was when the
 memo keyed a question on ``repr(q)``, not on the query value;
@@ -23,6 +25,7 @@ from elhlearn.learn_aq import (
     _record_iteration,
     aq_phase,
     bootstrap_atomic,
+    tree_inclusion,
 )
 from elhlearn.learn_cqr import cq_to_iq
 from elhlearn.learn_iq import (
@@ -48,7 +51,7 @@ from elhlearn.syntax import (
     size_of,
     terminology,
 )
-from elhlearn.updates import _atomic_repair, _failing_atom, generalise
+from elhlearn.updates import _failing_atom, generalise
 
 
 def repr_keyed_membership(self, a: ABox, q: Query) -> bool:
@@ -183,7 +186,7 @@ def learn_with_updates(session) -> LearnResult:
         concept = classes.rewrite(normalize(q.concept))
         atom = _failing_atom(oracle, h, a, concept, q.ind)
         if atom is not None:
-            h = _atomic_repair(oracle, h, a)
+            h, _, _ = tree_inclusion(oracle, h, a)
             h = generalise(oracle, h, atomic_cis)
         else:
             h = iq_step(oracle, h, classes, equivalent_names, a, concept, q.ind)

@@ -21,6 +21,7 @@ from pac_fixture import (
     fixture_pac_learner,
     identify_word_adversarially,
 )
+from reference_pac import shatters
 from elhlearn.batch import build_batch, learn_from_batch
 from elhlearn.learn_aq import CachedOracle, learn_aq
 from elhlearn.learn_cqr import cq_to_iq, learn_cqr
@@ -29,7 +30,6 @@ from elhlearn.pac import (
     cyclic_abox,
     pac_from_exact,
     sample_count,
-    shatters,
     true_error,
     uniform_distribution,
 )

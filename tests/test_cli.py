@@ -470,7 +470,6 @@ def test_batch_learn_bad_item_is_a_parse_error(workdir, capsys, lines, message):
         ({"weights": [1.0]}, "missing key 'examples'"),
         ({"examples": [{"query": "Q: AQ A(a)"}], "weights": [1.0]}, "missing key 'abox'"),
         ({"examples": [{"abox": EX1_ABOX, "query": "Q: AQ A(a)"}], "weights": ["x"]}, "numbers"),
-        ({"examples": [], "weights": [], "seed": "4"}, "key 'seed'"),
     ],
 )
 def test_pac_run_bad_distribution_is_a_parse_error(workdir, capsys, payload, message):
@@ -542,6 +541,24 @@ def test_pac_run_with_distribution_file_and_csv(workdir, capsys):
     )
     assert code == 0
     assert (workdir / "rows.csv").read_text().startswith("seed,")
+
+
+def test_pac_run_ignores_a_seed_in_the_distribution_file(workdir, capsys):
+    dist = {
+        "examples": [
+            {"abox": EX1_ABOX, "query": "Q: AQ A(a)"},
+            {"abox": EX1_ABOX, "query": "Q: IQ a : some r. B"},
+        ],
+        "weights": [0.25, 0.75],
+    }
+    args = ["pac", "run", "--mode", "iq", str(workdir / "t.tbox"), str(workdir / "a.abox")]
+    args += ["--trials", "3", "--seed", "2", "--dist", str(workdir / "d.json")]
+    reports = []
+    for extra in ({}, {"seed": 4}, {"seed": 99}):
+        (workdir / "d.json").write_text(json.dumps({**dist, **extra}))
+        assert main(args) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1] == reports[2]
 
 
 def _one_error_line(err: str, message: str) -> None:
@@ -679,6 +696,13 @@ def test_vc_check_refuses_a_size_past_the_budget_at_once(capsys, n, loop):
 def test_vc_check_needs_two_examples(capsys, n):
     assert main(["vc", "check", "--n", n]) == 2
     assert "the ring needs at least two individuals" in capsys.readouterr().err
+
+
+def test_vc_check_at_the_largest_size_under_the_bound_ends_quickly():
+    start = time.monotonic()
+    done = _elh("vc", "check", "--n", "13")
+    assert done.returncode == 0 and done.stdout.split() == ["SHATTERED"]
+    assert time.monotonic() - start < 10.0
 
 
 def test_shattering_bound_is_n_times_two_to_the_n():

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -10,14 +11,14 @@ from pac_fixture import (
     fixture_pac_learner,
     identify_word_adversarially,
 )
+from reference_pac import ring_hypotheses, shatters
 from elhlearn.learn_iq import learn_iq
 from elhlearn.pac import (
     Distribution,
     cyclic_abox,
     pac_from_exact,
-    ring_hypotheses,
+    ring_shattered,
     sample_count,
-    shatters,
     true_error,
     uniform_distribution,
 )
@@ -68,9 +69,9 @@ class TestDistribution:
 
     def test_sampling_reproducible(self):
         a0 = abox(concepts=[("A", "a")])
-        d = uniform_distribution([(a0, AtomicQuery(n, ("a",))) for n in "ABCD"], seed=5)
-        r1 = [d.sample(d.rng()) for _ in range(5)]
-        r2 = [d.sample(d.rng()) for _ in range(5)]
+        d = uniform_distribution([(a0, AtomicQuery(n, ("a",))) for n in "ABCD"])
+        r1 = [d.sample(random.Random(5)) for _ in range(5)]
+        r2 = [d.sample(random.Random(5)) for _ in range(5)]
         assert r1 == r2
 
 
@@ -280,3 +281,27 @@ class TestRing:
                 for j in range(1, n + 1):
                     holds = answers_query(TBox(), ring, ConceptQuery(c, f"a{j}"))
                     assert holds == (j != i)
+
+
+class TestRingShattered:
+    @pytest.mark.parametrize("extra_loop", [False, True])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_agrees_with_the_generic_check(self, n, extra_loop):
+        ring = cyclic_abox(n)
+        if extra_loop:  # as ``elh vc check --extra-loop`` closes it
+            ring = type(ring)(
+                ring.concept_assertions,
+                ring.role_assertions | {("s", f"a{n}", f"a{n}")},
+                ring.declared,
+            )
+        examples = [(ring, AtomicQuery("A", (f"a{i}",))) for i in range(1, n + 1)]
+        expected = shatters(ring_hypotheses(n), examples)
+        assert ring_shattered(ring, n) == expected
+        assert expected == (not extra_loop)
+
+    def test_a_ring_without_s_loops_is_not_shattered(self):
+        # no identifying concept holds anywhere, so every column is empty
+        ring = abox(roles=[("r", "a1", "a2"), ("r", "a2", "a3"), ("r", "a3", "a1")])
+        examples = [(ring, AtomicQuery("A", (f"a{i}",))) for i in (1, 2, 3)]
+        assert not shatters(ring_hypotheses(3), examples)
+        assert not ring_shattered(ring, 3)
