@@ -278,8 +278,9 @@ def cmd_pac_run(args: argparse.Namespace) -> int:
 def cmd_vc_check(args: argparse.Namespace) -> int:
     if pacmod.shattering_exceeds_budget(args.n):
         raise BudgetExceededError(
-            f"shattering {args.n} examples needs at least {args.n} * 2**{args.n} "
-            f"evaluations, more than the {pacmod.SHATTER_BUDGET} allowed"
+            f"shattering {args.n} examples takes {args.n} + 1 evaluations but lists "
+            f"{args.n} * 2**{args.n} behaviour labels, more than the "
+            f"{pacmod.SHATTER_BUDGET} allowed"
         )
     ring = pacmod.cyclic_abox(args.n)
     if args.extra_loop:

@@ -6,12 +6,16 @@ with cycle unfolding, reads the tree off as a concept ``C``
 (``Tree.of_abox``) and adds ``C [= B`` to the hypothesis.  Every addition is a
 consequence of the target, so the hypothesis is positive bounded throughout.
 
-``unfold_cycle`` doubles one undirected cycle: it opens the cycle at one
-assertion, copies the cycle nodes (copies keep their labels, their edges to
-each other and their edges out of the cycle) and closes the two halves into
-a cycle of twice the length.  Minimization then deletes individuals and role
-assertions while the membership oracle still confirms the chosen positive
-example, trying copies before original individuals.
+``find_cycle`` finds the shortest undirected cycle of role assertions and
+returns two things: the assertion to open, one the cycle walks forwards, and
+the set of the cycle's individuals.  ``unfold_cycle`` doubles that cycle: it
+drops the opened assertion ``r(a0, a1)``, copies the cycle's individuals
+(copies keep their labels, their edges to each other and their edges out of
+the cycle) and closes the two halves with ``r(a0, a1_hat)`` and
+``r(a0_hat, a1)`` into a cycle of twice the length.  Minimization then
+deletes individuals and role assertions while the membership oracle still
+confirms the chosen positive example, trying copies before original
+individuals.
 """
 
 from __future__ import annotations
@@ -172,18 +176,17 @@ def minimize_abox(
     return a, witness
 
 
-Cycle = list[tuple[str, tuple[str, str, str], bool]]
-"""Steps ``(start_node, assertion, forward)`` walking an undirected cycle."""
-
-
-def find_cycle(a: ABox) -> Cycle | None:
-    """Shortest undirected cycle through distinct assertions, if any.
+def find_cycle(a: ABox) -> tuple[tuple[str, str, str], frozenset[str]] | None:
+    """The assertion to open and the individuals of the shortest cycle, if any.
 
     Every cycle contains some assertion e, and the shortest one through e is
     the shortest path between e's endpoints that avoids e, closed by e.
     There is none exactly when the assertions form a forest, which one pass
     checks first; a self-loop or a second assertion between the same two
-    individuals, in either direction, is a cycle.
+    individuals, in either direction, is a cycle.  Of the shortest cycles the
+    least path of ``(node, assertion, forward)`` steps is chosen, and the
+    assertion opened is that of its first forward step, or its closing
+    assertion when every step runs backwards.
     """
     if _is_forest(a.role_assertions):
         return None
@@ -196,7 +199,7 @@ def find_cycle(a: ABox) -> Cycle | None:
     for node in adj:
         adj[node].sort()
 
-    def shortest_path(src: str, dst: str, banned) -> Cycle | None:
+    def shortest_path(src: str, dst: str, banned) -> list | None:
         if src == dst:
             return []
         parent: dict[str, tuple[str, tuple[str, str, str], bool]] = {}
@@ -209,45 +212,27 @@ def find_cycle(a: ABox) -> Cycle | None:
                     continue
                 parent[nxt] = (node, e, fwd)
                 if nxt == dst:
-                    steps: Cycle = []
+                    steps = []
                     cur = dst
                     while cur != src:
-                        prev, pe, pfwd = parent[cur]
-                        steps.append((prev, pe, pfwd))
-                        cur = prev
+                        steps.append(parent[cur])
+                        cur = parent[cur][0]
                     return steps[::-1]
                 seen.add(nxt)
                 queue.append(nxt)
         return None
 
-    best: Cycle | None = None
+    best: list = []
     for e in edges:
         r, x, y = e
         path = shortest_path(x, y, banned=e)
         if path is None:
             continue
         cand = path + [(y, e, False)] if path else [(x, e, True)]
-        if x == y:
-            cand = [(x, e, True)]
-        if best is None or len(cand) < len(best) or (len(cand) == len(best) and cand < best):
+        if not best or (len(cand), cand) < (len(best), best):
             best = cand
-    if best is None:
-        return None
-    # rotate so the first step is a forward assertion leaving the start node
-    for i, (_, e, fwd) in enumerate(best):
-        if fwd:
-            return best[i:] + best[:i]
-    # all steps are backwards: walk the cycle in the other direction
-    rev: Cycle = []
-    n = len(best)
-    for i in range(n - 1, -1, -1):
-        node, e, fwd = best[i]
-        nxt = best[(i + 1) % n][0]
-        rev.append((nxt, e, not fwd))
-    for i, (_, e, fwd) in enumerate(rev):
-        if fwd:
-            return rev[i:] + rev[:i]
-    raise StructuralError("cycle with no usable orientation")
+    opened = next((e for _, e, fwd in best if fwd), best[-1][1])
+    return opened, frozenset(node for node, _, _ in best)
 
 
 def _is_forest(assertions) -> bool:
@@ -267,35 +252,9 @@ def _is_forest(assertions) -> bool:
     return True
 
 
-def cycle_nodes(cycle: Cycle) -> list[str]:
-    return [step[0] for step in cycle]
-
-
-def _validate_cycle(a: ABox, cycle: Cycle) -> None:
-    if not cycle:
-        raise StructuralError("empty cycle")
-    assertions = [e for _, e, _ in cycle]
-    if len(set(assertions)) != len(assertions):
-        raise StructuralError("cycle repeats an assertion")
-    for i, (node, e, fwd) in enumerate(cycle):
-        r, x, y = e
-        if e not in a.role_assertions:
-            raise StructuralError(f"assertion {e} not in ABox")
-        here, there = (x, y) if fwd else (y, x)
-        if here != node:
-            raise StructuralError("cycle step does not start at its node")
-        nxt = cycle[(i + 1) % len(cycle)][0]
-        if there != nxt:
-            raise StructuralError("cycle steps do not chain")
-    first = cycle[0]
-    if not first[2]:
-        raise StructuralError("first cycle step must be a forward assertion")
-
-
-def unfold_cycle(a: ABox, cycle: Cycle) -> ABox:
-    """Double one undirected cycle; see the module docstring for the steps."""
-    _validate_cycle(a, cycle)
-    nodes = set(cycle_nodes(cycle))
+def unfold_cycle(a: ABox, found: tuple[tuple[str, str, str], frozenset[str]]) -> ABox:
+    """Double the cycle ``find_cycle`` found; see the module docstring for the steps."""
+    (r1, a0, a1), nodes = found
     existing = a.individuals()
 
     def copy_name(b: str) -> str:
@@ -304,10 +263,9 @@ def unfold_cycle(a: ABox, cycle: Cycle) -> ABox:
             cand += "x"
         return cand
 
-    hat = {b: copy_name(b) for b in sorted(nodes)}
+    hat = {b: copy_name(b) for b in nodes}
 
     opened = set(a.role_assertions)
-    r1, a0, a1 = cycle[0][1]
     opened.discard((r1, a0, a1))
 
     concepts = set(a.concept_assertions)
@@ -322,8 +280,8 @@ def unfold_cycle(a: ABox, cycle: Cycle) -> ABox:
             roles.add((r, hat[x], y))
     roles.add((r1, a0, hat[a1]))
     roles.add((r1, hat[a0], a1))
-    declared = set(a.declared) | {hat[b] for b in nodes if b in a.declared}
-    return ABox(frozenset(concepts), frozenset(roles), frozenset(declared))
+    # cycle individuals are mentioned, so none is declared and no copy is
+    return ABox(frozenset(concepts), frozenset(roles), a.declared)
 
 
 def tree_shape(oracle: CachedOracle, a: ABox, h: TBox) -> tuple[ABox, tuple[str, str]]:
@@ -335,13 +293,13 @@ def tree_shape(oracle: CachedOracle, a: ABox, h: TBox) -> tuple[ABox, tuple[str,
     prev_count = len(a.individuals())
     rounds = 0
     while True:
-        cycle = find_cycle(a)
-        if cycle is None:
+        found = find_cycle(a)
+        if found is None:
             return a, witness
         rounds += 1
         if rounds > MAX_ROUNDS:
             raise BudgetExceededError("tree shaping did not terminate in budget")
-        a = unfold_cycle(a, cycle)
+        a = unfold_cycle(a, found)
         a, witness = minimize_abox(oracle, a, h, originals)
         if witness is None:
             raise StructuralError("positive example lost while unfolding")

@@ -73,7 +73,6 @@ from .syntax import (
     Tree,
     conj,
     normalize,
-    size_of,
     terminology,
     top_existentials,
 )
@@ -133,28 +132,26 @@ def reduce_counterexample(
     concept = normalize(concept)
     if oracle.holds_locally(h, a, ConceptQuery(concept, ind)):
         raise ContractViolationError("input is not a counterexample for the hypothesis")
-    depth_left = size_of(concept) + 1
-    return _reduce(oracle, a, concept, ind, h, depth_left)
-
-
-def _reduce(oracle, a: ABox, concept: Concept, ind: str, h: TBox, depth_left: int) -> CI:
-    if depth_left <= 0:
-        raise BudgetExceededError("counterexample reduction recursed too deep")
-    failing: Exists | None = None
-    for ex in top_existentials(concept):
-        if not oracle.holds_locally(h, a, ConceptQuery(ex, ind)):
-            failing = ex
-            break
-    if failing is None:
-        raise ContractViolationError(
-            "no failing existential conjunct; atomic phase incomplete?"
-        )
-    for role, x, y in sorted(a.role_assertions):
-        if x != ind or not reasoner.entails_ri(h, role, failing.role):
-            continue
-        if oracle.membership(a, ConceptQuery(failing.filler, y)):
-            if not oracle.holds_locally(h, a, ConceptQuery(failing.filler, y)):
-                return _reduce(oracle, a, failing.filler, y, h, depth_left - 1)
+    while True:
+        failing: Exists | None = None
+        for ex in top_existentials(concept):
+            if not oracle.holds_locally(h, a, ConceptQuery(ex, ind)):
+                failing = ex
+                break
+        if failing is None:
+            raise ContractViolationError(
+                "no failing existential conjunct; atomic phase incomplete?"
+            )
+        for role, x, y in sorted(a.role_assertions):
+            if x != ind or not reasoner.entails_ri(h, role, failing.role):
+                continue
+            q = ConceptQuery(failing.filler, y)
+            if oracle.membership(a, q) and not oracle.holds_locally(h, a, q):
+                break
+        else:
+            break  # no successor takes the filler: one assertion explains it
+        # the filler is a strict subconcept, so the walk ends
+        concept, ind = failing.filler, y
     for name, c in sorted(a.concept_assertions, key=lambda p: (p[1] != ind, p)):
         singleton = ABox(frozenset({(name, c)}), frozenset(), frozenset())
         if not oracle.membership(singleton, ConceptQuery(failing, c)):

@@ -161,7 +161,7 @@ Edge = tuple[frozenset[str], Element]
 
 @dataclass
 class RegularModel:
-    """Finite presentation of the least model of ``(tbox, abox)``.
+    """Finite presentation of the least model of a TBox and an ABox.
 
     ``labels`` maps every element to its saturated set of concept names and
     ``edges`` lists outgoing ``(role set, target)`` bundles.  Anonymous
@@ -170,11 +170,8 @@ class RegularModel:
     ``_read`` makes of the model, per bundle mode.
     """
 
-    tbox: TBox
-    abox: ABox
     labels: dict[Element, frozenset[str]]
     edges: dict[Element, tuple[Edge, ...]]
-    fillers: dict[str, Concept]
     _reads: dict[bool, tuple] = field(default_factory=dict, compare=False, repr=False)
 
     def named(self, ind: str) -> NamedEl:
@@ -260,9 +257,9 @@ class _Compiled:
     filler keys, whatever the ABox.
     """
 
-    fillers: dict[str, Concept]
     anon_keys: tuple[str, ...]  # sorted
-    # per filler, in ``fillers`` order: index, initial label, initial edges
+    # per filler, in ``_existential_fillers`` order: index, initial label,
+    # initial edges
     templates: tuple[tuple[int, frozenset[str], tuple[_IndexEdge, ...]], ...]
     # inclusions with a name (None for top) on the left, in firing order:
     # left name, right-hand names, right-hand edges
@@ -299,7 +296,6 @@ def _compile(t: TBox) -> _Compiled:
         key=_rule_order,
     )
     return _Compiled(
-        fillers,
         anon_keys,
         tuple((index[key], top_atoms(f), rule_edges(f)) for key, f in fillers.items()),
         tuple(
@@ -405,11 +401,8 @@ def build_model(t: TBox, a: ABox) -> RegularModel:
 
     order = [i for i, _, _ in comp.templates] + list(range(n_anon, size))
     return RegularModel(
-        t,
-        a,
         {keys[i]: frozenset(labels[i]) for i in order},
         {keys[i]: tuple((roles, keys[j]) for roles, j in edges[i]) for i in order},
-        comp.fillers,
     )
 
 

@@ -709,11 +709,8 @@ def size_of(obj) -> int:
     if isinstance(obj, TBox):
         return sum(size_of(ci) for ci in obj.cis) + sum(size_of(ri) for ri in obj.ris)
     if isinstance(obj, ABox):
-        total = 4 * len(obj.concept_assertions) + 6 * len(obj.role_assertions)
-        mentioned = {a for _, a in obj.concept_assertions}
-        for _, a, b in obj.role_assertions:
-            mentioned.update((a, b))
-        return total + len(obj.declared - mentioned)
+        # ``declared`` holds only the individuals no assertion mentions
+        return 4 * len(obj.concept_assertions) + 6 * len(obj.role_assertions) + len(obj.declared)
     if isinstance(obj, AtomicQuery):
         return 4 if len(obj.args) == 1 else 6
     if isinstance(obj, ConceptQuery):

@@ -324,10 +324,8 @@ def _atom(ts: _Tokens) -> tuple[str, str, str | None]:
 def serialize_abox(a: ABox) -> str:
     lines = [f"A: {n}({i})" for n, i in sorted(a.concept_assertions)]
     lines += [f"A: {r}({x},{y})" for r, x, y in sorted(a.role_assertions)]
-    mentioned = {i for _, i in a.concept_assertions}
-    for _, x, y in a.role_assertions:
-        mentioned.update((x, y))
-    lines += [f"IND: {i}" for i in sorted(a.declared - mentioned)]
+    # ``declared`` holds only the individuals no assertion mentions
+    lines += [f"IND: {i}" for i in sorted(a.declared)]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -134,9 +134,6 @@ def build_model(t: TBox, a: ABox) -> RegularModel:
             break
 
     return RegularModel(
-        t,
-        a,
         {el: frozenset(ls) for el, ls in labels.items()},
         {el: tuple(es) for el, es in edges.items()},
-        fillers,
     )

@@ -689,7 +689,7 @@ def test_vc_check_refuses_a_size_past_the_budget_at_once(capsys, n, loop):
     assert time.monotonic() - start < 1.0
     out = capsys.readouterr()
     assert out.out == ""
-    assert f"budget exceeded: shattering {n} examples needs at least" in out.err
+    assert f"budget exceeded: shattering {n} examples takes {n} + 1 evaluations but lists" in out.err
 
 
 @pytest.mark.parametrize("n", ["-1000000000", "-1", "0", "1"])
@@ -706,7 +706,7 @@ def test_vc_check_at_the_largest_size_under_the_bound_ends_quickly():
 
 
 def test_shattering_bound_is_n_times_two_to_the_n():
-    # 13 * 2**13 = 106,496 evaluations fit in the budget, 14 * 2**14 = 229,376 do not
+    # 13 * 2**13 = 106,496 labels fit in the budget, 14 * 2**14 = 229,376 do not
     flagged = [n for n in range(-3, 64) if pac.shattering_exceeds_budget(n)]
     assert flagged == [n for n in range(-3, 64) if n > 0 and n * 2**n > pac.SHATTER_BUDGET]
     assert flagged[0] == 14

@@ -1,6 +1,5 @@
 import time
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from genkb import random_abox, random_terminology
@@ -13,6 +12,11 @@ from elhlearn.learn_aq import (
     minimize_abox,
     tree_shape,
     unfold_cycle,
+)
+from reference_cycle import (
+    _validate_cycle,
+    find_cycle as reference_find_cycle,
+    unfold_cycle as reference_unfold_cycle,
 )
 from reference_simulation import abox_interpretation
 from elhlearn.reasoner import LANG_AQ, answers_query, entails_ci, entails_ri, inseparable, is_simulation
@@ -100,15 +104,10 @@ class TestUnfold:
         collapse = {(i, i.replace("_hat", "")) for i in out.individuals()}
         assert is_simulation(collapse, abox_interpretation(out), abox_interpretation(a))
 
-    def test_not_a_cycle_rejected(self):
-        a = abox(roles=[("r", "a", "b")])
-        with pytest.raises(StructuralError):
-            unfold_cycle(a, [("a", ("r", "a", "b"), True)])
-
     def test_parallel_edges_count_as_cycle(self):
         a = abox(roles=[("r", "a", "b"), ("s", "a", "b")])
-        cyc = find_cycle(a)
-        assert cyc is not None and len(cyc) == 2
+        found = find_cycle(a)
+        assert found is not None and found[1] == {"a", "b"}
 
     def test_tree_has_no_cycle(self):
         assert find_cycle(abox(roles=[("r", "a", "b"), ("s", "a", "c")])) is None
@@ -138,20 +137,43 @@ def is_forest(role_assertions) -> bool:
     return True
 
 
-class TestFindCycle:
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(
+INDIVIDUALS = "abcdef"
+
+
+@st.composite
+def aboxes(draw):
+    """Small ABoxes with labels and declared names that a copy would take."""
+    roles = draw(
         st.frozensets(
-            st.tuples(st.sampled_from("rs"), st.sampled_from("abcdef"), st.sampled_from("abcdef")),
+            st.tuples(
+                st.sampled_from("rs"), st.sampled_from(INDIVIDUALS), st.sampled_from(INDIVIDUALS)
+            ),
             max_size=7,
         )
     )
-    def test_none_exactly_when_the_assertions_form_a_forest(self, roles):
-        a = ABox(frozenset(), roles, frozenset())
-        cycle = find_cycle(a)
-        assert (cycle is None) == is_forest(roles)
-        if cycle is not None:
-            unfold_cycle(a, cycle)  # checks that the cycle is one
+    concepts = draw(
+        st.frozensets(st.tuples(st.sampled_from("AB"), st.sampled_from(INDIVIDUALS)), max_size=4)
+    )
+    names = [f"{i}_hat" for i in INDIVIDUALS] + [f"{i}_hatx" for i in INDIVIDUALS] + ["g"]
+    declared = draw(st.frozensets(st.sampled_from(names), max_size=4))
+    return ABox(concepts, roles, declared)
+
+
+class TestFindCycle:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(aboxes())
+    def test_none_exactly_when_the_assertions_form_a_forest(self, a):
+        assert (find_cycle(a) is None) == is_forest(a.role_assertions)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(aboxes())
+    def test_unfolding_matches_the_step_list_reference(self, a):
+        cycle = reference_find_cycle(a)
+        if cycle is None:
+            assert find_cycle(a) is None
+            return
+        _validate_cycle(a, cycle)
+        assert unfold_cycle(a, find_cycle(a)) == reference_unfold_cycle(a, cycle)
 
     def test_a_long_chain_has_no_cycle_at_once(self):
         chain = abox(roles=[("r", f"c{i}", f"c{i + 1}") for i in range(20_000)])
@@ -163,8 +185,8 @@ class TestFindCycle:
     def test_one_closing_assertion_is_found_on_a_long_chain(self):
         n = 300
         roles = [("r", f"c{i}", f"c{i + 1}") for i in range(n)] + [("s", f"c{n}", "c0")]
-        cycle = find_cycle(abox(roles=roles))
-        assert cycle is not None and len(cycle) == n + 1
+        found = find_cycle(abox(roles=roles))
+        assert found is not None and len(found[1]) == n + 1
 
 
 class TestMinimize:

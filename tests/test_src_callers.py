@@ -1,10 +1,12 @@
-"""Every top-level function and class of ``elhlearn`` is used outside tests.
+"""Every top-level definition of ``elhlearn`` is used outside tests.
 
-A definition is used when a root reaches it through the names that
-definitions mention.  The roots are:
+A definition is a function, a class, or a name that a module-level
+assignment binds: a constant or a type alias.  It is used when a root
+reaches it through the names that definitions mention.  The roots are:
 
-* the module-level statements of ``src/elhlearn`` other than imports, which
-  run on import (``__init__``, whose re-exports do not count, is skipped);
+* the module-level statements of ``src/elhlearn`` other than imports and
+  assignments to a name, which run on import (``__init__``, whose re-exports
+  do not count, is skipped);
 * the console script ``elh`` (``cli.main``);
 * everything ``perfbench/`` names, in code or in the dotted string of a
   traced layer;
@@ -45,6 +47,7 @@ UNREAD_ALLOWED = {
 }
 
 DEFINITION = (ast.FunctionDef, ast.ClassDef)
+ASSIGNMENT = (ast.Assign, ast.AnnAssign)
 FUNCTION = (ast.FunctionDef, ast.AsyncFunctionDef)
 # an import in ``src`` only binds a name; it is used where it is mentioned
 IMPORT = (ast.Import, ast.ImportFrom)
@@ -74,22 +77,32 @@ def _modules(src: Path) -> dict[str, list[ast.stmt]]:
     }
 
 
+def _bound(node: ast.stmt) -> list[str]:
+    """Names a top-level def, class or assignment to plain names binds."""
+    if isinstance(node, DEFINITION):
+        return [node.name]
+    if isinstance(node, ASSIGNMENT):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return []
+
+
 def unused(src: Path = SRC, bench: Path = BENCH) -> list[str]:
-    """``module.name`` of every top-level def and class no root reaches."""
+    """``module.name`` of every top-level definition no root reaches."""
     modules = _modules(src)
     defs = {
-        f"{mod}.{node.name}": node
+        f"{mod}.{name}": node
         for mod, body in modules.items()
         for node in body
-        if isinstance(node, DEFINITION)
+        for name in _bound(node)
     }
     by_name: dict[str, list[ast.AST]] = {}
-    for node in defs.values():
-        by_name.setdefault(node.name, []).append(node)
+    for key, node in defs.items():
+        by_name.setdefault(key.split(".")[1], []).append(node)
     reached = set(ENTRY_POINTS) | {key.split(".")[1] for key in ALLOWED}
     for body in modules.values():
         for node in body:
-            if not isinstance(node, DEFINITION + IMPORT):
+            if not isinstance(node, IMPORT) and not _bound(node):
                 reached |= _names(node)
     for path in sorted(bench.glob("*.py")):
         reached |= _names(ast.parse(path.read_text(encoding="utf-8")))
@@ -99,7 +112,7 @@ def unused(src: Path = SRC, bench: Path = BENCH) -> list[str]:
             for name in _names(node) - reached:
                 reached.add(name)
                 frontier.append(name)
-    return sorted(key for key, node in defs.items() if node.name not in reached)
+    return sorted(key for key in defs if key.split(".")[1] not in reached)
 
 
 def test_every_definition_is_used_outside_tests():
