@@ -13,15 +13,20 @@ queries cannot.
 
 Role hierarchy: ``role_closure`` is the one reflexive-transitive closure of
 a set of role inclusions, memoised on the frozenset ``t.ris``.  Saturation,
-role assertions, ``superroles``, ``entails_ri`` and the learners all read it;
-a role that no inclusion mentions is below itself only.
+role queries, ``superroles``, ``entails_ri`` and the learners all read it;
+a role that no inclusion mentions is below itself only.  A role query
+``r(x, y)`` is a lookup of ``s(x, y)`` in the assertions, for ``r`` and for
+each role ``s`` whose closure holds ``r``.
 
 Saturation works from a compiled form of the TBox (``_compile``, cached per
 TBox): the inclusions with a name or ``top`` on the left, in sorted order,
 with their right-hand names and edges (role closures applied, targets
-resolved); the inclusions with a complex left side; the largest existential
-depth of those left sides; and the initial label and edges of every
-anonymous element.  ``C [= top`` with a complex ``C`` is dropped.  The
+resolved); the inclusions with a complex left side, where ``some r. A`` is
+kept as its role and filler name and checked inline, every other left side
+going to ``_eval_concept``; the largest existential depth of those left
+sides; and the initial label and edges of every anonymous element.
+``C [= top`` with a complex ``C`` is dropped.  An asserted pair takes the
+closure's own role set, or the union of those of its assertions.  The
 firing order is fixed: each step fires all rules, in order, at the smallest
 element (in sorted order) that they still change.  This is what a rescan
 from the first element after every change would do, and it fixes the order
@@ -40,8 +45,9 @@ as the full lookup would.
 Unravelling the presentation from the named individuals reproduces the least
 model, so instance checking is plain recursive concept evaluation on the
 finite graph (``_eval_concept``, the one evaluator, which saturation uses
-for complex left sides as well), the boolean query ``exists w ; A(w)`` is a
-walk from the named part that stops at the first element labelled ``A``,
+for complex left sides other than ``some r. A`` as well), the boolean query
+``exists w ; A(w)`` is a walk from the named part that stops at the first
+element labelled ``A``,
 and query inseparability reduces to label agreement plus mutual (bundle)
 simulations anchored at each individual.  One matcher, ``_cq_holds``,
 answers rooted conjunctive queries: a memoised bottom-up fit of the query's
@@ -264,13 +270,22 @@ class _Compiled:
     # inclusions with a name (None for top) on the left, in firing order:
     # left name, right-hand names, right-hand edges
     name_rules: tuple[tuple[str | None, tuple[str, ...], tuple[_IndexEdge, ...]], ...]
-    # inclusions with a complex left side, in firing order: right name, left side
-    complex_rules: tuple[tuple[str, Concept], ...]
+    # inclusions with a complex left side, in firing order: right name, left
+    # side and, for a left side ``some r. A``, its role and filler name
+    # (both None for any other left side)
+    complex_rules: tuple[tuple[str, Concept, str | None, str | None], ...]
     depth: int  # largest existential depth of a complex left side
 
 
 def _rule_order(ci) -> tuple[str, str]:
     return canonical(ci.lhs), canonical(ci.rhs)
+
+
+def _exists_name(c: Concept) -> tuple[str | None, str | None]:
+    """The role and filler name of ``some r. A``; ``(None, None)`` for any other concept."""
+    if type(c) is Exists and type(c.filler) is Atom:
+        return c.role, c.filler.name
+    return None, None
 
 
 # bounded: the learners make a new hypothesis TBox at nearly every step
@@ -306,7 +321,7 @@ def _compile(t: TBox) -> _Compiled:
             )
             for ci in name_cis
         ),
-        tuple((ci.rhs.name, ci.lhs) for ci in complex_cis),
+        tuple((ci.rhs.name, ci.lhs, *_exists_name(ci.lhs)) for ci in complex_cis),
         max((concept_depth(ci.lhs) for ci in complex_cis), default=0),
     )
 
@@ -319,10 +334,13 @@ def build_model(t: TBox, a: ABox) -> RegularModel:
     concepts_of: dict[str, set[str]] = {}
     for name, ind in a.concept_assertions:
         concepts_of.setdefault(ind, set()).add(name)
+    # a pair's role set is the closure's own set for its one assertion, a
+    # union only for a pair with several
     up = role_closure(t.ris)
-    pair_roles: dict[tuple[str, str], set[str]] = {}
+    pair_roles: dict[tuple[str, str], frozenset[str]] = {}
     for role, x, y in a.role_assertions:
-        pair_roles.setdefault((x, y), set()).update(up[role])
+        roles = pair_roles.get((x, y))
+        pair_roles[x, y] = up[role] if roles is None else roles | up[role]
     inds = set(a.declared)
     inds.update(concepts_of)
     for x, y in pair_roles:
@@ -354,8 +372,11 @@ def build_model(t: TBox, a: ABox) -> RegularModel:
     for ind, i in named.items():
         if ind in concepts_of:
             labels[i] = concepts_of[ind]
-    for (x, y), roles in sorted(pair_roles.items()):
-        add_edge(named[x], (frozenset(roles), named[y]))
+    # named elements have no edges yet, and each pair gives one edge
+    for pair in sorted(pair_roles):
+        x, y = named[pair[0]], named[pair[1]]
+        edges[x].append((pair_roles[pair], y))
+        preds[y].append(x)
 
     name_rules = comp.name_rules
     complex_rules = comp.complex_rules
@@ -372,10 +393,21 @@ def build_model(t: TBox, a: ABox) -> RegularModel:
                     changed = True
             for edge in rule_edges:
                 changed |= add_edge(i, edge)
-        for name, lhs in complex_rules:
-            if name not in lab and _eval_concept(labels, edges, i, lhs):
-                lab.add(name)
-                changed = True
+        for name, lhs, role, filler in complex_rules:
+            if name in lab:
+                continue
+            if role is None:
+                if not _eval_concept(labels, edges, i, lhs):
+                    continue
+            else:
+                # ``_eval_concept`` on ``some role. filler``, inline
+                for roles, j in edges[i]:
+                    if role in roles and filler in labels[j]:
+                        break
+                else:
+                    continue
+            lab.add(name)
+            changed = True
         return changed
 
     # The heap holds every element that a firing may still change, so its
@@ -402,7 +434,7 @@ def build_model(t: TBox, a: ABox) -> RegularModel:
     order = [i for i, _, _ in comp.templates] + list(range(n_anon, size))
     return RegularModel(
         {keys[i]: frozenset(labels[i]) for i in order},
-        {keys[i]: tuple((roles, keys[j]) for roles, j in edges[i]) for i in order},
+        {keys[i]: tuple([(roles, keys[j]) for roles, j in edges[i]]) for i in order},
     )
 
 
@@ -486,8 +518,17 @@ def entails_ci(t: TBox, c: Concept, d: Concept, cache: ModelCache | None = None)
 
 
 def role_assertion_holds(t: TBox, a: ABox, role: str, x: str, y: str) -> bool:
-    up = role_closure(t.ris)
-    return any(sx == x and sy == y and role in up[s] for s, sx, sy in a.role_assertions)
+    """Is some ``s(x, y)`` asserted with ``role`` among the superroles of ``s``?
+
+    The roles below ``role`` are ``role`` itself and every role whose
+    closure holds it; each is looked up in the assertions.
+    """
+    assertions = a.role_assertions
+    if (role, x, y) in assertions:
+        return True
+    return any(
+        role in above and (s, x, y) in assertions for s, above in role_closure(t.ris).items()
+    )
 
 
 def _existential_atom_holds(model: RegularModel, name: str) -> bool:

@@ -8,13 +8,16 @@ Kept verbatim as differential references for ``elhlearn.reasoner``:
 * ``existential_atom_holds`` sorts every element reachable from the named
   part and then looks for the name; the early-exit walk must give the same
   verdict.
+* ``role_assertion_holds`` scans every role assertion for one between the
+  pair whose superroles hold the role; the lookup of each role below it
+  must give the same verdict.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 
-from elhlearn.reasoner import Element, RegularModel, abox_key, build_model, kb_key
+from elhlearn.reasoner import Element, RegularModel, abox_key, build_model, kb_key, role_closure
 from elhlearn.syntax import ABox, TBox
 
 
@@ -70,3 +73,8 @@ def reachable(model: RegularModel) -> list[Element]:
 
 def existential_atom_holds(model: RegularModel, name: str) -> bool:
     return any(name in model.labels[el] for el in reachable(model))
+
+
+def role_assertion_holds(t: TBox, a: ABox, role: str, x: str, y: str) -> bool:
+    up = role_closure(t.ris)
+    return any(sx == x and sy == y and role in up[s] for s, sx, sy in a.role_assertions)

@@ -1,3 +1,4 @@
+import importlib
 import time
 
 from hypothesis import given, settings, strategies as st
@@ -38,6 +39,9 @@ from elhlearn.syntax import (
     terminology,
 )
 from elhlearn.teacher import Framework, OracleSession, framework_for
+
+# the package exports the function ``learn_aq`` under the module's name
+learn_aq_module = importlib.import_module("elhlearn.learn_aq")
 
 
 def session_for(t, a0, lang=LANG_AQ, **kw):
@@ -182,6 +186,16 @@ class TestFindCycle:
         # the per-assertion search took 0.6 s at 1,500 edges
         assert time.perf_counter() - started < 5
 
+    def test_a_long_chain_with_a_self_loop_is_searched_at_once(self):
+        chain = [("r", f"c{i}", f"c{i + 1}") for i in range(1_500)]
+        # a loop at one end, then at both: every chain assertion is a bridge
+        for loops in ([("r", "c0", "c0")], [("r", "c0", "c0"), ("r", "c1500", "c1500")]):
+            started = time.perf_counter()
+            found = find_cycle(abox(roles=chain + loops))
+            # searching from every assertion of the chain took 0.87 s
+            assert time.perf_counter() - started < 0.1
+            assert found == (("r", "c0", "c0"), frozenset({"c0"}))
+
     def test_one_closing_assertion_is_found_on_a_long_chain(self):
         n = 300
         roles = [("r", f"c{i}", f"c{i + 1}") for i in range(n)] + [("s", f"c{n}", "c0")]
@@ -239,18 +253,35 @@ class TestTreeShape:
         assert name == "A1" and ind == "c"
         assert len(shaped.individuals()) > 1  # grew past the loop
 
-    def test_individual_counts_grow_and_stay_bounded(self):
-        for seed in range(40):
+    def test_individual_counts_grow_and_stay_bounded(self, monkeypatch):
+        # every minimization in tree shaping, the first and one per
+        # unfolding round, records the individual count it leaves
+        minimize = learn_aq_module.minimize_abox
+        counts: list[int] = []
+
+        def recording(*args, **kwargs):
+            out = minimize(*args, **kwargs)
+            counts.append(len(out[0].individuals()))
+            return out
+
+        monkeypatch.setattr(learn_aq_module, "minimize_abox", recording)
+        unfolded = 0
+        # a cycle survives the first minimization on 14 of these seeds
+        for seed in range(400):
             t = random_terminology(seed)
             a0 = random_abox(seed, t)
             oracle = CachedOracle(session_for(t, a0))
-            counts = []
-            orig = tree_shape.__wrapped__ if hasattr(tree_shape, "__wrapped__") else None
+            counts.clear()
             try:
                 shaped, witness = tree_shape(oracle, a0, TBox())
             except StructuralError:
-                continue  # no counterexample on this seed
+                assert len(counts) == 1  # no counterexample on this seed
+                continue
+            assert counts[-1] == len(shaped.individuals())
+            assert all(before < after for before, after in zip(counts, counts[1:]))
+            unfolded += len(counts) > 1
             assert len(shaped.individuals()) <= size_of(t)
+        assert unfolded >= 10
 
 
 class TestLearnAq:

@@ -7,7 +7,9 @@ role inclusions with cycles (equivalent roles), the closure must give every
 role's superroles, a role outside the inclusions included; the role classes
 the same representatives and subrole lists; and the one rewrite loop the
 same query, the same membership questions in the same order and the same
-``SaturationStats`` under every counterexample policy.
+``SaturationStats`` under every counterexample policy.  Role queries,
+answered by looking up each role below the asked one, must agree with
+``reference_reasoner``'s scan of every role assertion.
 """
 
 from __future__ import annotations
@@ -17,19 +19,22 @@ import importlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_reasoner
 import reference_roles as ref
 from genkb import random_abox, random_terminology
 from elhlearn import reasoner
 from elhlearn.learn_cqr import SaturationStats, learn_cqr
 from elhlearn.learn_iq import role_classes
-from elhlearn.reasoner import LANG_CQR
+from elhlearn.reasoner import LANG_CQR, answers_query
 from elhlearn.syntax import (
     ABox,
     Atom,
+    AtomicQuery,
     CI,
     ElhError,
     Exists,
     RI,
+    RoleQuery,
     TBox,
     signature_of_tbox,
     terminology,
@@ -96,6 +101,29 @@ def test_closure_is_one_value_per_set_of_inclusions():
     assert reasoner.role_closure(ris)["r"] == {"r", "s"}
     assert reasoner.role_closure(ris)["t"] == {"t"}
     assert "t" not in reasoner.role_closure(ris)
+
+
+# role assertions over three individuals, with a role no inclusion mentions
+# and several roles between one pair
+QUERY_ROLES = ROLES + ["outside"]
+QUERY_INDS = ["a", "b", "c"]
+query_ind = st.sampled_from(QUERY_INDS)
+role_assertions = st.frozensets(
+    st.tuples(st.sampled_from(QUERY_ROLES), query_ind, query_ind), max_size=8
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(role_inclusions, role_assertions)
+def test_role_queries_match_the_scan(ris, assertions):
+    t, a = TBox(frozenset(), ris), ABox(role_assertions=assertions)
+    for role in QUERY_ROLES + ["unasserted"]:
+        for x in QUERY_INDS:
+            for y in QUERY_INDS:
+                want = reference_reasoner.role_assertion_holds(t, a, role, x, y)
+                assert reasoner.role_assertion_holds(t, a, role, x, y) == want, (role, x, y)
+                assert answers_query(t, a, RoleQuery(role, x, y)) == want, (role, x, y)
+                assert answers_query(t, a, AtomicQuery(role, (x, y))) == want, (role, x, y)
 
 
 def _run(t, a0, policy, seed, saturate, monkeypatch):

@@ -5,10 +5,20 @@ compiled rule index: it rescans all elements after every change.  The fast
 ``build_model`` must fire the same rules in the same order, so both give
 equal ``labels`` and ``edges``, with the same key order and the same order
 of each element's edges.
+
+The fixed cases run the TBox of the benchmark's ``elh reason`` stream on
+chains and branching trees of 400 individuals, some pairs carrying several
+role assertions.  Their saturations run under a deadline, so that one which
+never ends fails.
 """
 
 from __future__ import annotations
 
+import contextlib
+import random
+import signal
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from elhlearn.reasoner import ModelCache, _compile, _eval_concept, answers_query, build_model
@@ -24,6 +34,7 @@ from elhlearn.syntax import (
     normalize,
     terminology,
 )
+from elhlearn.textio import parse_tbox
 from reference_saturation import build_model as reference_build_model
 
 CONCEPTS = ["A1", "A2", "A3", "A4"]
@@ -105,6 +116,22 @@ def assert_same_model(t, a):
     assert list(fast.edges.items()) == list(slow.edges.items())
 
 
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Raise ``TimeoutError`` in the block once ``seconds`` have passed."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"saturation still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @SETTINGS
 @given(terminologies(), aboxes())
 def test_saturation_matches_reference(t, a):
@@ -132,3 +159,56 @@ def test_long_backward_chain_matches_reference():
     assert_same_model(t, a)
     assert all("A" in build_model(t, a).labels[("n", v)] for v in chain)
 
+
+STREAM_TBOX = parse_tbox("""\
+CI: some r. A [= A
+CI: B [= some s. (C and some s. D)
+CI: some s. D [= H
+CI: some t. B [= K
+RI: r [= t
+""")
+
+
+def stream_abox(seed: int, chain_bias: float, extra_roles: bool) -> ABox:
+    """400 individuals, individual i under i-1 with probability ``chain_bias``, else anywhere.
+
+    With ``extra_roles`` a third of the ``r`` pairs also carry ``s`` or
+    ``t``, or both, so that their role sets are unions.
+    """
+    rng = random.Random(seed)
+    cas, ras = set(), set()
+    for i in range(400):
+        for name, share in (("A", 0.02), ("B", 0.12), ("D", 0.03)):
+            if rng.random() < share:
+                cas.add((name, f"v{i}"))
+        if i:
+            pair = (f"v{i - 1 if rng.random() < chain_bias else rng.randrange(i)}", f"v{i}")
+            ras.add(("r", *pair))
+            if extra_roles and rng.random() < 1 / 3:
+                for role in rng.choice([["s"], ["t"], ["s", "t"]]):
+                    ras.add((role, *pair))
+    return ABox(frozenset(cas), frozenset(ras))
+
+
+@pytest.mark.parametrize("extra_roles", [False, True])
+@pytest.mark.parametrize("chain_bias", [1.0, 0.8, 0.0])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_stream_tbox_on_chains_and_trees_matches_reference(seed, chain_bias, extra_roles):
+    a = stream_abox(seed, chain_bias, extra_roles)
+    assert len(a.individuals()) == 400
+    _compile.cache_clear()
+    with deadline(10):
+        fast = build_model(STREAM_TBOX, a)
+    slow = reference_build_model(STREAM_TBOX, a)
+    assert list(fast.labels) == list(slow.labels)
+    assert list(fast.edges) == list(slow.edges)
+    for el, label in slow.labels.items():
+        assert fast.labels[el] == label, el
+        assert fast.edges[el] == slow.edges[el], el
+    # ``some r. A`` and ``some t. B`` fire on the named part, ``some s. D``
+    # only through an asserted ``s``
+    named = [label for (kind, _), label in fast.labels.items() if kind == "n"]
+    assert all(any(name in label for label in named) for name in "AK")
+    assert any("H" in label for label in named) == extra_roles
+    if extra_roles:
+        assert any(len(roles) > 2 for edges in fast.edges.values() for roles, _ in edges)
