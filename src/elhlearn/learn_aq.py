@@ -6,10 +6,9 @@ with cycle unfolding, reads the tree off as a concept ``C``
 (``Tree.of_abox``) and adds ``C [= B`` to the hypothesis.  Every addition is a
 consequence of the target, so the hypothesis is positive bounded throughout.
 
-``find_cycle`` finds the shortest undirected cycle of role assertions,
-searching only from the assertions that are no bridge, and returns two
-things: the assertion to open, one the cycle walks forwards, and the set of
-the cycle's individuals.  ``unfold_cycle`` doubles that cycle: it
+``find_cycle`` finds the shortest undirected cycle of role assertions and
+returns two things: the assertion to open, one the cycle walks forwards, and
+the set of the cycle's individuals.  ``unfold_cycle`` doubles that cycle: it
 drops the opened assertion ``r(a0, a1)``, copies the cycle's individuals
 (copies keep their labels, their edges to each other and their edges out of
 the cycle) and closes the two halves with ``r(a0, a1_hat)`` and
@@ -21,7 +20,6 @@ individuals.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from . import reasoner
@@ -182,20 +180,17 @@ def find_cycle(a: ABox) -> tuple[tuple[str, str, str], frozenset[str]] | None:
     """The assertion to open and the individuals of the shortest cycle, if any.
 
     Every cycle contains some assertion e, and the shortest one through e is
-    the shortest path between e's endpoints that avoids e, closed by e.  A
-    bridge lies on no cycle, so only the other assertions are searched;
-    there are none exactly when the assertions form a forest.  A self-loop
-    or a second assertion between the same two individuals, in either
-    direction, is a cycle.  A simple path between the ends of an assertion
-    that is no bridge crosses no bridge, so leaving the bridges out changes
-    no search.  Of the shortest cycles the least path of ``(node,
-    assertion, forward)`` steps is chosen, and the assertion opened is that
-    of its first forward step, or its closing assertion when every step
-    runs backwards.
+    the shortest path between e's endpoints that avoids e, closed by e.
+    There is none exactly when the assertions form a forest, which one pass
+    checks first; a self-loop or a second assertion between the same two
+    individuals, in either direction, is a cycle.  Of the shortest cycles the
+    least path of ``(node, assertion, forward)`` steps is chosen, and the
+    assertion opened is that of its first forward step, or its closing
+    assertion when every step runs backwards.
     """
-    edges = sorted(a.role_assertions - _bridges(a.role_assertions))
-    if not edges:
+    if _is_forest(a.role_assertions):
         return None
+    edges: list[tuple[str, str, str]] = sorted(a.role_assertions)
     adj: dict[str, list[tuple[tuple[str, str, str], str, bool]]] = {}
     for e in edges:
         r, x, y = e
@@ -208,11 +203,11 @@ def find_cycle(a: ABox) -> tuple[tuple[str, str, str], frozenset[str]] | None:
         if src == dst:
             return []
         parent: dict[str, tuple[str, tuple[str, str, str], bool]] = {}
-        queue = deque([src])
+        queue = [src]
         seen = {src}
         while queue:
-            node = queue.popleft()
-            for e, nxt, fwd in adj[node]:
+            node = queue.pop(0)
+            for e, nxt, fwd in adj.get(node, []):
                 if e == banned or nxt in seen:
                     continue
                 parent[nxt] = (node, e, fwd)
@@ -240,45 +235,21 @@ def find_cycle(a: ABox) -> tuple[tuple[str, str, str], frozenset[str]] | None:
     return opened, frozenset(node for node, _, _ in best)
 
 
-def _bridges(assertions) -> set[tuple[str, str, str]]:
-    """The assertions whose removal disconnects their two individuals.
+def _is_forest(assertions) -> bool:
+    """Do the role assertions, read as undirected edges, form a forest?"""
+    root: dict[str, str] = {}  # union-find with path halving
 
-    One depth-first pass (Tarjan's low-link rule): the assertion by which
-    the search first reaches an individual is a bridge when nothing below
-    that individual reaches back above it.  A self-loop, or a second
-    assertion between the same two individuals, is never a bridge.
-    """
-    adj: dict[str, list[tuple[tuple[str, str, str], str]]] = {}
-    for e in assertions:
-        adj.setdefault(e[1], []).append((e, e[2]))
-        adj.setdefault(e[2], []).append((e, e[1]))
-    order: dict[str, int] = {}
-    low: dict[str, int] = {}
-    bridges: set[tuple[str, str, str]] = set()
-    for root in adj:
-        if root in order:
-            continue
-        order[root] = low[root] = len(order)
-        stack = [(root, None, iter(adj[root]))]
-        while stack:
-            node, via, todo = stack[-1]
-            for e, nxt in todo:
-                if e == via:
-                    continue
-                if nxt in order:
-                    low[node] = min(low[node], order[nxt])
-                else:
-                    order[nxt] = low[nxt] = len(order)
-                    stack.append((nxt, e, iter(adj[nxt])))
-                    break
-            else:
-                stack.pop()
-                if stack:
-                    parent = stack[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                    if low[node] > order[parent]:
-                        bridges.add(via)
-    return bridges
+    def find(x: str) -> str:
+        while root.get(x, x) != x:
+            root[x] = x = root.get(root[x], root[x])
+        return x
+
+    for _, x, y in assertions:
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            return False
+        root[rx] = ry
+    return True
 
 
 def unfold_cycle(a: ABox, found: tuple[tuple[str, str, str], frozenset[str]]) -> ABox:

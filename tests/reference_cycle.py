@@ -4,34 +4,17 @@
 ``(start_node, assertion, forward)`` steps, rotated it (reversing it when
 every step ran backwards) so that it began with a forward step, and
 ``unfold_cycle`` validated that list before it opened the first step.  They
-are kept verbatim, with the union-find forest check that ``find_cycle``
-ran first, as the reference that ``tests/test_learn_aq.py`` compares
-``elhlearn.learn_aq`` against.
+are kept verbatim, apart from the imports, as the reference that
+``tests/test_learn_aq.py`` compares ``elhlearn.learn_aq`` against.
 """
 
 from __future__ import annotations
 
+from elhlearn.learn_aq import _is_forest
 from elhlearn.syntax import ABox, StructuralError
 
 Cycle = list[tuple[str, tuple[str, str, str], bool]]
 """Steps ``(start_node, assertion, forward)`` walking an undirected cycle."""
-
-
-def _is_forest(assertions) -> bool:
-    """Do the role assertions, read as undirected edges, form a forest?"""
-    root: dict[str, str] = {}  # union-find with path halving
-
-    def find(x: str) -> str:
-        while root.get(x, x) != x:
-            root[x] = x = root.get(root[x], root[x])
-        return x
-
-    for _, x, y in assertions:
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return False
-        root[rx] = ry
-    return True
 
 
 def find_cycle(a: ABox) -> Cycle | None:

@@ -186,16 +186,6 @@ class TestFindCycle:
         # the per-assertion search took 0.6 s at 1,500 edges
         assert time.perf_counter() - started < 5
 
-    def test_a_long_chain_with_a_self_loop_is_searched_at_once(self):
-        chain = [("r", f"c{i}", f"c{i + 1}") for i in range(1_500)]
-        # a loop at one end, then at both: every chain assertion is a bridge
-        for loops in ([("r", "c0", "c0")], [("r", "c0", "c0"), ("r", "c1500", "c1500")]):
-            started = time.perf_counter()
-            found = find_cycle(abox(roles=chain + loops))
-            # searching from every assertion of the chain took 0.87 s
-            assert time.perf_counter() - started < 0.1
-            assert found == (("r", "c0", "c0"), frozenset({"c0"}))
-
     def test_one_closing_assertion_is_found_on_a_long_chain(self):
         n = 300
         roles = [("r", f"c{i}", f"c{i + 1}") for i in range(n)] + [("s", f"c{n}", "c0")]
