@@ -34,20 +34,31 @@ of each element's edges.  A heap of candidate elements finds that element
 without the rescan.  It holds every element that might still change: after
 a change at an element, the element itself and every element at most
 ``depth`` edges before it, since a left side of depth d reads labels at
-most d edges away, and name rules read only the element's own label.
+most d edges away, and name rules read only the element's own label.  The
+heap starts the same way, from the elements a rule can change at the
+start: every labelled element and every element at most ``depth`` edges
+before one.  An element left out changes nothing when fired until a change
+within ``depth`` edges of it wakes it.  A TBox with ``top`` on the left of
+a name rule, or a complex left side that names no concept, can change an
+element without any label near it, and then every element starts on the
+heap.  Every empty label of the model is one shared ``frozenset``, and an
+element without edges has ``()``.
 
 ``ModelCache`` keeps models by ``(kb_key(t), abox_key(a))``.  It computes
 each key once per distinct ``TBox`` or ``ABox`` value and, when full, drops
-the least recently used model.  A ``get`` for the very objects of the last
-``get`` returns the last model before any key work, which leaves the cache
-as the full lookup would.
+the least recently used model.  ``abox_key`` is the ABox's own three
+frozensets: two of them are equal exactly when their sorted tuples are, and
+CPython caches a frozenset's hash, so the key sorts nothing.  A ``get`` for
+the very objects of the last ``get`` returns the last model before any key
+work, which leaves the cache as the full lookup would.
 
 Unravelling the presentation from the named individuals reproduces the least
 model, so instance checking is plain recursive concept evaluation on the
 finite graph (``_eval_concept``, the one evaluator, which saturation uses
 for complex left sides other than ``some r. A`` as well), the boolean query
-``exists w ; A(w)`` is a walk from the named part that stops at the first
-element labelled ``A``,
+``exists w ; A(w)`` is false at once when no label holds ``A``, and
+otherwise a walk from the named part that stops at the first element
+labelled ``A``,
 and query inseparability reduces to label agreement plus mutual (bundle)
 simulations anchored at each individual.  One matcher, ``_cq_holds``,
 answers rooted conjunctive queries: a memoised bottom-up fit of the query's
@@ -109,6 +120,7 @@ from .syntax import (
     normalize,
     signature_of_abox,
     signature_of_tbox,
+    subconcepts,
     top_atoms,
     top_existentials,
 )
@@ -252,6 +264,8 @@ def _eval_concept(labels, edges, el, c: Concept) -> bool:
 
 # An edge during saturation: its role set and the index of its target.
 _IndexEdge = tuple[frozenset[str], int]
+# the one label of every element without names in a built model
+_NO_NAMES: frozenset[str] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -275,6 +289,9 @@ class _Compiled:
     # (both None for any other left side)
     complex_rules: tuple[tuple[str, Concept, str | None, str | None], ...]
     depth: int  # largest existential depth of a complex left side
+    # a rule may change an element with no label within ``depth`` edges:
+    # ``top`` on the left of a name rule, or a complex left side without names
+    fire_everywhere: bool
 
 
 def _rule_order(ci) -> tuple[str, str]:
@@ -323,6 +340,10 @@ def _compile(t: TBox) -> _Compiled:
         ),
         tuple((ci.rhs.name, ci.lhs, *_exists_name(ci.lhs)) for ci in complex_cis),
         max((concept_depth(ci.lhs) for ci in complex_cis), default=0),
+        any(isinstance(ci.lhs, Top) for ci in name_cis)
+        or any(
+            not any(type(c) is Atom for c in subconcepts(ci.lhs)) for ci in complex_cis
+        ),
     )
 
 
@@ -410,31 +431,48 @@ def build_model(t: TBox, a: ABox) -> RegularModel:
             changed = True
         return changed
 
+    depth = comp.depth
+
+    def before(found: set[int]) -> set[int]:
+        """Add to ``found`` every element at most ``depth`` edges before one of it."""
+        frontier = list(found)
+        for _ in range(depth):
+            frontier = [p for j in frontier for p in preds[j] if p not in found]
+            found.update(frontier)
+        return found
+
     # The heap holds every element that a firing may still change, so its
     # smallest member that changes is the one the full rescan would fire.
     # A firing at i can unsaturate only i and the elements whose complex
-    # left sides reach i: those at most ``depth`` edges before it.
-    heap = list(range(size))
-    queued = [True] * size
+    # left sides reach i: those at most ``depth`` edges before it.  At the
+    # start, a rule can change only a labelled element or one whose complex
+    # left sides reach a label, unless ``fire_everywhere``.
+    if comp.fire_everywhere:
+        heap = list(range(size))
+    else:
+        heap = [i for i in range(size) if labels[i]]
+        if depth:
+            heap = sorted(before(set(heap)))
+    queued = [False] * size
+    for i in heap:
+        queued[i] = True
     while heap:
         i = heapq.heappop(heap)
         queued[i] = False
         if not fire(i):
             continue
-        woken = {i}
-        frontier = [i]
-        for _ in range(comp.depth):
-            frontier = [p for j in frontier for p in preds[j] if p not in woken]
-            woken.update(frontier)
-        for j in woken:
+        for j in before({i}):
             if not queued[j]:
                 queued[j] = True
                 heapq.heappush(heap, j)
 
     order = [i for i, _, _ in comp.templates] + list(range(n_anon, size))
     return RegularModel(
-        {keys[i]: frozenset(labels[i]) for i in order},
-        {keys[i]: tuple([(roles, keys[j]) for roles, j in edges[i]]) for i in order},
+        {keys[i]: frozenset(labels[i]) if labels[i] else _NO_NAMES for i in order},
+        {
+            keys[i]: tuple([(roles, keys[j]) for roles, j in edges[i]]) if edges[i] else ()
+            for i in order
+        },
     )
 
 
@@ -494,11 +532,7 @@ def kb_key(t: TBox) -> tuple:
 def abox_key(a: ABox) -> tuple:
     # the assertions fix the mentioned individuals, and ``declared`` holds
     # exactly the others
-    return (
-        tuple(sorted(a.concept_assertions)),
-        tuple(sorted(a.role_assertions)),
-        tuple(sorted(a.declared)),
-    )
+    return (a.concept_assertions, a.role_assertions, a.declared)
 
 
 # ---------------------------------------------------------------------------
@@ -534,10 +568,13 @@ def role_assertion_holds(t: TBox, a: ABox, role: str, x: str, y: str) -> bool:
 def _existential_atom_holds(model: RegularModel, name: str) -> bool:
     """Does some element reachable from the named part have ``name``?
 
-    The walk starts at the named elements and stops at the first element
-    found with the name.
+    No element has the name when no label holds it.  Otherwise the walk
+    starts at the named elements and stops at the first element found with
+    the name.
     """
     labels, edges = model.labels, model.edges
+    if not any(name in label for label in labels.values()):
+        return False
     frontier = []
     for el, label in labels.items():
         if el[0] == "n":

@@ -236,11 +236,22 @@ def concept_depth(concept: Concept) -> int:
 
 @dataclass(frozen=True)
 class ABox:
+    """Assertions ``(name, ind)`` and ``(role, x, y)``, and declared individuals.
+
+    ``declared`` is normalised to a frozenset that holds only individuals no
+    assertion mentions, so two ABoxes with the same assertions and the same
+    individuals are equal.  An empty ``declared`` of any type becomes
+    ``frozenset()`` without a look at the assertions.
+    """
+
     concept_assertions: frozenset[tuple[str, str]] = frozenset()
     role_assertions: frozenset[tuple[str, str, str]] = frozenset()
     declared: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
+        if not self.declared:
+            object.__setattr__(self, "declared", frozenset())
+            return
         mentioned = {a for _, a in self.concept_assertions}
         for _, x, y in self.role_assertions:
             mentioned.update((x, y))

@@ -65,3 +65,16 @@ def test_an_element_no_individual_reaches_does_not_count():
     assert not _existential_atom_holds(model, "D")  # ... but nothing reaches it
     assert _existential_atom_holds(model, "B")
     assert not _existential_atom_holds(model, ABSENT)
+
+
+def test_a_name_held_only_by_anonymous_elements():
+    t = terminology([CI(Atom("A"), Exists("r", Atom("E")))])
+    reached = abox(concepts=[("A", "x")])
+    unreached = abox(concepts=[("B", "x")])
+    named = [label for (kind, _), label in build_model(t, reached).labels.items() if kind == "n"]
+    assert not any("E" in label for label in named)  # only ("a", "E") has E ...
+    assert answers_query(t, reached, boolean_cq("E"))  # ... and x reaches it
+    assert ("a", "E") in build_model(t, unreached).labels  # E is there, but no A
+    assert not answers_query(t, unreached, boolean_cq("E"))
+    assert not answers_query(t, reached, boolean_cq(ABSENT))
+    assert not answers_query(terminology([]), ABox(), boolean_cq(ABSENT))

@@ -89,6 +89,19 @@ def test_twelve_queries_on_a_large_abox_sort_it_once(counts):
     assert len(counts["kb_key"]) == 1
 
 
+def test_abox_key_is_equal_exactly_for_equal_aboxes():
+    concepts = [("A", f"v{i}") for i in range(30)] + [("B", "v3")]
+    roles = [("r", f"v{i}", f"v{i + 1}") for i in range(29)] + [("s", "v3", "v0")]
+    forward = abox(concepts, roles, declared=["w", "u"])
+    backward = abox(reversed(concepts), reversed(roles), declared=["u", "w", "v1"])
+    assert forward == backward
+    assert reasoner.abox_key(forward) == reasoner.abox_key(backward)
+    assert hash(reasoner.abox_key(forward)) == hash(reasoner.abox_key(backward))
+    fewer = abox(concepts, roles, declared=["w"])
+    assert reasoner.abox_key(fewer) != reasoner.abox_key(forward)
+    assert reasoner.abox_key(abox(concepts, roles)) != reasoner.abox_key(fewer)
+
+
 def test_a_full_cache_drops_the_least_recently_used_model(counts):
     cache = ModelCache(limit=2)
     a1, a2, a3 = (abox(concepts=[("A", f"x{i}")]) for i in range(3))

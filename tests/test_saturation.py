@@ -9,7 +9,10 @@ of each element's edges.
 The fixed cases run the TBox of the benchmark's ``elh reason`` stream on
 chains and branching trees of 400 individuals, some pairs carrying several
 role assertions.  Their saturations run under a deadline, so that one which
-never ends fails.
+never ends fails.  So do the seeding cases: sparse chains of 400
+individuals under a depth-2 left side, where saturation starts from the
+labelled elements and those a few edges before them, and under rules that
+need no label nearby, where it starts from every element.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import random
 import signal
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -118,18 +122,44 @@ def assert_same_model(t, a):
 
 @contextlib.contextmanager
 def deadline(seconds: float):
-    """Raise ``TimeoutError`` in the block once ``seconds`` have passed."""
+    """Raise ``TimeoutError`` in the block once ``seconds`` have passed.
+
+    The timer it displaces, such as the per-test limit of ``conftest.py``,
+    runs on afterwards with the time it had left, less the block's.
+    """
+
+    expired = TimeoutError(f"saturation still running after {seconds} s")
 
     def expire(signum, frame):
-        raise TimeoutError(f"saturation still running after {seconds} s")
+        raise expired
 
     previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
+    outer, _ = signal.setitimer(signal.ITIMER_REAL, seconds)
+    start = time.monotonic()
     try:
         yield
+    except TimeoutError as exc:
+        if exc is not expired:
+            raise
+        # raised afresh here: the frame the signal interrupted may have no
+        # line number, and pytest fails on such a traceback
+        raise TimeoutError(str(exc)) from None
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+        if outer:
+            # an outer limit already past fires at once
+            left = outer - (time.monotonic() - start)
+            signal.setitimer(signal.ITIMER_REAL, max(left, 1e-6))
+
+
+def test_deadline_restores_the_timer_it_displaces():
+    with deadline(60):  # the outer timer, as the per-test limit would be
+        before, _ = signal.getitimer(signal.ITIMER_REAL)
+        with deadline(5):
+            assert 0 < signal.getitimer(signal.ITIMER_REAL)[0] <= 5
+        after, _ = signal.getitimer(signal.ITIMER_REAL)
+        assert 5 < after <= before
 
 
 @SETTINGS
@@ -212,3 +242,50 @@ def test_stream_tbox_on_chains_and_trees_matches_reference(seed, chain_bias, ext
     assert any("H" in label for label in named) == extra_roles
     if extra_roles:
         assert any(len(roles) > 2 for edges in fast.edges.values() for roles, _ in edges)
+
+
+# Saturation starts from the elements a rule can change: the labelled ones
+# and those at most ``depth`` edges before one, or every element when a rule
+# needs no label nearby.  Each TBox below takes one of the two branches.
+SEEDING_TBOXES = {
+    "depth-2 left side": (parse_tbox("""\
+CI: some r. some r. A [= B
+CI: B [= some s. C
+CI: some s. C [= H
+"""), False),
+    "left side without names": (parse_tbox("""\
+CI: some r. top [= E
+CI: E [= some s. C
+"""), True),
+    "top on the left": (parse_tbox("""\
+CI: top [= some s. C
+CI: some s. C [= E
+CI: some r. E [= K
+"""), True),
+}
+
+
+def sparse_chain(seed: int) -> ABox:
+    """400 individuals on an ``r``-chain, about one in thirty labelled ``A``."""
+    rng = random.Random(seed)
+    names = [f"v{i}" for i in range(400)]
+    cas = {("A", x) for x in names if rng.random() < 1 / 30}
+    return ABox(frozenset(cas), frozenset(("r", x, y) for x, y in zip(names, names[1:])))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", sorted(SEEDING_TBOXES))
+def test_seeded_saturation_matches_reference(name, seed):
+    t, everywhere = SEEDING_TBOXES[name]
+    a = sparse_chain(seed)
+    _compile.cache_clear()
+    assert _compile(t).fire_everywhere == everywhere
+    with deadline(10):
+        fast = build_model(t, a)
+    slow = reference_build_model(t, a)
+    assert list(fast.labels.items()) == list(slow.labels.items())
+    assert list(fast.edges.items()) == list(slow.edges.items())
+    if everywhere:  # ``E`` also far from any label
+        assert sum("E" in fast.labels[("n", x)] for x in a.individuals()) >= 399
+    else:  # ``B`` only two edges before an ``A``
+        assert 0 < sum("B" in fast.labels[("n", x)] for x in a.individuals()) < 40

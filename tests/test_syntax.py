@@ -148,6 +148,22 @@ class TestAboxEncoding:
         assert find_cycle(a) is None
 
 
+class TestAbox:
+    def test_empty_declared_becomes_a_frozenset(self):
+        for declared in ([], set(), (), frozenset()):
+            a = ABox(declared=declared)
+            assert type(a.declared) is frozenset and not a.declared
+            assert a == ABox() and hash(a) == hash(ABox())
+        full = ABox(frozenset({("A", "x")}), declared=[])
+        assert full == abox(concepts=[("A", "x")]) and hash(full) == hash(abox(concepts=[("A", "x")]))
+
+    def test_declared_keeps_only_unmentioned_individuals(self):
+        a = ABox(frozenset({("A", "x")}), frozenset({("r", "x", "y")}), ["x", "y", "z"])
+        assert a.declared == frozenset({"z"})
+        assert a == abox(concepts=[("A", "x")], roles=[("r", "x", "y")], declared=["z"])
+        assert a.individuals() == frozenset({"x", "y", "z"})
+
+
 class TestTerminology:
     def test_auto_merge(self):
         t = terminology([CI(Atom("A"), Exists("r", Atom("B"))), CI(Atom("A"), Atom("C"))])
