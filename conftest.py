@@ -1,6 +1,8 @@
 """A time limit on every test, so that a hang fails the suite instead of stalling it.
 
-Each test body runs under a SIGALRM timer of ``TEST_SECONDS``.  When it
+This file sits at the repository root so that it covers both test paths,
+``tests/`` and ``perfbench/``.  Each test body runs under a SIGALRM timer of
+``TEST_SECONDS``.  When it
 expires, the test fails with its node id and the function it was in.  The
 timer needs POSIX ``signal.setitimer`` and the main thread; elsewhere tests
 run without it.  A block that sets its own, tighter timer

@@ -39,8 +39,7 @@ from .syntax import (
     Query,
     TBox,
     UnsupportedQueryError,
-    check_disjoint_namespaces,
-    signature_of_abox,
+    check_disjoint_names,
     signature_of_tbox,
     size_of,
 )
@@ -88,11 +87,27 @@ def _check_writable(*paths: str | None) -> None:
 
 
 def _check_namespaces(tboxes: list[TBox], aboxes: list[ABox]) -> None:
-    """The inputs of one command share one vocabulary: no name is of two kinds."""
-    check_disjoint_namespaces(
-        [signature_of_tbox(t) for t in tboxes] + [signature_of_abox(a) for a in aboxes],
-        [ind for a in aboxes for ind in a.individuals()],
-    )
+    """The inputs of one command share one vocabulary: no name is of two kinds.
+
+    Each ABox is read in one walk, for its names and its individuals alike.
+    """
+    concepts: set[str] = set()
+    roles: set[str] = set()
+    inds: set[str] = set()
+    for t in tboxes:
+        sig = signature_of_tbox(t)
+        concepts |= sig.concept_names
+        roles |= sig.role_names
+    for a in aboxes:
+        inds |= a.declared
+        for name, ind in a.concept_assertions:
+            concepts.add(name)
+            inds.add(ind)
+        for role, x, y in a.role_assertions:
+            roles.add(role)
+            inds.add(x)
+            inds.add(y)
+    check_disjoint_names(concepts, roles, inds)
 
 
 def cmd_reason(args: argparse.Namespace) -> int:

@@ -26,23 +26,27 @@ kept as its role and filler name and checked inline, every other left side
 going to ``_eval_concept``; the largest existential depth of those left
 sides; and the initial label and edges of every anonymous element.
 ``C [= top`` with a complex ``C`` is dropped.  An asserted pair takes the
-closure's own role set, or the union of those of its assertions.  The
-firing order is fixed: each step fires all rules, in order, at the smallest
-element (in sorted order) that they still change.  This is what a rescan
-from the first element after every change would do, and it fixes the order
-of each element's edges.  A heap of candidate elements finds that element
-without the rescan.  It holds every element that might still change: after
-a change at an element, the element itself and every element at most
-``depth`` edges before it, since a left side of depth d reads labels at
-most d edges away, and name rules read only the element's own label.  The
-heap starts the same way, from the elements a rule can change at the
-start: every labelled element and every element at most ``depth`` edges
-before one.  An element left out changes nothing when fired until a change
-within ``depth`` edges of it wakes it.  A TBox with ``top`` on the left of
-a name rule, or a complex left side that names no concept, can change an
-element without any label near it, and then every element starts on the
-heap.  Every empty label of the model is one shared ``frozenset``, and an
-element without edges has ``()``.
+closure's own role set, or the union of those of its assertions.  Each
+pair's edge is appended in one walk over the pairs, and only an individual
+with two or more edges sorts them by target index, which is name order.
+The firing order is fixed: each step fires all rules, in order, at the
+smallest element (in sorted order) that they still change.  This is what a
+rescan from the first element after every change would do, and it fixes
+the order of each element's edges.  A heap of candidate elements finds that
+element without the rescan.  It holds every element that might still
+change: after a change at an element, the element itself and every element
+at most ``depth`` edges before it, since a left side of depth d reads
+labels at most d edges away, and name rules read only the element's own
+label.  The element goes straight back on the heap, and at depth 1 its
+predecessors join it without a set being built.  The heap starts the same
+way, from the elements a rule can change at the start: every labelled
+element and every element at most ``depth`` edges before one.  An element
+left out changes nothing when fired until a change within ``depth`` edges
+of it wakes it.  A TBox with ``top`` on the left of a name rule, or a
+complex left side that names no concept, can change an element without any
+label near it, and then every element starts on the heap.  Every empty
+label of the model is one shared ``frozenset``, and an element without
+edges has ``()``.
 
 ``ModelCache`` keeps models by ``(kb_key(t), abox_key(a))``.  It computes
 each key once per distinct ``TBox`` or ``ABox`` value and, when full, drops
@@ -89,6 +93,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import operator
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable, Literal, Union
@@ -266,6 +271,7 @@ def _eval_concept(labels, edges, el, c: Concept) -> bool:
 _IndexEdge = tuple[frozenset[str], int]
 # the one label of every element without names in a built model
 _NO_NAMES: frozenset[str] = frozenset()
+_target = operator.itemgetter(1)
 
 
 @dataclass(frozen=True)
@@ -393,11 +399,18 @@ def build_model(t: TBox, a: ABox) -> RegularModel:
     for ind, i in named.items():
         if ind in concepts_of:
             labels[i] = concepts_of[ind]
-    # named elements have no edges yet, and each pair gives one edge
-    for pair in sorted(pair_roles):
-        x, y = named[pair[0]], named[pair[1]]
-        edges[x].append((pair_roles[pair], y))
-        preds[y].append(x)
+    # named elements have no edges yet, and each pair gives one edge; an
+    # element with several sorts them by target, which is name order
+    several = []
+    for (x, y), roles in pair_roles.items():
+        i, j = named[x], named[y]
+        out = edges[i]
+        out.append((roles, j))
+        if len(out) == 2:
+            several.append(i)
+        preds[j].append(i)
+    for i in several:
+        edges[i].sort(key=_target)
 
     name_rules = comp.name_rules
     complex_rules = comp.complex_rules
@@ -458,10 +471,12 @@ def build_model(t: TBox, a: ABox) -> RegularModel:
         queued[i] = True
     while heap:
         i = heapq.heappop(heap)
-        queued[i] = False
         if not fire(i):
+            queued[i] = False
             continue
-        for j in before({i}):
+        # i stays queued; at depth 1 the elements before it are its preds
+        heapq.heappush(heap, i)
+        for j in preds[i] if depth == 1 else before({i}) if depth else ():
             if not queued[j]:
                 queued[j] = True
                 heapq.heappush(heap, j)

@@ -744,7 +744,11 @@ def check_disjoint_namespaces(sigs: Iterable[Signature], individuals: Iterable[s
     for sig in sigs:
         concepts |= sig.concept_names
         roles |= sig.role_names
-    inds = set(individuals)
+    check_disjoint_names(concepts, roles, set(individuals))
+
+
+def check_disjoint_names(concepts: set[str], roles: set[str], inds: set[str]) -> None:
+    """No name is in two of the three sets."""
     for clash in (concepts & roles, concepts & inds, roles & inds):
         if clash:
             raise StructuralError(f"name used in two namespaces: {sorted(clash)}")

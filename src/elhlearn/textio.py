@@ -330,6 +330,12 @@ def serialize_abox(a: ABox) -> str:
 
 
 _QUERY_PREFIX = re.compile(r"Q:\s*")
+# An ``AQ`` or role ``IQ`` query line, read as ``_ASSERTION`` reads an ``A:``
+# line: it accepts only lines that ``_Tokens`` accepts, with the same result.
+_QUERY_LINE = re.compile(
+    rf"\s*Q:\s*(?:AQ\s*{_NAME}\s*\(\s*{_NAME}\s*(?:,\s*{_NAME}\s*)?\)"
+    rf"|IQ\s*{_NAME}\s*\(\s*{_NAME}\s*,\s*{_NAME}\s*\))\s*(?:#.*)?"
+)
 _CQ_ATOM = re.compile(rf"{_NAME}\(\s*{_NAME}\s*(?:,\s*{_NAME}\s*)?\)")
 _NOT_SEPARATOR = re.compile(r"[^\s,]")
 
@@ -381,10 +387,19 @@ _LIST_ITEM = re.compile(r"[^,]+")
 
 
 def _names(text: str, start: int, end: int, lineno: int) -> list[str]:
-    """The names listed in ``text[start:end]``, comma-separated; blank items are skipped."""
+    """The names listed in ``text[start:end]``, comma-separated; blank items are skipped.
+
+    An item that is not a name between blanks goes through ``_Tokens``,
+    which gives its error.
+    """
     out = []
     for m in _LIST_ITEM.finditer(text, start, end):
-        if not m.group().isspace():
+        name = m.group().strip()
+        if not name:
+            continue
+        if NAME_RE.fullmatch(name):
+            out.append(name)
+        else:
             ts = _Tokens(text[: m.end()], lineno, m.start())
             out.append(ts.name())
             ts.done()
@@ -424,6 +439,14 @@ def _parse_cq_atoms(
 def parse_queries(text: str) -> list[Query]:
     out: list[Query] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        m = _QUERY_LINE.fullmatch(raw)
+        if m:
+            pred, first, second, role, subj, obj = m.groups()
+            if role is None:
+                out.append(AtomicQuery(pred, (first,) if second is None else (first, second)))
+            else:
+                out.append(RoleQuery(role, subj, obj))
+            continue
         code, body = _statement(raw)
         if body:
             out.append(parse_query(code, lineno, code.index(body)))

@@ -1,16 +1,40 @@
-"""Reference copy of the ABox parser that tokenizes every line.
+"""Reference copies of the ABox and query parsers that tokenize every line.
 
 ``parse_abox`` is the version before the compiled ``A:`` line pattern,
 verbatim apart from imports: every line goes through ``_Tokens``, and an
 ``IND:`` line with a bad name raises ``StructuralError`` without a position.
+``parse_queries``, ``parse_query`` and ``_names`` are the versions before the
+compiled ``AQ`` and role ``IQ`` line pattern and the ``NAME_RE`` check of CQ
+list items, verbatim apart from imports: every line, and every name listed in
+a CQ, goes through ``_Tokens``.
 ``check_name`` moved here from ``elhlearn.syntax`` once the text parsers
 stopped using it.
 """
 
 from __future__ import annotations
 
-from elhlearn.syntax import ABox, NAME_RE, StructuralError
-from elhlearn.textio import _Tokens, _statement, _unknown_statement
+import re
+
+from elhlearn.syntax import (
+    ABox,
+    AtomicQuery,
+    ConceptQuery,
+    MAX_NESTING,
+    NAME_RE,
+    Query,
+    RoleQuery,
+    StructuralError,
+)
+from elhlearn.textio import (
+    ParseError,
+    _QUERY_PREFIX,
+    _Tokens,
+    _atom,
+    _parse_concept,
+    _parse_cq_atoms,
+    _statement,
+    _unknown_statement,
+)
 
 
 def check_name(name: str) -> str:
@@ -48,3 +72,69 @@ def parse_abox(text: str) -> ABox:
             concepts.add((pred, first))
     return ABox(frozenset(concepts), frozenset(roles), frozenset(declared))
 
+
+
+def parse_query(body: str, lineno: int = 0, start: int = 0) -> Query:
+    """The query at ``body[start:]``; error columns count from ``body``'s start."""
+    if not body.startswith("Q:", start):
+        raise ParseError("query line must start with 'Q:'", lineno, start + 1)
+    at = _QUERY_PREFIX.match(body, start).end()
+    kind = body[at : at + 2]
+    pos = at + 2
+    if kind == "AQ":
+        pred, first, second = _atom(_Tokens(body, lineno, pos))
+        return AtomicQuery(pred, (first,) if second is None else (first, second))
+    if kind == "IQ":
+        ts = _Tokens(body, lineno, pos)
+        first = ts.name()
+        if ts.peek() == ":":
+            ts.next()
+            concept = _parse_concept(ts)
+            ts.done()
+            return ConceptQuery(concept, first)
+        role = first
+        ts.expect("(")
+        subj = ts.name()
+        ts.expect(",")
+        obj = ts.name()
+        ts.expect(")")
+        ts.done()
+        return RoleQuery(role, subj, obj)
+    if kind == "CQ":
+        pieces = body[pos:].split(";")
+        if len(pieces) != 3:
+            raise ParseError("CQ needs 'answers ; exists vars ; atoms'", lineno, at + 1)
+        inds_end = pos + len(pieces[0])
+        atoms_at = inds_end + len(pieces[1]) + 2
+        answer_inds = tuple(_names(body, pos, inds_end, lineno))
+        exists_at = inds_end + 1 + len(pieces[1]) - len(pieces[1].lstrip())
+        if not body.startswith("exists", exists_at):
+            raise ParseError("second CQ section must start with 'exists'", lineno, exists_at + 1)
+        variables = set(_names(body, exists_at + len("exists"), atoms_at - 1, lineno))
+        if len(variables) > MAX_NESTING:
+            raise ParseError(f"CQ has more than {MAX_NESTING} variables", lineno, exists_at + 1)
+        return _parse_cq_atoms(body, atoms_at, answer_inds, variables, lineno)
+    raise ParseError(f"unknown query language in {body[at:].rstrip()!r}", lineno, at + 1)
+
+
+_LIST_ITEM = re.compile(r"[^,]+")
+
+
+def _names(text: str, start: int, end: int, lineno: int) -> list[str]:
+    """The names listed in ``text[start:end]``, comma-separated; blank items are skipped."""
+    out = []
+    for m in _LIST_ITEM.finditer(text, start, end):
+        if not m.group().isspace():
+            ts = _Tokens(text[: m.end()], lineno, m.start())
+            out.append(ts.name())
+            ts.done()
+    return out
+
+
+def parse_queries(text: str) -> list[Query]:
+    out: list[Query] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        code, body = _statement(raw)
+        if body:
+            out.append(parse_query(code, lineno, code.index(body)))
+    return out

@@ -3,6 +3,7 @@ import io
 import json
 import logging
 import os
+import random
 import subprocess
 import sys
 import time
@@ -13,7 +14,13 @@ import pytest
 import elhlearn
 from elhlearn import cli, pac
 from elhlearn.cli import main
-from elhlearn.textio import MAX_NESTING
+from elhlearn.syntax import (
+    StructuralError,
+    check_disjoint_namespaces,
+    signature_of_abox,
+    signature_of_tbox,
+)
+from elhlearn.textio import MAX_NESTING, parse_abox, parse_tbox
 
 EX1_TBOX = "CI: B [= some s. B\nCI: some r. some s. B [= A\n"
 EX1_ABOX = "A: r(a,b)\nA: B(b)\n"
@@ -118,6 +125,42 @@ def test_a_name_of_two_kinds_exits_2(workdir, capsys, command, abox):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: name used in two namespaces: ")
     assert "ENTAILED" not in captured.out
+
+
+def test_namespace_check_gives_the_messages_of_the_signature_check():
+    """``_check_namespaces`` reads each ABox once and says what
+    ``check_disjoint_namespaces`` over the signatures and individuals says."""
+    def message(check, tboxes, aboxes):
+        try:
+            check(tboxes, aboxes)
+        except StructuralError as exc:
+            return str(exc)
+        return None
+
+    def by_signatures(tboxes, aboxes):
+        check_disjoint_namespaces(
+            [signature_of_tbox(t) for t in tboxes] + [signature_of_abox(a) for a in aboxes],
+            [ind for a in aboxes for ind in a.individuals()],
+        )
+
+    names = ["A", "B", "r", "s", "a", "b"]
+    rng = random.Random(3)
+    seen = set()
+    for _ in range(400):
+        tboxes = [
+            parse_tbox(f"CI: {rng.choice(names)} [= some {rng.choice(names)}. {rng.choice(names)}\n")
+            for _ in range(rng.randrange(3))
+        ]
+        aboxes = []
+        for _ in range(rng.randrange(1, 3)):
+            lines = [f"A: {rng.choice(names)}({rng.choice(names)})" for _ in range(rng.randrange(3))]
+            lines += [f"A: {rng.choice(names)}({rng.choice(names)},{rng.choice(names)})" for _ in range(rng.randrange(3))]
+            lines += [f"IND: {rng.choice(names)}" for _ in range(rng.randrange(2))]
+            aboxes.append(parse_abox("\n".join(lines)))
+        want = message(by_signatures, tboxes, aboxes)
+        assert message(cli._check_namespaces, tboxes, aboxes) == want
+        seen.add(want is None)
+    assert seen == {True, False}
 
 
 def test_reason_unsupported_query(workdir):

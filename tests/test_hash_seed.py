@@ -1,14 +1,17 @@
-"""Seeded learner runs must not depend on the interpreter's string hash seed.
+"""Seeded learner runs and ``elh reason`` must not depend on the string hash seed.
 
 Sets and frozensets of strings iterate in an order that changes with
 ``PYTHONHASHSEED``.  The learners run here on random ``genkb`` knowledge
 bases in two interpreters with different hash seeds; their transcripts and
-hypotheses must agree byte for byte.
+hypotheses must agree byte for byte.  ``elh reason --explain``, which prints
+an individual's edges in model order, runs on a 400-individual tree under
+four hash seeds and must print the same bytes each time.
 """
 
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -61,3 +64,52 @@ def test_learner_transcripts_do_not_depend_on_hash_seed():
     first = run_with_hash_seed("1")
     assert first.count("\n") > 3 * len(SEEDS)
     assert run_with_hash_seed("2") == first
+
+
+REASON_TBOX = """\
+CI: some r. A [= A
+CI: B [= some s. (C and some s. D)
+CI: some s. D [= H
+CI: some t. B [= K
+RI: r [= t
+"""
+
+
+def reason_inputs(tmp_path: Path) -> list[str]:
+    """A 400-individual tree whose names sort differently as text and as numbers.
+
+    ``v0`` has 40 children, from ``v1`` to ``v40`` (so ``v10`` sorts before
+    ``v2``), and a third of the pairs also carry ``s`` or ``t``.
+    """
+    rng = random.Random(7)
+    lines = []
+    for i in range(1, 400):
+        parent = 0 if i <= 40 else rng.randrange(i)
+        for role in ["r"] + rng.choice([[], [], [], ["s"], ["t"], ["s", "t"]]):
+            lines.append(f"A: {role}(v{parent},v{i})")
+        for name, share in (("A", 0.05), ("B", 0.15), ("D", 0.05)):
+            if rng.random() < share:
+                lines.append(f"A: {name}(v{i})")
+    rng.shuffle(lines)
+    queries = [f"Q: IQ v{i} : some t. K" for i in (0, 1, 2, 10, 37)]
+    queries += ["Q: AQ A(v0)", "Q: IQ t(v0,v10)", "Q: CQ v0 ; exists y ; K(y), r(v0,y)"]
+    paths = []
+    for name, text in (("kb.tbox", REASON_TBOX), ("kb.abox", "\n".join(lines)), ("kb.q", "\n".join(queries))):
+        (tmp_path / name).write_text(text + "\n", encoding="utf-8")
+        paths.append(str(tmp_path / name))
+    return paths
+
+
+def test_reason_output_does_not_depend_on_hash_seed(tmp_path):
+    src = Path(elhlearn.__file__).resolve().parent.parent
+    args = [sys.executable, "-m", "elhlearn.cli", "reason", "--explain", *reason_inputs(tmp_path)]
+    outputs = set()
+    for hash_seed in "0123":
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(src))
+        done = subprocess.run(args, env=env, capture_output=True, timeout=120)
+        assert done.returncode in (0, 1), done.stderr
+        outputs.add(done.stdout)
+    assert len(outputs) == 1
+    # v0's edges are printed, in name order of their targets
+    (out,) = outputs
+    assert out.count(b'"target"') >= 40 and b'["n", "v10"]' in out

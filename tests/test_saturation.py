@@ -289,3 +289,37 @@ def test_seeded_saturation_matches_reference(name, seed):
         assert sum("E" in fast.labels[("n", x)] for x in a.individuals()) >= 399
     else:  # ``B`` only two edges before an ``A``
         assert 0 < sum("B" in fast.labels[("n", x)] for x in a.individuals()) < 40
+
+
+def broom(seed: int) -> ABox:
+    """400 individuals: ``v0`` has the 40 children ``v1`` to ``v40``, and the
+    rest hang anywhere below.  Names sort differently as text and as numbers
+    (``v10`` before ``v2``), and half the pairs carry several roles."""
+    rng = random.Random(seed)
+    cas, ras = set(), set()
+    for i in range(1, 400):
+        pair = (f"v{0 if i <= 40 else rng.randrange(i)}", f"v{i}")
+        for role in ["r"] + rng.choice([[], ["s"], ["t"], ["s", "t"]]):
+            ras.add((role, *pair))
+        for name, share in (("A", 0.05), ("B", 0.15), ("D", 0.05)):
+            if rng.random() < share:
+                cas.add((name, f"v{i}"))
+    return ABox(frozenset(cas), frozenset(ras))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("depth", [1, 2])
+def test_many_children_and_several_roles_per_pair_match_reference(depth, seed):
+    """Each element's asserted edges come in the name order of their targets."""
+    t = STREAM_TBOX if depth == 1 else SEEDING_TBOXES["depth-2 left side"][0]
+    a = broom(seed)
+    _compile.cache_clear()
+    assert _compile(t).depth == depth
+    with deadline(10):
+        fast = build_model(t, a)
+    slow = reference_build_model(t, a)
+    assert list(fast.labels.items()) == list(slow.labels.items())
+    assert list(fast.edges.items()) == list(slow.edges.items())
+    targets = [name for _, (kind, name) in fast.edges[("n", "v0")] if kind == "n"]
+    assert len(targets) >= 40 and targets == sorted(targets) and targets[:2] == ["v1", "v10"]
+    assert any(len(roles) > 2 for roles, _ in fast.edges[("n", "v0")])
