@@ -49,8 +49,7 @@ class BatchItem:
 
 
 def _require_signature(target: TBox, a0: ABox) -> None:
-    st, sa = signature_of_tbox(target), signature_of_abox(a0)
-    if not (st.concept_names <= sa.concept_names and st.role_names <= sa.role_names):
+    if not signature_of_abox(a0).covers(signature_of_tbox(target)):
         raise ConfigurationError("batch construction needs the target signature in the ABox")
 
 

@@ -30,17 +30,14 @@ from .learn_aq import learn_aq
 from .learn_cqr import learn_cqr
 from .learn_iq import learn_iq
 from .syntax import (
-    ABox,
     AtomicQuery,
     BudgetExceededError,
     ConceptQuery,
     ConfigurationError,
     ElhError,
     Query,
-    TBox,
     UnsupportedQueryError,
-    check_disjoint_names,
-    signature_of_tbox,
+    check_namespaces,
     size_of,
 )
 from .textio import ParseError
@@ -86,34 +83,10 @@ def _check_writable(*paths: str | None) -> None:
             _write(path, "", "a")
 
 
-def _check_namespaces(tboxes: list[TBox], aboxes: list[ABox]) -> None:
-    """The inputs of one command share one vocabulary: no name is of two kinds.
-
-    Each ABox is read in one walk, for its names and its individuals alike.
-    """
-    concepts: set[str] = set()
-    roles: set[str] = set()
-    inds: set[str] = set()
-    for t in tboxes:
-        sig = signature_of_tbox(t)
-        concepts |= sig.concept_names
-        roles |= sig.role_names
-    for a in aboxes:
-        inds |= a.declared
-        for name, ind in a.concept_assertions:
-            concepts.add(name)
-            inds.add(ind)
-        for role, x, y in a.role_assertions:
-            roles.add(role)
-            inds.add(x)
-            inds.add(y)
-    check_disjoint_names(concepts, roles, inds)
-
-
 def cmd_reason(args: argparse.Namespace) -> int:
     t = textio.parse_tbox(_read(args.tbox))
     a = textio.parse_abox(_read(args.abox))
-    _check_namespaces([t], [a])
+    check_namespaces([t], [a])
     queries = textio.parse_queries(_read(args.queries))
     if not queries:
         raise ParseError("query file holds no queries")
@@ -197,7 +170,7 @@ def cmd_update_check(args: argparse.Namespace) -> int:
     h = textio.parse_tbox(_read(args.hypothesis))
     a0 = textio.parse_abox(_read(args.abox0))
     a = textio.parse_abox(_read(args.abox))
-    _check_namespaces([t, h], [a0, a])
+    check_namespaces([t, h], [a0, a])
     preserved = updates.check_bisim_preservation(t, h, a0, a)
     print("PRESERVED" if preserved else "NOT_PRESERVED")
     return EXIT_OK if preserved else EXIT_NEGATIVE
@@ -206,7 +179,7 @@ def cmd_update_check(args: argparse.Namespace) -> int:
 def cmd_batch_build(args: argparse.Namespace) -> int:
     target = textio.parse_tbox(_read(args.target))
     a0 = textio.parse_abox(_read(args.abox))
-    _check_namespaces([target], [a0])
+    check_namespaces([target], [a0])
     _check_writable(args.out)
     items = batchmod.build_batch(target, a0, LANGS[args.mode], seed=args.seed)
     text = batchmod.dump_batch(items)
@@ -221,7 +194,7 @@ def cmd_batch_build(args: argparse.Namespace) -> int:
 def cmd_batch_learn(args: argparse.Namespace) -> int:
     items = batchmod.load_batch(_read(args.batch))
     a0 = textio.parse_abox(_read(args.abox))
-    _check_namespaces([], [a0] + [item.abox for item in items])
+    check_namespaces([], [a0] + [item.abox for item in items])
     h = batchmod.learn_from_batch(items, a0, LANGS[args.mode])
     if args.out:
         _write(args.out, textio.serialize_tbox(h))
@@ -256,7 +229,7 @@ def cmd_pac_run(args: argparse.Namespace) -> int:
     else:
         queries = textio.parse_queries(_read(args.queries))
         dist = pacmod.uniform_distribution([(a0, q) for q in queries])
-    _check_namespaces([target], [a0] + [a for a, _ in dist.support])
+    check_namespaces([target], [a0] + [a for a, _ in dist.support])
     trials = []
     for trial in range(args.trials):
         fw = teacher.framework_for(target, a0, lang)

@@ -45,8 +45,8 @@ from .syntax import (
 BUDGET_DEGREE_AQ = 3
 BUDGET_DEGREE_IQ = 4
 BUDGET_COEFF = 300
-# rounds of tree shaping, and of the reduction loop of ``learn_iq``, before
-# either gives up
+# rounds of tree shaping, of the reduction loop of ``learn_iq`` and of
+# ``updates.generalise`` on one inclusion, before any of them gives up
 MAX_ROUNDS = 10_000
 
 

@@ -2,8 +2,8 @@
 
 ``learn_cqr`` is the one counterexample loop of ``learn_iq`` with the
 rooted-CQ step ``cq_step``: a rooted-CQ counterexample is converted into an
-instance query and handed to ``iq_step``.  The conversion repeats three
-membership-backed rewrites until none applies:
+instance query and handed to ``learn_iq.instance_step``.  The conversion
+repeats three membership-backed rewrites until none applies:
 
 * individual saturation: substitute a fixed-ABox individual for a variable,
 * merging: identify two variables,
@@ -25,7 +25,9 @@ from dataclasses import dataclass
 from functools import partial
 
 from .learn_aq import CachedOracle, LearnResult
-from .learn_iq import Run, concept_query, counterexample_loop, iq_step, start
+# ``iq_step`` stays bound here for ``perfbench/test_perfbench.py``, which
+# checks that the tracer wraps and restores ``learn_cqr.iq_step``
+from .learn_iq import Run, counterexample_loop, instance_step, iq_step, start  # noqa: F401
 from .syntax import (
     ABox,
     AtomicQuery,
@@ -175,8 +177,7 @@ def cq_step(run: Run, h: TBox, a: ABox, q: Query) -> TBox:
     if isinstance(q, ConjunctiveQuery):
         run.result.conversions += 1
         q = cq_to_iq(run.oracle, h, q, run.classes)
-    q = concept_query(q)
-    return iq_step(run.oracle, h, run.classes, run.equivalent_names, a, q.concept, q.ind)
+    return instance_step(run, h, a, q)
 
 
 def learn_cqr(session) -> LearnResult:

@@ -48,9 +48,10 @@ label near it, and then every element starts on the heap.  Every empty
 label of the model is one shared ``frozenset``, and an element without
 edges has ``()``.
 
-``ModelCache`` keeps models by ``(kb_key(t), abox_key(a))``.  It computes
-each key once per distinct ``TBox`` or ``ABox`` value and, when full, drops
-the least recently used model.  ``abox_key`` is the ABox's own three
+``ModelCache`` is one LRU of models, keyed by ``(kb_key(t), abox_key(a))``;
+when full it drops the least recently used model.  ``kb_key`` is memoised
+once per process on the ``TBox`` value, as ``_compile`` is, so a fresh
+cache keys no TBox already keyed.  ``abox_key`` is the ABox's own three
 frozensets: two of them are equal exactly when their sorted tuples are, and
 CPython caches a frozenset's hash, so the key sorts nothing.  A ``get`` for
 the very objects of the last ``get`` returns the last model before any key
@@ -494,49 +495,35 @@ def build_model(t: TBox, a: ABox) -> RegularModel:
 class ModelCache:
     """At most ``limit`` models, the least recently used dropped first.
 
-    The key memo holds two keys per model, each computed once per value.
     The pair of objects asked for last, and its model, are kept aside: asked
     for again, they are answered without any key work.  That pair is already
-    the most recently used in the store and in the key memo, so skipping the
-    lookups leaves both as they would be.
+    the most recently used in the store, so skipping the lookup leaves the
+    store as it would be.
     """
 
     def __init__(self, limit: int = 512):
         self.limit = limit
         self._store: OrderedDict[tuple, RegularModel] = OrderedDict()
-        self._keys: OrderedDict[TBox | ABox, tuple] = OrderedDict()
         self._last: tuple[TBox | None, ABox | None, RegularModel | None] = (None, None, None)
 
     def get(self, t: TBox, a: ABox) -> RegularModel:
         last_t, last_a, model = self._last
         if t is last_t and a is last_a:
             return model
-        key = (self._key(t, kb_key), self._key(a, abox_key))
+        key = (kb_key(t), abox_key(a))
         model = self._store.get(key)
         if model is None:
             model = build_model(t, a)
-            _put(self._store, key, model, self.limit)
+            if len(self._store) >= self.limit:
+                self._store.popitem(last=False)
+            self._store[key] = model
         else:
             self._store.move_to_end(key)
         self._last = (t, a, model)
         return model
 
-    def _key(self, value: TBox | ABox, key_of) -> tuple:
-        key = self._keys.get(value)
-        if key is None:
-            key = key_of(value)
-            _put(self._keys, value, key, 2 * self.limit)
-        else:
-            self._keys.move_to_end(value)
-        return key
 
-
-def _put(lru: OrderedDict, key, value, limit: int) -> None:
-    if len(lru) >= limit:
-        lru.popitem(last=False)
-    lru[key] = value
-
-
+@functools.lru_cache(maxsize=1024)
 def kb_key(t: TBox) -> tuple:
     return (
         tuple(sorted(f"{canonical(ci.lhs)}|{canonical(ci.rhs)}" for ci in t.cis)),
@@ -966,15 +953,12 @@ def inseparability_gap(
     return out
 
 
-def inseparable(
-    t: TBox, h: TBox, a: ABox, lang: str, cache: ModelCache | None = None
-) -> Separation | None:
+def inseparable(t: TBox, h: TBox, a: ABox, lang: str) -> Separation | None:
     """None when inseparable, else a verified separating query."""
     if lang not in (LANG_AQ, LANG_IQ, LANG_CQR):
         raise UnsupportedQueryError(f"inseparability undecided for language {lang!r}")
-    if cache is None:
-        # the gap and the check of its query read the same two models
-        cache = ModelCache()
+    # the gap and the check of its query read the same two models
+    cache = ModelCache()
     gap = inseparability_gap(t, h, a, lang, cache=cache, limit=1)
     if not gap:
         return None

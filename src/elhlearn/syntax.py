@@ -737,18 +737,28 @@ def size_of(obj) -> int:
     raise TypeError(f"size_of not defined for {type(obj).__name__}")
 
 
-def check_disjoint_namespaces(sigs: Iterable[Signature], individuals: Iterable[str] = ()) -> None:
-    """Concept, role and individual name spaces must not overlap."""
+def check_namespaces(tboxes: Iterable[TBox], aboxes: Iterable[ABox]) -> Signature:
+    """The signature of the inputs, which share one vocabulary: no name is of two kinds.
+
+    Each ABox is read in one walk, for its names and its individuals alike.
+    """
     concepts: set[str] = set()
     roles: set[str] = set()
-    for sig in sigs:
+    inds: set[str] = set()
+    for t in tboxes:
+        sig = signature_of_tbox(t)
         concepts |= sig.concept_names
         roles |= sig.role_names
-    check_disjoint_names(concepts, roles, set(individuals))
-
-
-def check_disjoint_names(concepts: set[str], roles: set[str], inds: set[str]) -> None:
-    """No name is in two of the three sets."""
+    for a in aboxes:
+        inds |= a.declared
+        for name, ind in a.concept_assertions:
+            concepts.add(name)
+            inds.add(ind)
+        for role, x, y in a.role_assertions:
+            roles.add(role)
+            inds.add(x)
+            inds.add(y)
     for clash in (concepts & roles, concepts & inds, roles & inds):
         if clash:
             raise StructuralError(f"name used in two namespaces: {sorted(clash)}")
+    return Signature(frozenset(concepts), frozenset(roles))

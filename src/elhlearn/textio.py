@@ -184,9 +184,9 @@ def _parse_concept(ts: _Tokens) -> Concept:
     return conj(*parts)
 
 
-def parse_concept(text: str, line: int = 0, start: int = 0) -> Concept:
-    """The concept at ``text[start:]``; error columns count from ``text``'s start."""
-    ts = _Tokens(text, line, start)
+def parse_concept(text: str) -> Concept:
+    """The concept ``text`` holds; error columns count from its start."""
+    ts = _Tokens(text, 0)
     c = _parse_concept(ts)
     ts.done()
     return c

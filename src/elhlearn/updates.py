@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Callable, Iterator
 
 from . import reasoner
-from .learn_aq import CachedOracle, LearnResult, _record_iteration, tree_inclusion
+from .learn_aq import MAX_ROUNDS, CachedOracle, LearnResult, _record_iteration, tree_inclusion
 from .learn_iq import Run, concept_query, counterexample_loop, iq_step, name_order, start
 from .syntax import (
     ABox,
@@ -112,7 +112,7 @@ def generalise(oracle: CachedOracle, h: TBox, atomic_cis: set[CI]) -> TBox:
         steps = 0
         while True:
             steps += 1
-            if steps > 10_000:
+            if steps > MAX_ROUNDS:
                 raise BudgetExceededError("generalisation did not stabilise")
             stepped = _generalise_pass(lhs, rhs_name, name_up, role_up, roles, entailed_by_target)
             if stepped is None:
@@ -269,11 +269,7 @@ def update_step(run: Run, h: TBox, a: ABox, q: Query) -> TBox:
 def learn_with_updates(session) -> LearnResult:
     """Learn, generalise, then accept counterexamples over updated ABoxes."""
     a0 = session.framework.fixed_abox
-    sig_t = session.framework.signature
-    sig_a = signature_of_abox(a0)
-    if not (
-        sig_t.concept_names <= sig_a.concept_names and sig_t.role_names <= sig_a.role_names
-    ):
+    if not signature_of_abox(a0).covers(session.framework.signature):
         raise ConfigurationError("update learning needs the TBox signature inside the ABox's")
     run, h = start(session)
     h = generalise(run.oracle, h, run.atomic_cis)

@@ -2,9 +2,9 @@
 
 Kept verbatim as differential references for ``elhlearn.reasoner``:
 
-* ``ModelCache`` looks up both keys and the store on every ``get``; the fast
-  cache must keep the same store and key memo, in the same order, after
-  every call, so that it evicts exactly the same models.
+* ``ModelCache`` looks up both keys, through a key memo of its own, and the
+  store on every ``get``; the fast cache must keep the same store, in the
+  same order, after every call, so that it evicts exactly the same models.
 * ``existential_atom_holds`` sorts every element reachable from the named
   part and then looks for the name; the early-exit walk must give the same
   verdict.

@@ -8,12 +8,16 @@ compiled ``AQ`` and role ``IQ`` line pattern and the ``NAME_RE`` check of CQ
 list items, verbatim apart from imports: every line, and every name listed in
 a CQ, goes through ``_Tokens``.
 ``check_name`` moved here from ``elhlearn.syntax`` once the text parsers
-stopped using it.
+stopped using it.  ``check_disjoint_namespaces`` and ``check_disjoint_names``
+moved here from ``elhlearn.syntax``, verbatim, once ``syntax.check_namespaces``
+read the TBoxes and ABoxes themselves: the namespace check over signatures
+and individuals that it must agree with.
 """
 
 from __future__ import annotations
 
 import re
+from typing import Iterable
 
 from elhlearn.syntax import (
     ABox,
@@ -23,6 +27,7 @@ from elhlearn.syntax import (
     NAME_RE,
     Query,
     RoleQuery,
+    Signature,
     StructuralError,
 )
 from elhlearn.textio import (
@@ -41,6 +46,23 @@ def check_name(name: str) -> str:
     if not NAME_RE.match(name):
         raise StructuralError(f"invalid name: {name!r}")
     return name
+
+
+def check_disjoint_namespaces(sigs: Iterable[Signature], individuals: Iterable[str] = ()) -> None:
+    """Concept, role and individual name spaces must not overlap."""
+    concepts: set[str] = set()
+    roles: set[str] = set()
+    for sig in sigs:
+        concepts |= sig.concept_names
+        roles |= sig.role_names
+    check_disjoint_names(concepts, roles, set(individuals))
+
+
+def check_disjoint_names(concepts: set[str], roles: set[str], inds: set[str]) -> None:
+    """No name is in two of the three sets."""
+    for clash in (concepts & roles, concepts & inds, roles & inds):
+        if clash:
+            raise StructuralError(f"name used in two namespaces: {sorted(clash)}")
 
 
 def parse_abox(text: str) -> ABox:

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import logging
@@ -15,12 +16,14 @@ import elhlearn
 from elhlearn import cli, pac
 from elhlearn.cli import main
 from elhlearn.syntax import (
+    Signature,
     StructuralError,
-    check_disjoint_namespaces,
+    check_namespaces,
     signature_of_abox,
     signature_of_tbox,
 )
 from elhlearn.textio import MAX_NESTING, parse_abox, parse_tbox
+from reference_textio import check_disjoint_namespaces
 
 EX1_TBOX = "CI: B [= some s. B\nCI: some r. some s. B [= A\n"
 EX1_ABOX = "A: r(a,b)\nA: B(b)\n"
@@ -128,20 +131,19 @@ def test_a_name_of_two_kinds_exits_2(workdir, capsys, command, abox):
 
 
 def test_namespace_check_gives_the_messages_of_the_signature_check():
-    """``_check_namespaces`` reads each ABox once and says what
-    ``check_disjoint_namespaces`` over the signatures and individuals says."""
-    def message(check, tboxes, aboxes):
+    """``check_namespaces`` reads each ABox once and says what
+    ``check_disjoint_namespaces`` over the signatures and individuals says;
+    without a clash it returns the union of those signatures."""
+    def outcome(check, tboxes, aboxes):
         try:
-            check(tboxes, aboxes)
+            return check(tboxes, aboxes)
         except StructuralError as exc:
             return str(exc)
-        return None
 
     def by_signatures(tboxes, aboxes):
-        check_disjoint_namespaces(
-            [signature_of_tbox(t) for t in tboxes] + [signature_of_abox(a) for a in aboxes],
-            [ind for a in aboxes for ind in a.individuals()],
-        )
+        sigs = [signature_of_tbox(t) for t in tboxes] + [signature_of_abox(a) for a in aboxes]
+        check_disjoint_namespaces(sigs, [ind for a in aboxes for ind in a.individuals()])
+        return functools.reduce(Signature.union, sigs, Signature())
 
     names = ["A", "B", "r", "s", "a", "b"]
     rng = random.Random(3)
@@ -157,9 +159,9 @@ def test_namespace_check_gives_the_messages_of_the_signature_check():
             lines += [f"A: {rng.choice(names)}({rng.choice(names)},{rng.choice(names)})" for _ in range(rng.randrange(3))]
             lines += [f"IND: {rng.choice(names)}" for _ in range(rng.randrange(2))]
             aboxes.append(parse_abox("\n".join(lines)))
-        want = message(by_signatures, tboxes, aboxes)
-        assert message(cli._check_namespaces, tboxes, aboxes) == want
-        seen.add(want is None)
+        want = outcome(by_signatures, tboxes, aboxes)
+        assert outcome(check_namespaces, tboxes, aboxes) == want
+        seen.add(isinstance(want, str))
     assert seen == {True, False}
 
 

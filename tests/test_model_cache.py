@@ -1,12 +1,13 @@
 """What ``ModelCache`` computes, and how often.
 
-Each key is computed once per distinct ``TBox`` or ``ABox`` value in one
-cache, equal but distinct objects included; a full cache drops its least
-recently used model; the key memo stays bounded; and every model it returns
-equals a fresh ``build_model``.  Asked again for the objects it was asked for
-last, the cache answers without key or store work; over any sequence of
-gets it keeps and evicts exactly what ``reference_reasoner.ModelCache``
-does, which looks up both keys and the store every time.
+``kb_key`` runs once per distinct ``TBox`` value per process, equal but
+distinct objects and separate caches included, and its memo stays bounded;
+a full cache drops its least recently used model; and every model it
+returns equals a fresh ``build_model``.  Asked again for the objects it was
+asked for last, the cache answers without key or store work; over any
+sequence of gets it keeps and evicts exactly what
+``reference_reasoner.ModelCache`` does, which looks up both keys and the
+store every time.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import pytest
 
 from genkb import random_abox, random_terminology
 from elhlearn import reasoner
-from elhlearn.reasoner import ModelCache, answers_query, build_model
+from elhlearn.reasoner import LANG_IQ, ModelCache, answers_query, build_model, inseparable, kb_key
 from elhlearn.syntax import (
     ABox,
     Atom,
@@ -30,6 +31,7 @@ from elhlearn.syntax import (
     abox,
     terminology,
 )
+from elhlearn.teacher import OracleSession, framework_for
 import reference_reasoner
 
 T = terminology([CI(Atom("A"), Exists("r", Atom("B"))), CI(Exists("r", Atom("B")), Atom("C"))])
@@ -53,7 +55,11 @@ def chain(n: int) -> ABox:
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Calls of ``kb_key``, ``abox_key`` and ``build_model``, with their arguments."""
+    """Calls of ``kb_key``, ``abox_key`` and ``build_model``, with their arguments.
+
+    ``kb_key``'s memo starts empty, so its misses do not depend on test order.
+    """
+    kb_key.cache_clear()
     seen: dict[str, list] = {"kb_key": [], "abox_key": [], "build_model": []}
     for name in seen:
         orig = getattr(reasoner, name)
@@ -66,16 +72,27 @@ def counts(monkeypatch):
     return seen
 
 
-def test_each_key_is_computed_once_per_value(counts):
-    cache = ModelCache()
+def test_each_tbox_is_keyed_once_per_value_across_caches(counts):
     a1, a2 = abox(concepts=[("A", "x")]), abox(concepts=[("B", "y")])
-    for _ in range(3):
-        for t in (T, copy_tbox(T), TBox()):
-            for a in (a1, copy_abox(a1), a2):
-                cache.get(t, a)
-    assert counts["kb_key"] == [(T,), (TBox(),)]
-    assert counts["abox_key"] == [(a1,), (a2,)]
-    assert len(counts["build_model"]) == 4
+    for cache in (ModelCache(), ModelCache()):
+        for _ in range(3):
+            for t in (T, copy_tbox(T), TBox()):
+                for a in (a1, copy_abox(a1), a2):
+                    cache.get(t, a)
+    assert kb_key.cache_info().misses == 2
+    assert len(counts["build_model"]) == 8
+
+
+def test_a_session_leaves_nothing_for_inseparable_to_key(counts):
+    h = terminology([CI(Atom("A"), Atom("C"))])
+    a0 = abox(concepts=[("A", "a")], roles=[("r", "a", "b")])
+    session = OracleSession(T, framework_for(T, a0, LANG_IQ))
+    assert session.inseparability(h) is not None
+    misses = kb_key.cache_info().misses
+    assert misses == 2
+    assert inseparable(T, h, a0, LANG_IQ) is not None
+    assert inseparable(T, copy_tbox(h), a0, LANG_IQ) is not None
+    assert kb_key.cache_info().misses == misses
 
 
 def test_twelve_queries_on_a_large_abox_sort_it_once(counts):
@@ -121,8 +138,11 @@ def test_the_key_memo_stays_bounded():
     cache = ModelCache(limit=4)
     for i in range(50):
         cache.get(T if i % 2 else TBox(), abox(concepts=[("A", f"x{i}")]))
-        assert len(cache._keys) <= 2 * cache.limit
         assert len(cache._store) <= cache.limit
+    for i in range(1100):
+        kb_key(terminology([CI(Atom(f"A{i}"), Atom("B"))]))
+    info = kb_key.cache_info()
+    assert info.maxsize == 1024 and info.currsize <= 1024
 
 
 def test_every_model_equals_a_fresh_build():
@@ -167,16 +187,15 @@ def test_a_repeated_get_does_no_key_or_store_work(counts):
     cache = ModelCache()
     a = chain(50)
     model = cache.get(T, a)
-    cache._store, cache._keys = CountingDict(cache._store), CountingDict(cache._keys)
+    cache._store = CountingDict(cache._store)
     for _ in range(5):
         assert cache.get(T, a) is model
-    assert cache._store.ops == [] and cache._keys.ops == []
+    assert cache._store.ops == []
     assert len(counts["kb_key"]) == len(counts["abox_key"]) == len(counts["build_model"]) == 1
     # an equal but distinct object takes the keyed path, and finds the model
     assert cache.get(T, copy_abox(a)) is model
-    assert cache._keys.ops == ["get", "move_to_end", "get", "move_to_end"]
     assert cache._store.ops == ["get", "move_to_end"]
-    assert len(counts["abox_key"]) == len(counts["build_model"]) == 1
+    assert len(counts["build_model"]) == 1
 
 
 def test_gets_keep_and_evict_what_the_reference_cache_does():
@@ -197,4 +216,3 @@ def test_gets_keep_and_evict_what_the_reference_cache_does():
                 a = rng.choice(aboxes)
             assert fast.get(t, a) == slow.get(t, a)
             assert list(fast._store) == list(slow._store)
-            assert list(fast._keys) == list(slow._keys)

@@ -18,6 +18,13 @@ Likewise every parameter of every function in ``src/elhlearn``, nested
 functions and methods included, is read in its body; ``self``, ``cls`` and
 names starting with ``_`` are exempt, and so is each entry of
 ``UNREAD_ALLOWED``, which says why it stays.
+
+And every parameter with a default, an option, is passed by some call in
+``src/elhlearn`` or ``perfbench/``, by keyword or by position.  A call
+matches a function by its bare name, a class by its name for ``__init__``;
+a call with ``*args`` passes every positional option of that name, one with
+``**kwargs`` every option.  Each entry of ``OPTION_ALLOWED`` says why its
+option stays although no such call passes it.
 """
 
 from __future__ import annotations
@@ -44,6 +51,16 @@ UNREAD_ALLOWED = {
     "batch.learn_from_batch.lang": "perfbench/workloads.py passes it; the benchmark is kept as is",
     "pac.true_error.a0": "perfbench/workloads.py passes it; the benchmark is kept as is",
     "pac.uniform_distribution.seed": "perfbench/workloads.py passes it; the benchmark is kept as is",
+}
+
+# ``module.function.parameter`` -> why the option stays although no call
+# in ``src`` or ``perfbench/`` passes it
+OPTION_ALLOWED = {
+    "reasoner.ModelCache.__init__.limit": "tests reach eviction with small caches",
+    "reasoner.entails_ci.cache": "acceptance criterion 5 passes it",
+    "learn_aq.learn_aq.on_tree": "acceptance criteria 2-4 count the tree examples through it",
+    "learn_cqr.saturate_counterexample.stats": "ROADMAP item 4 turns it into per-phase counters",
+    "reasoner.simulation.bundles": "elhlearn.simulation is public",
 }
 
 DEFINITION = (ast.FunctionDef, ast.ClassDef)
@@ -166,3 +183,71 @@ def test_every_parameter_is_read():
 
 def test_unread_allowlist_names_parameters_that_need_it():
     assert sorted(UNREAD_ALLOWED) == sorted(set(unread_parameters()) & set(UNREAD_ALLOWED))
+
+
+INF = float("inf")
+
+
+def _passed(paths: list[Path]) -> dict[str, tuple[float, set[str]]]:
+    """Per bare callee name: the most positional arguments any call passes,
+    and the keywords passed (``"**"`` for a ``**kwargs``)."""
+    out: dict[str, tuple[float, set[str]]] = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name is None:
+                continue
+            n = len(node.args)
+            if any(isinstance(a, ast.Starred) for a in node.args):
+                n = INF
+            most, keywords = out.get(name, (0, set()))
+            keywords |= {kw.arg or "**" for kw in node.keywords}
+            out[name] = (max(most, n), keywords)
+    return out
+
+
+def unpassed_options(src: Path = SRC, bench: Path = BENCH) -> list[str]:
+    """``module.function.parameter`` for every option no call passes."""
+    passed = _passed(sorted(src.glob("*.py")) + sorted(bench.glob("*.py")))
+    out: list[str] = []
+
+    def visit(node: ast.AST, prefix: str, cls: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, FUNCTION + (ast.ClassDef,)):
+                visit(child, prefix, cls)
+                continue
+            name = f"{prefix}.{child.name}"
+            if isinstance(child, FUNCTION):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                # a method's calls do not pass ``self``; a keyword-only
+                # option is passed by keyword alone
+                skip = 1 if cls and positional and positional[0].arg in ("self", "cls") else 0
+                callee = cls if child.name == "__init__" else child.name
+                most, keywords = passed.get(callee, (0, set()))
+                first = len(positional) - len(args.defaults)
+                options = [(i - skip, a.arg) for i, a in enumerate(positional) if i >= first]
+                options += [
+                    (INF, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+                ]
+                out.extend(
+                    f"{name}.{p}"
+                    for i, p in options
+                    if i >= most and p not in keywords and "**" not in keywords
+                )
+            visit(child, name, child.name if isinstance(child, ast.ClassDef) else None)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    return out
+
+
+def test_every_option_is_passed_by_some_caller():
+    assert [p for p in unpassed_options() if p not in OPTION_ALLOWED] == []
+
+
+def test_option_allowlist_names_options_that_need_it():
+    assert sorted(OPTION_ALLOWED) == sorted(set(unpassed_options()) & set(OPTION_ALLOWED))

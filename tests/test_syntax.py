@@ -21,7 +21,7 @@ from elhlearn.syntax import (
     Tree,
     abox,
     canonical,
-    check_disjoint_namespaces,
+    check_namespaces,
     conj,
     is_rooted,
     is_terminology,
@@ -29,7 +29,6 @@ from elhlearn.syntax import (
     signature_of_tbox,
     size_of,
     terminology,
-    Signature,
 )
 
 
@@ -207,16 +206,15 @@ class TestQueries:
 
 class TestNamespaces:
     def test_clash_detected(self):
-        with pytest.raises(StructuralError):
-            check_disjoint_namespaces(
-                [Signature(frozenset({"A"}), frozenset({"A"}))]
-            )
+        t = terminology([CI(Atom("A"), Exists("A", TOP))])
+        with pytest.raises(StructuralError, match=r"^name used in two namespaces: \['A'\]$"):
+            check_namespaces([t], [])
 
     def test_individual_clash(self):
         t = terminology([CI(Atom("A"), Atom("B"))])
-        with pytest.raises(StructuralError):
-            check_disjoint_namespaces([signature_of_tbox(t)], individuals=["A"])
+        with pytest.raises(StructuralError, match=r"^name used in two namespaces: \['A'\]$"):
+            check_namespaces([t], [abox(declared=["A"])])
 
     def test_clean(self):
         t = terminology([CI(Atom("A"), Atom("B"))], [RI("r", "s")])
-        check_disjoint_namespaces([signature_of_tbox(t)], individuals=["a"])
+        assert check_namespaces([t], [abox(declared=["a"])]) == signature_of_tbox(t)
