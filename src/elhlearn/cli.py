@@ -230,9 +230,9 @@ def cmd_pac_run(args: argparse.Namespace) -> int:
         queries = textio.parse_queries(_read(args.queries))
         dist = pacmod.uniform_distribution([(a0, q) for q in queries])
     check_namespaces([target], [a0] + [a for a, _ in dist.support])
+    fw = teacher.framework_for(target, a0, lang)
     trials = []
     for trial in range(args.trials):
-        fw = teacher.framework_for(target, a0, lang)
         session = teacher.OracleSession(target, fw, seed=args.seed + trial)
         out = pacmod.pac_from_exact(session, LEARNERS[args.mode], args.eps, args.delta, dist)
         err = pacmod.true_error(out.hypothesis, target, a0, dist)

@@ -12,10 +12,15 @@ the set of the cycle's individuals.  ``unfold_cycle`` doubles that cycle: it
 drops the opened assertion ``r(a0, a1)``, copies the cycle's individuals
 (copies keep their labels, their edges to each other and their edges out of
 the cycle) and closes the two halves with ``r(a0, a1_hat)`` and
-``r(a0_hat, a1)`` into a cycle of twice the length.  Minimization then
-deletes individuals and role assertions while the membership oracle still
-confirms the chosen positive example, trying copies before original
-individuals.
+``r(a0_hat, a1)`` into a cycle of twice the length.
+
+One witness ``(conceptName, individual)`` drives the shaping of each
+counterexample: the first pair the target entails on the ABox and the
+hypothesis does not.  Saturating with the (sound) hypothesis keeps it, and
+unfolding keeps it at the original individual, so it is found once and
+handed to every round.  Minimization makes one pass over the individuals,
+copies before originals, and one over the role assertions, deleting each
+while the membership oracle still confirms the witness.
 """
 
 from __future__ import annotations
@@ -45,8 +50,9 @@ from .syntax import (
 BUDGET_DEGREE_AQ = 3
 BUDGET_DEGREE_IQ = 4
 BUDGET_COEFF = 300
-# rounds of tree shaping, of the reduction loop of ``learn_iq`` and of
-# ``updates.generalise`` on one inclusion, before any of them gives up
+# rounds of tree shaping, of the reduction loop of ``learn_iq``, of
+# ``updates.generalise`` on one inclusion and of the counterexample loop,
+# before any of them gives up
 MAX_ROUNDS = 10_000
 
 
@@ -134,21 +140,10 @@ def minimize_abox(
     a: ABox,
     h: TBox,
     originals: frozenset[str],
-) -> tuple[ABox, tuple[str, str] | None]:
-    """Saturate, then shrink while one positive example keeps holding.
-
-    Returns the minimized ABox and the witness ``(conceptName, individual)``
-    pair that drove the minimization, or None when nothing separates.
-    """
+    witness: tuple[str, str],
+) -> ABox:
+    """Saturate, then shrink while the witness ``(conceptName, individual)`` holds."""
     a = saturate_with_hypothesis(h, a, oracle.framework.signature, oracle.cache)
-
-    # pick the first separating pair, preferring original individuals
-    candidates = [i for i in sorted(a.individuals()) if i in originals]
-    candidates += [i for i in sorted(a.individuals()) if i not in originals]
-    witness = _first_positive(oracle, h, a, candidates)
-    if witness is None:
-        return a, None
-
     name, ind = witness
     q = AtomicQuery(name, (ind,))
 
@@ -158,22 +153,19 @@ def minimize_abox(
             smaller.concept_assertions, smaller.role_assertions, smaller.declared | {ind}
         )
 
-    changed = True
-    while changed:
-        changed = False
-        for b in _individual_order(a, originals):
-            if b == ind:
-                continue
-            smaller = keep_witness(a.without_individual(b))
-            if oracle.membership(smaller, q):
-                a = smaller
-                changed = True
-        for ra in sorted(a.role_assertions):
-            smaller = keep_witness(a.without_role_assertion(ra))
-            if oracle.membership(smaller, q):
-                a = smaller
-                changed = True
-    return a, witness
+    # one pass each: certain answers are monotone in the ABox, so a removal
+    # refused on a larger ABox is refused on every smaller one
+    for b in _individual_order(a, originals):
+        if b == ind:
+            continue
+        smaller = keep_witness(a.without_individual(b))
+        if oracle.membership(smaller, q):
+            a = smaller
+    for ra in sorted(a.role_assertions):
+        smaller = keep_witness(a.without_role_assertion(ra))
+        if oracle.membership(smaller, q):
+            a = smaller
+    return a
 
 
 def find_cycle(a: ABox) -> tuple[tuple[str, str, str], frozenset[str]] | None:
@@ -284,25 +276,20 @@ def unfold_cycle(a: ABox, found: tuple[tuple[str, str, str], frozenset[str]]) ->
     return ABox(frozenset(concepts), frozenset(roles), a.declared)
 
 
-def tree_shape(oracle: CachedOracle, a: ABox, h: TBox) -> tuple[ABox, tuple[str, str]]:
-    """Alternate minimization and unfolding until the ABox is a tree."""
+def tree_shape(oracle: CachedOracle, a: ABox, h: TBox, witness: tuple[str, str]) -> ABox:
+    """Alternate minimization and unfolding around ``witness`` until the ABox is a tree."""
     originals = a.individuals()
-    a, witness = minimize_abox(oracle, a, h, originals)
-    if witness is None:
-        raise StructuralError("no positive example survives minimization")
+    a = minimize_abox(oracle, a, h, originals, witness)
     prev_count = len(a.individuals())
     rounds = 0
     while True:
         found = find_cycle(a)
         if found is None:
-            return a, witness
+            return a
         rounds += 1
         if rounds > MAX_ROUNDS:
             raise BudgetExceededError("tree shaping did not terminate in budget")
-        a = unfold_cycle(a, found)
-        a, witness = minimize_abox(oracle, a, h, originals)
-        if witness is None:
-            raise StructuralError("positive example lost while unfolding")
+        a = minimize_abox(oracle, unfold_cycle(a, found), h, originals, witness)
         count = len(a.individuals())
         if count <= prev_count:
             raise StructuralError("individual count must grow between unfold rounds")
@@ -339,14 +326,13 @@ def _record_iteration(result: LearnResult, oracle: CachedOracle, h: TBox) -> Non
     )
 
 
-def _first_positive(
-    oracle: CachedOracle, h: TBox, a: ABox, inds: list[str]
-) -> tuple[str, str] | None:
+def _first_positive(oracle: CachedOracle, h: TBox, a: ABox) -> tuple[str, str] | None:
     """First ``(name, ind)`` the target gives ``a`` and ``h`` does not.
 
-    Names in sorted order, individuals in the given order; a pair ``h``
-    already entails costs no membership question.
+    Names and individuals in sorted order; a pair ``h`` already entails
+    costs no membership question.
     """
+    inds = sorted(a.individuals())
     for name in sorted(oracle.framework.signature.concept_names):
         for ind in inds:
             q = AtomicQuery(name, (ind,))
@@ -358,18 +344,18 @@ def _first_positive(
 
 
 def tree_inclusion(
-    oracle: CachedOracle, h: TBox, a: ABox
-) -> tuple[TBox, ABox, tuple[str, str]]:
-    """Shape a positive example of ``a`` into a tree and add its inclusion.
+    oracle: CachedOracle, h: TBox, a: ABox, witness: tuple[str, str]
+) -> tuple[TBox, ABox]:
+    """Shape ``a`` into a tree around ``witness`` and add its inclusion.
 
-    Returns the extended hypothesis, the tree-shaped ABox and its witness
-    ``(conceptName, individual)``, an individual of ``a``.
+    ``witness`` is a pair ``(conceptName, individual)`` of ``a`` that the
+    target entails and ``h`` does not.  Returns the extended hypothesis and
+    the tree-shaped ABox.
     """
-    shaped, (wname, wind) = tree_shape(oracle, a, h)
-    if wind not in a.individuals():
-        raise StructuralError("witness individual must come from the ABox")
-    concept = Tree.of_abox(shaped, wind).concept()
-    return terminology(set(h.cis) | {CI(concept, Atom(wname))}, h.ris), shaped, (wname, wind)
+    shaped = tree_shape(oracle, a, h, witness)
+    name, ind = witness
+    concept = Tree.of_abox(shaped, ind).concept()
+    return terminology(set(h.cis) | {CI(concept, Atom(name))}, h.ris), shaped
 
 
 def aq_phase(
@@ -382,13 +368,15 @@ def aq_phase(
     fixed = oracle.framework.fixed_abox
     while True:
         check_budget(oracle, h, BUDGET_DEGREE_AQ)
-        if _first_positive(oracle, h, fixed, sorted(fixed.individuals())) is None:
+        witness = _first_positive(oracle, h, fixed)
+        if witness is None:
             return h
-        h, shaped, (wname, wind) = tree_inclusion(oracle, h, fixed)
+        h, shaped = tree_inclusion(oracle, h, fixed, witness)
+        name, ind = witness
         if on_tree is not None:
-            on_tree(shaped, wname, wind)
+            on_tree(shaped, name, ind)
         _record_iteration(result, oracle, h)
-        if not oracle.holds_locally(h, fixed, AtomicQuery(wname, (wind,))):
+        if not oracle.holds_locally(h, fixed, AtomicQuery(name, (ind,))):
             raise StructuralError("new inclusion failed to cover its counterexample")
 
 

@@ -77,8 +77,6 @@ from .syntax import (
     top_existentials,
 )
 
-MAX_ITERATIONS = 10_000
-
 
 # ---------------------------------------------------------------------------
 # Role representatives
@@ -430,7 +428,7 @@ def counterexample_loop(run: Run, h: TBox, step) -> LearnResult:
     while True:
         check_budget(oracle, h, BUDGET_DEGREE_IQ)
         iterations += 1
-        if iterations > MAX_ITERATIONS:
+        if iterations > MAX_ROUNDS:
             raise BudgetExceededError("counterexample loop exceeded its budget", partial=h)
         hit = oracle.inseparability(h)
         if hit is None:

@@ -20,7 +20,10 @@ replays it on later equivalence questions.
 counterexample loop of ``learn_iq`` with the update step ``update_step``: a
 counterexample whose atomic part fails on the (updated) ABox is repaired by
 a tree inclusion learned there and generalised again; any other goes to
-``iq_step``.
+``iq_step``.  The repair needs no search for its positive example: the first
+top-level name of the counterexample that the hypothesis misses at its
+individual is the witness that ``learn_aq.tree_inclusion`` shapes around,
+in one minimization pass per round.
 """
 
 from __future__ import annotations
@@ -261,8 +264,9 @@ def update_step(run: Run, h: TBox, a: ABox, q: Query) -> TBox:
     if atom is None:
         return iq_step(run.oracle, h, run.classes, run.equivalent_names, a, concept, q.ind)
     # a replaced assertion can become derivable rather than asserted, which
-    # the fixed-ABox run never had to cover, so the tree step reruns here
-    h, _, _ = tree_inclusion(run.oracle, h, a)
+    # the fixed-ABox run never had to cover, so the tree step reruns here,
+    # around the witness atom(q.ind): the target entails it on ``a``, ``h`` not
+    h, _ = tree_inclusion(run.oracle, h, a, (atom, q.ind))
     return generalise(run.oracle, h, run.atomic_cis)
 
 

@@ -4,8 +4,9 @@ Each of ``learn_iq``, ``learn_cqr``, ``learn_with_updates`` and
 ``build_batch`` wrote out its own "budget check, ask for a counterexample,
 normalise it, ``iq_step``, record" loop, and the instance loops had their own
 budget function ``_budget_limit_iq``.  They are kept verbatim, apart from the
-imports and the atomic repair, which calls ``learn_aq.tree_inclusion`` (the
-step ``updates._atomic_repair`` was), as the reference that
+imports and the atomic repair, which calls ``learn_aq.tree_inclusion`` with
+the counterexample's witness (the step ``updates._atomic_repair`` was, minus
+its search for one), as the reference that
 ``tests/test_learner_loop.py`` compares the one driver in ``elhlearn.learn_iq``
 against.  Everything they call (the phases, the reductions, the conversion,
 the repairs) is the package's own.
@@ -20,6 +21,7 @@ from __future__ import annotations
 from elhlearn import reasoner, teacher
 from elhlearn.batch import BatchItem, _require_signature
 from elhlearn.learn_aq import (
+    MAX_ROUNDS as MAX_ITERATIONS,
     CachedOracle,
     LearnResult,
     _record_iteration,
@@ -29,7 +31,6 @@ from elhlearn.learn_aq import (
 )
 from elhlearn.learn_cqr import cq_to_iq
 from elhlearn.learn_iq import (
-    MAX_ITERATIONS,
     _atomic_equivalence,
     iq_step,
     role_classes,
@@ -186,7 +187,7 @@ def learn_with_updates(session) -> LearnResult:
         concept = classes.rewrite(normalize(q.concept))
         atom = _failing_atom(oracle, h, a, concept, q.ind)
         if atom is not None:
-            h, _, _ = tree_inclusion(oracle, h, a)
+            h, _ = tree_inclusion(oracle, h, a, (atom, q.ind))
             h = generalise(oracle, h, atomic_cis)
         else:
             h = iq_step(oracle, h, classes, equivalent_names, a, concept, q.ind)

@@ -250,14 +250,14 @@ class TestCriterion2And3And4Learners:
         mod = importlib.import_module("elhlearn.learn_aq")
         looped = abox(roles=[("r1", "c", "c")], concepts=[("A1", "c")])
 
-        def stalled(oracle, a, h, originals):
-            return looped, ("A1", "c")
+        def stalled(oracle, a, h, originals, witness):
+            return looped
 
         monkeypatch.setattr(mod, "minimize_abox", stalled)
         t = terminology([CI(Exists("r1", Exists("r1", TOP)), Atom("A1"))])
         sess = OracleSession(t, framework_for(t, looped, LANG_AQ))
         with pytest.raises(StructuralError):
-            mod.tree_shape(CachedOracle(sess), looped, TBox())
+            mod.tree_shape(CachedOracle(sess), looped, TBox(), ("A1", "c"))
         report("criterion 4: strict growth check is enforced in the tree loop", True)
 
 

@@ -606,6 +606,35 @@ def test_pac_run_ignores_a_seed_in_the_distribution_file(workdir, capsys):
     assert reports[0] == reports[1] == reports[2]
 
 
+def test_pac_run_builds_one_framework_for_all_trials(workdir, capsys, monkeypatch):
+    # the report is the one the command gave when it built a framework per trial
+    built = []
+    framework_for = cli.teacher.framework_for
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return framework_for(*args, **kwargs)
+
+    monkeypatch.setattr(cli.teacher, "framework_for", counted)
+    (workdir / "p.q").write_text(
+        "Q: AQ A(a)\nQ: AQ B(b)\nQ: IQ a : some r. B\nQ: IQ b : some s. B\n"
+    )
+    args = ["pac", "run", "--mode", "iq", str(workdir / "t.tbox"), str(workdir / "a.abox")]
+    args += ["--trials", "3", "--seed", "5", "--queries", str(workdir / "p.q")]
+    assert main(args) == 0
+    assert len(built) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "delta": 0.1,
+        "eps": 0.1,
+        "trials": [
+            {"samplesUsed": 40, "schedule": [30, 37], "seed": 5, "trueError": 0.0},
+            {"samplesUsed": 38, "schedule": [30, 37], "seed": 6, "trueError": 0.0},
+            {"samplesUsed": 51, "schedule": [30, 37], "seed": 7, "trueError": 0.0},
+        ],
+        "withinEps": 3,
+    }
+
+
 def _one_error_line(err: str, message: str) -> None:
     assert err.count("\n") == 1 and message in err and "Traceback" not in err
 

@@ -198,5 +198,5 @@ def test_dense_rooted_cq_run_ends_inseparable(tmp_path: Path, capsys):
     argv = ["learn", "--mode", "cqr", str(tmp_path / "target.tbox"), str(tmp_path / "data.abox")]
     assert cli.main(argv) == 0
     stats = capsys.readouterr().out.splitlines()[-1]
-    assert '"mqCount": 305' in stats and '"eqCount": 2' in stats, stats
+    assert '"mqCount": 304' in stats and '"eqCount": 2' in stats, stats
     assert '"verifiedInseparable": true' in stats, stats

@@ -7,6 +7,7 @@ from genkb import random_abox, random_terminology
 from elhlearn import reasoner
 from elhlearn.learn_aq import (
     CachedOracle,
+    _first_positive,
     bootstrap_atomic,
     find_cycle,
     learn_aq,
@@ -29,7 +30,6 @@ from elhlearn.syntax import (
     Exists,
     RI,
     Signature,
-    StructuralError,
     TBox,
     TOP,
     Tree,
@@ -207,40 +207,43 @@ class TestMinimize:
                 ),
             )
         )
-        out, witness = minimize_abox(oracle, a, TBox(), a.individuals())
+        witness = _first_positive(oracle, TBox(), a)
         assert witness == ("A", "a")
+        out = minimize_abox(oracle, a, TBox(), a.individuals(), witness)
         assert "c" not in out.individuals()
 
     def test_nothing_removable(self):
         t, a0 = ex1()
         oracle = CachedOracle(session_for(t, a0))
-        out, witness = minimize_abox(oracle, a0, TBox(), a0.individuals())
+        witness = _first_positive(oracle, TBox(), a0)
         assert witness == ("A", "a")
+        out = minimize_abox(oracle, a0, TBox(), a0.individuals(), witness)
         assert out.individuals() == {"a", "b"}
 
     def test_no_witness_when_hypothesis_covers(self):
         t, a0 = ex1()
         oracle = CachedOracle(session_for(t, a0))
         h = terminology([CI(Exists("r", Atom("B")), Atom("A"))])
-        out, witness = minimize_abox(oracle, a0, h, a0.individuals())
-        assert witness is None
+        assert _first_positive(oracle, h, a0) is None
 
 
 class TestTreeShape:
     def test_already_tree(self):
         t, a0 = ex1()
         oracle = CachedOracle(session_for(t, a0))
-        shaped, witness = tree_shape(oracle, a0, TBox())
-        assert find_cycle(shaped) is None
+        witness = _first_positive(oracle, TBox(), a0)
         assert witness == ("A", "a")
+        shaped = tree_shape(oracle, a0, TBox(), witness)
+        assert find_cycle(shaped) is None
 
     def test_self_loop_unfolds(self):
         t = terminology([CI(Exists("r1", Exists("r1", TOP)), Atom("A1"))])
         a0 = abox(roles=[("r1", "c", "c")])
         oracle = CachedOracle(session_for(t, a0))
-        shaped, (name, ind) = tree_shape(oracle, a0, TBox())
+        witness = _first_positive(oracle, TBox(), a0)
+        assert witness == ("A1", "c")
+        shaped = tree_shape(oracle, a0, TBox(), witness)
         assert find_cycle(shaped) is None
-        assert name == "A1" and ind == "c"
         assert len(shaped.individuals()) > 1  # grew past the loop
 
     def test_individual_counts_grow_and_stay_bounded(self, monkeypatch):
@@ -251,7 +254,7 @@ class TestTreeShape:
 
         def recording(*args, **kwargs):
             out = minimize(*args, **kwargs)
-            counts.append(len(out[0].individuals()))
+            counts.append(len(out.individuals()))
             return out
 
         monkeypatch.setattr(learn_aq_module, "minimize_abox", recording)
@@ -262,11 +265,10 @@ class TestTreeShape:
             a0 = random_abox(seed, t)
             oracle = CachedOracle(session_for(t, a0))
             counts.clear()
-            try:
-                shaped, witness = tree_shape(oracle, a0, TBox())
-            except StructuralError:
-                assert len(counts) == 1  # no counterexample on this seed
+            witness = _first_positive(oracle, TBox(), a0)
+            if witness is None:  # no counterexample on this seed
                 continue
+            shaped = tree_shape(oracle, a0, TBox(), witness)
             assert counts[-1] == len(shaped.individuals())
             assert all(before < after for before, after in zip(counts, counts[1:]))
             unfolded += len(counts) > 1
@@ -340,7 +342,8 @@ class TestLearnAq:
                         break
                 if hit is None:
                     break
-                shaped, (wname, wind) = tree_shape(oracle, a0, h)
+                shaped = tree_shape(oracle, a0, h, hit)
+                wname, wind = hit
                 fact = AtomicQuery(wname, (wind,))
                 assert answers_query(t, a0, fact)
                 assert not answers_query(h, a0, fact)
