@@ -76,11 +76,15 @@ def _write(path: str, text: str, mode: str = "w") -> None:
 def _check_writable(*paths: str | None) -> None:
     """Open each given output for appending, so that an unwritable one fails before the run.
 
-    An existing file keeps its contents; a new one stays empty if the run fails.
+    An existing file keeps its contents; a new one is removed again, so a
+    run that fails leaves none.
     """
     for path in paths:
         if path:
+            new = not os.path.exists(path)
             _write(path, "", "a")
+            if new:
+                os.remove(path)
 
 
 def cmd_reason(args: argparse.Namespace) -> int:
@@ -195,6 +199,7 @@ def cmd_batch_learn(args: argparse.Namespace) -> int:
     items = batchmod.load_batch(_read(args.batch))
     a0 = textio.parse_abox(_read(args.abox))
     check_namespaces([], [a0] + [item.abox for item in items])
+    _check_writable(args.out)
     h = batchmod.learn_from_batch(items, a0, LANGS[args.mode])
     if args.out:
         _write(args.out, textio.serialize_tbox(h))
@@ -223,7 +228,8 @@ def cmd_pac_run(args: argparse.Namespace) -> int:
             for e in textio.json_field(payload, "examples", list)
         )
         weights = textio.json_field(payload, "weights", list)
-        if not all(isinstance(w, (int, float)) for w in weights):
+        # JSON ``true`` reads as a bool, which Python counts as an int
+        if not all(isinstance(w, (int, float)) and not isinstance(w, bool) for w in weights):
             raise ParseError("weights must be numbers")
         dist = pacmod.Distribution(support, tuple(weights))
     else:
@@ -231,6 +237,7 @@ def cmd_pac_run(args: argparse.Namespace) -> int:
         dist = pacmod.uniform_distribution([(a0, q) for q in queries])
     check_namespaces([target], [a0] + [a for a, _ in dist.support])
     fw = teacher.framework_for(target, a0, lang)
+    _check_writable(args.stats, args.csv)
     trials = []
     for trial in range(args.trials):
         session = teacher.OracleSession(target, fw, seed=args.seed + trial)

@@ -266,39 +266,21 @@ def decompose_right(
 ) -> tuple[str, Concept] | None:
     """One decomposition step, or None when none applies."""
     tree = Tree.of_concept(c)
-
-    def scan(node: Tree, path: tuple[int, ...]):
+    for path, node in _preorder(tree):
         for name in sorted(node.labels):
+            if not path and equivalent_names(name, lhs):
+                continue
             for i, ((role,), child) in enumerate(node.children):
-                if not path and equivalent_names(name, lhs):
-                    continue
                 sub = Exists(role, child.concept())
                 if not _positive(oracle, name, sub):
                     continue
-                split = not oracle.holds_locally(
-                    h,
-                    ABox(frozenset({(name, "e0")}), frozenset(), frozenset()),
-                    ConceptQuery(sub, "e0"),
-                )
-                return split, name, sub, path + (i,)
-        for i, (_, child) in enumerate(node.children):
-            hit = scan(child, path + (i,))
-            if hit:
-                return hit
-        return None
-
-    hit = scan(tree, ())
-    if hit is None:
-        return None
-    split, name, sub, path = hit
-    if split:
-        return name, normalize(sub)
-    # the child is named by its position: equal siblings are equal values
-    up = path[:-1]
-    parent = _at(tree, up)
-    kids = list(parent.children)
-    del kids[path[-1]]
-    return lhs, _replace(tree, up, Tree(parent.labels, tuple(kids))).concept()
+                single = ABox(frozenset({(name, "e0")}), frozenset(), frozenset())
+                if not oracle.holds_locally(h, single, ConceptQuery(sub, "e0")):
+                    return name, normalize(sub)
+                # the child is named by its position: equal siblings are equal values
+                kids = node.children[:i] + node.children[i + 1 :]
+                return lhs, _replace(tree, path, Tree(node.labels, kids)).concept()
+    return None
 
 
 def reduce_ci(
@@ -378,24 +360,17 @@ def iq_step(
 
     # ``h`` comes from ``terminology``: a name with a complex right side has
     # no other inclusion, else its right sides are all names
-    rhss = [p.rhs for p in h.cis if isinstance(p.lhs, Atom) and p.lhs.name == ci.lhs.name]
-    if rhss:
-        old_rhs = classes.rewrite(normalize(conj(*rhss)))
-        old = reduce_ci(oracle, h, classes, equivalent_names, ci.lhs.name, old_rhs)
-        if old.lhs.name != ci.lhs.name:
-            raise ContractViolationError("reduction moved an inclusion to another name")
-        combined = merge_reduced(oracle, ci.lhs.name, old.rhs, ci.rhs)
-        if Tree.of_concept(combined).node_count() <= Tree.of_concept(old.rhs).node_count():
-            raise ContractViolationError("replacement did not grow the right-hand tree")
-        new_cis = {
-            prev
-            for prev in h.cis
-            if not (isinstance(prev.lhs, Atom) and prev.lhs.name == ci.lhs.name)
-        }
-        new_cis.add(CI(ci.lhs, combined))
-    else:
-        new_cis = set(h.cis) | {ci}
-    return terminology(new_cis, h.ris)
+    same = {p for p in h.cis if isinstance(p.lhs, Atom) and p.lhs.name == ci.lhs.name}
+    if not same:
+        return terminology(h.cis | {ci}, h.ris)
+    old_rhs = classes.rewrite(normalize(conj(*(p.rhs for p in same))))
+    old = reduce_ci(oracle, h, classes, equivalent_names, ci.lhs.name, old_rhs)
+    if old.lhs.name != ci.lhs.name:
+        raise ContractViolationError("reduction moved an inclusion to another name")
+    combined = merge_reduced(oracle, ci.lhs.name, old.rhs, ci.rhs)
+    if Tree.of_concept(combined).node_count() <= Tree.of_concept(old.rhs).node_count():
+        raise ContractViolationError("replacement did not grow the right-hand tree")
+    return terminology((h.cis - same) | {CI(ci.lhs, combined)}, h.ris)
 
 
 @dataclass

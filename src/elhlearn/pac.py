@@ -51,8 +51,9 @@ class Distribution:
             raise ConfigurationError("distribution needs a non-empty support")
         if len(self.support) != len(self.weights):
             raise ConfigurationError("support and weights must align")
-        if any(w < 0 for w in self.weights):
-            raise ConfigurationError("weights must be nonnegative")
+        # a NaN weight compares false both ways, so check it is finite first
+        if not all(math.isfinite(w) and w >= 0 for w in self.weights):
+            raise ConfigurationError("weights must be finite and nonnegative")
         if abs(sum(self.weights) - 1.0) > 1e-9:
             raise ConfigurationError("weights must sum to one")
 
@@ -63,8 +64,6 @@ class Distribution:
 def uniform_distribution(examples, seed: int = 0) -> Distribution:
     examples = tuple(examples)
     n = len(examples)
-    if n == 0:
-        raise ConfigurationError("distribution needs a non-empty support")
     return Distribution(examples, tuple(1.0 / n for _ in range(n)))
 
 

@@ -5,6 +5,7 @@ individual is bisimilar to an old one.  Without that guarantee the learned
 left-hand sides may be too specific, so ``generalise`` weakens them:
 concept names get replaced by strictly weaker names or dropped, roles by
 strictly weaker roles, as long as the target still entails the inclusion.
+Each step tries every name weakening before any role weakening.
 "Weaker" is read from two closures: the learned order of concept names
 (``learn_iq.name_order``) and the role hierarchy (``reasoner.role_closure``).
 A generalised hypothesis stays inseparable on every ABox reachable from the
@@ -28,7 +29,7 @@ in one minimization pass per round.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
 from . import reasoner
 from .learn_aq import MAX_ROUNDS, CachedOracle, LearnResult, _record_iteration, tree_inclusion
@@ -53,7 +54,6 @@ from .syntax import (
     conj,
     normalize,
     signature_of_abox,
-    signature_of_concept,
     signature_of_tbox,
     terminology,
     top_atoms,
@@ -93,14 +93,31 @@ def generalise(oracle: CachedOracle, h: TBox, atomic_cis: set[CI]) -> TBox:
 
     Only inclusions with a concept name on the right are touched; the run
     costs a number of steps polynomial in the signature and hypothesis size.
+    Each step takes the first weakening the target still entails: every
+    name weakening comes before any role weakening, and each kind keeps the
+    order in which the left-hand side is walked.
     """
     name_up = name_order(atomic_cis)
     role_up = reasoner.role_closure(h.ris)
     roles = sorted(oracle.framework.signature.role_names)
 
-    def entailed_by_target(lhs: Concept, rhs_name: str) -> bool:
-        enc, root = Tree.of_concept(lhs).abox()
-        return oracle.membership(enc, AtomicQuery(rhs_name, (root,)))
+    def weakenings(c: Concept) -> Iterator[tuple[bool, Concept]]:
+        """``(is_role_step, weaker)`` for each replacement of one name or role."""
+        if isinstance(c, Atom):
+            yield False, TOP
+            for b in sorted(name_up[c.name]):
+                if c.name not in name_up[b]:
+                    yield False, Atom(b)
+        elif isinstance(c, Exists):
+            for s in roles:
+                if s in role_up[c.role] and c.role not in role_up[s]:
+                    yield True, Exists(s, c.filler)
+            for is_role_step, inner in weakenings(c.filler):
+                yield is_role_step, Exists(c.role, inner)
+        elif isinstance(c, And):
+            for i, part in enumerate(c.args):
+                for is_role_step, inner in weakenings(part):
+                    yield is_role_step, conj(*c.args[:i], inner, *c.args[i + 1 :])
 
     new_cis: set[CI] = set()
     for ci in sorted(h.cis, key=lambda x: (canonical(x.lhs), canonical(x.rhs))):
@@ -111,62 +128,23 @@ def generalise(oracle: CachedOracle, h: TBox, atomic_cis: set[CI]) -> TBox:
             new_cis.add(ci)
             continue
         lhs = normalize(ci.lhs)
-        rhs_name = ci.rhs.name
         steps = 0
         while True:
             steps += 1
             if steps > MAX_ROUNDS:
                 raise BudgetExceededError("generalisation did not stabilise")
-            stepped = _generalise_pass(lhs, rhs_name, name_up, role_up, roles, entailed_by_target)
-            if stepped is None:
+            for _, cand in sorted(weakenings(lhs), key=lambda step: step[0]):
+                cand = normalize(cand)
+                if canonical(cand) == canonical(lhs):
+                    continue
+                enc, root = Tree.of_concept(cand).abox()
+                if oracle.membership(enc, AtomicQuery(ci.rhs.name, (root,))):
+                    lhs = cand
+                    break
+            else:
                 break
-            lhs = stepped
-        new_cis.add(CI(lhs, Atom(rhs_name)))
+        new_cis.add(CI(lhs, ci.rhs))
     return terminology(new_cis, h.ris)
-
-
-def _generalise_pass(
-    lhs: Concept,
-    rhs_name: str,
-    name_up: reasoner.Closure,
-    role_up: reasoner.Closure,
-    roles: list[str],
-    entailed_by_target: Callable[[Concept, str], bool],
-) -> Concept | None:
-    """One accepted replacement by a strictly weaker name (first) or role, or None."""
-
-    def candidates(c: Concept) -> Iterator[Concept]:
-        if isinstance(c, Atom):
-            yield TOP
-            for b in sorted(name_up[c.name]):
-                if c.name not in name_up[b]:
-                    yield Atom(b)
-        elif isinstance(c, Exists):
-            for s in roles:
-                if s in role_up[c.role] and c.role not in role_up[s]:
-                    yield Exists(s, c.filler)
-            for inner in candidates(c.filler):
-                yield Exists(c.role, inner)
-        elif isinstance(c, And):
-            for i, part in enumerate(c.args):
-                for inner in candidates(part):
-                    yield normalize(conj(*c.args[:i], inner, *c.args[i + 1 :]))
-
-    concept_first: list[Concept] = []
-    role_later: list[Concept] = []
-    for cand in candidates(lhs):
-        cand = normalize(cand)
-        if canonical(cand) == canonical(lhs):
-            continue
-        (concept_first if _is_concept_name_change(lhs, cand) else role_later).append(cand)
-    for cand in concept_first + role_later:
-        if entailed_by_target(cand, rhs_name):
-            return cand
-    return None
-
-
-def _is_concept_name_change(old: Concept, new: Concept) -> bool:
-    return signature_of_concept(old).role_names == signature_of_concept(new).role_names
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +224,7 @@ def enumerate_closure(t: TBox, a0: ABox, cap: int = 200) -> Iterator[ABox]:
 
 
 def _failing_atom(oracle: CachedOracle, h: TBox, a: ABox, concept, ind: str) -> str | None:
-    if isinstance(concept, Atom):
-        concept_atoms = [concept.name]
-    else:
-        concept_atoms = sorted(top_atoms(concept))
-    for name in concept_atoms:
+    for name in sorted(top_atoms(concept)):
         if not oracle.holds_locally(h, a, AtomicQuery(name, (ind,))):
             return name
     return None
@@ -259,10 +233,9 @@ def _failing_atom(oracle: CachedOracle, h: TBox, a: ABox, concept, ind: str) -> 
 def update_step(run: Run, h: TBox, a: ABox, q: Query) -> TBox:
     """Repair an atomic miss on the updated ABox, else take the instance step."""
     q = concept_query(q)
-    concept = run.classes.rewrite(normalize(q.concept))
-    atom = _failing_atom(run.oracle, h, a, concept, q.ind)
+    atom = _failing_atom(run.oracle, h, a, q.concept, q.ind)
     if atom is None:
-        return iq_step(run.oracle, h, run.classes, run.equivalent_names, a, concept, q.ind)
+        return iq_step(run.oracle, h, run.classes, run.equivalent_names, a, q.concept, q.ind)
     # a replaced assertion can become derivable rather than asserted, which
     # the fixed-ABox run never had to cover, so the tree step reruns here,
     # around the witness atom(q.ind): the target entails it on ``a``, ``h`` not

@@ -11,22 +11,48 @@ oracle of the closure: it is only used by tests, so it lives here.
 ``check_bisim_preservation`` is the version that bisimulated the explicit
 interpretations of the two ABoxes (``reference_simulation``), verbatim apart
 from imports.
+
+``generalise``, ``_generalise_pass`` and ``_is_concept_name_change`` are the
+versions that filed each weakening as a name or a role step after the fact,
+by comparing the role names of the old and the new left-hand side, verbatim
+apart from imports.  A role swap that keeps the set of roles was filed as a
+name step; the package's walk tags each weakening as it makes it.  Inside
+``patched()`` the package's update learner runs with this ``generalise``.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+import contextlib
+from typing import Callable, Iterator
+
+import pytest
 
 from reference_roles import entails_ri
 from reference_simulation import abox_interpretation
-from elhlearn import reasoner
+from elhlearn import reasoner, updates
+from elhlearn.learn_aq import MAX_ROUNDS, CachedOracle
+from elhlearn.learn_iq import name_order
 from elhlearn.syntax import (
     ABox,
+    And,
     Atom,
+    AtomicQuery,
+    BudgetExceededError,
+    CI,
+    Concept,
     ConfigurationError,
     ContractViolationError,
+    Exists,
     TBox,
+    TOP,
+    Top,
+    Tree,
+    canonical,
+    conj,
+    normalize,
+    signature_of_concept,
     signature_of_tbox,
+    terminology,
 )
 
 
@@ -169,3 +195,92 @@ def check_bisim_preservation(t: TBox, h: TBox, a0: ABox, a: ABox) -> bool:
         )
     rel = reasoner.bisimilar(abox_interpretation(a), abox_interpretation(a0))
     return a.individuals() <= {b for b, _ in rel}
+
+
+def generalise(oracle: CachedOracle, h: TBox, atomic_cis: set[CI]) -> TBox:
+    """Exhaustively weaken complex left-hand sides, membership-checked.
+
+    Only inclusions with a concept name on the right are touched; the run
+    costs a number of steps polynomial in the signature and hypothesis size.
+    """
+    name_up = name_order(atomic_cis)
+    role_up = reasoner.role_closure(h.ris)
+    roles = sorted(oracle.framework.signature.role_names)
+
+    def entailed_by_target(lhs: Concept, rhs_name: str) -> bool:
+        enc, root = Tree.of_concept(lhs).abox()
+        return oracle.membership(enc, AtomicQuery(rhs_name, (root,)))
+
+    new_cis: set[CI] = set()
+    for ci in sorted(h.cis, key=lambda x: (canonical(x.lhs), canonical(x.rhs))):
+        if not isinstance(ci.rhs, Atom) or isinstance(ci.lhs, (Atom, Top)):
+            # name-on-the-left inclusions (atomic ones included) stay as-is;
+            # weakening them would lose the very subsumptions that make the
+            # complex replacements consequence-preserving
+            new_cis.add(ci)
+            continue
+        lhs = normalize(ci.lhs)
+        rhs_name = ci.rhs.name
+        steps = 0
+        while True:
+            steps += 1
+            if steps > MAX_ROUNDS:
+                raise BudgetExceededError("generalisation did not stabilise")
+            stepped = _generalise_pass(lhs, rhs_name, name_up, role_up, roles, entailed_by_target)
+            if stepped is None:
+                break
+            lhs = stepped
+        new_cis.add(CI(lhs, Atom(rhs_name)))
+    return terminology(new_cis, h.ris)
+
+
+def _generalise_pass(
+    lhs: Concept,
+    rhs_name: str,
+    name_up: reasoner.Closure,
+    role_up: reasoner.Closure,
+    roles: list[str],
+    entailed_by_target: Callable[[Concept, str], bool],
+) -> Concept | None:
+    """One accepted replacement by a strictly weaker name (first) or role, or None."""
+
+    def candidates(c: Concept) -> Iterator[Concept]:
+        if isinstance(c, Atom):
+            yield TOP
+            for b in sorted(name_up[c.name]):
+                if c.name not in name_up[b]:
+                    yield Atom(b)
+        elif isinstance(c, Exists):
+            for s in roles:
+                if s in role_up[c.role] and c.role not in role_up[s]:
+                    yield Exists(s, c.filler)
+            for inner in candidates(c.filler):
+                yield Exists(c.role, inner)
+        elif isinstance(c, And):
+            for i, part in enumerate(c.args):
+                for inner in candidates(part):
+                    yield normalize(conj(*c.args[:i], inner, *c.args[i + 1 :]))
+
+    concept_first: list[Concept] = []
+    role_later: list[Concept] = []
+    for cand in candidates(lhs):
+        cand = normalize(cand)
+        if canonical(cand) == canonical(lhs):
+            continue
+        (concept_first if _is_concept_name_change(lhs, cand) else role_later).append(cand)
+    for cand in concept_first + role_later:
+        if entailed_by_target(cand, rhs_name):
+            return cand
+    return None
+
+
+def _is_concept_name_change(old: Concept, new: Concept) -> bool:
+    return signature_of_concept(old).role_names == signature_of_concept(new).role_names
+
+
+@contextlib.contextmanager
+def patched():
+    """Run the package's update learner with the reference ``generalise``."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(updates, "generalise", generalise)
+        yield

@@ -343,8 +343,8 @@ def test_a_hypothesis_too_deep_to_write_exits_2(workdir, capsys, monkeypatch, to
     written = capsys.readouterr()
     assert written.err == f"error: concept nested deeper than {MAX_NESTING} levels\n"
     assert written.out == ""
-    # the output was opened before the run; it stays empty, which reads as the empty TBox
-    assert not to_file or out.read_text() == ""
+    # the output was opened before the run and removed again: a failed run leaves none
+    assert not out.exists()
 
 
 def test_learn_writes_hypothesis_and_stats(workdir, capsys):
@@ -666,6 +666,26 @@ def test_pac_run_with_both_dist_and_queries_exits_2(workdir, capsys):
     _one_error_line(out.err, "error: pac run takes --dist or --queries, not both")
 
 
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ("[NaN]", "error: weights must be finite and nonnegative"),
+        ("[0.5, NaN, 0.5]", "error: weights must be finite and nonnegative"),
+        ("[true]", "error: weights must be numbers"),
+    ],
+    ids=["nan", "nan-among-numbers", "true"],
+)
+def test_pac_run_rejects_weights_that_are_not_finite_numbers(workdir, capsys, weights, message):
+    # one example per weight; Python's JSON reader takes a bare NaN
+    examples = [{"abox": EX1_ABOX, "query": "Q: AQ A(a)"}] * len(json.loads(weights))
+    (workdir / "d.json").write_text(f'{{"examples": {json.dumps(examples)}, "weights": {weights}}}')
+    args = ["pac", "run", "--mode", "aq", str(workdir / "t.tbox"), str(workdir / "a.abox")]
+    assert main(args + ["--dist", str(workdir / "d.json")]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    _one_error_line(out.err, message)
+
+
 # one command line per output flag; files are named relative to the work
 # directory, and the flag's value points into a directory that does not exist
 UNWRITABLE = {
@@ -710,16 +730,27 @@ def test_an_unwritable_partial_hypothesis_exits_2(workdir, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "flag", ["learn --out", "learn --stats", "learn --transcript", "batch build --out"]
+    "flag",
+    [
+        "learn --out",
+        "learn --stats",
+        "learn --transcript",
+        "batch build --out",
+        "batch learn --out",
+        "pac run --stats",
+        "pac run --csv",
+    ],
 )
 def test_an_unwritable_output_exits_2_before_the_run(workdir, capsys, monkeypatch, flag):
-    from elhlearn import batch
+    from elhlearn import batch, pac
 
     def not_reached(*args, **kwargs):
         pytest.fail("the run started before its outputs were checked")
 
     monkeypatch.setitem(cli.LEARNERS, "aq", not_reached)
     monkeypatch.setattr(batch, "build_batch", not_reached)
+    monkeypatch.setattr(batch, "learn_from_batch", not_reached)
+    monkeypatch.setattr(pac, "pac_from_exact", not_reached)
     args, bad = _unwritable_run(workdir, flag)
     assert main(args) == 2
     _one_error_line(capsys.readouterr().err, f"error: cannot write {bad}: ")

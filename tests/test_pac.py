@@ -66,6 +66,11 @@ class TestDistribution:
             Distribution(((a0, q),), (-1.0, 2.0))
         with pytest.raises(ConfigurationError):
             Distribution((), ())
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                Distribution(((a0, q),), (bad,))
+            with pytest.raises(ConfigurationError):
+                Distribution(((a0, q), (a0, q), (a0, q)), (0.5, bad, 0.5))
 
     def test_sampling_reproducible(self):
         a0 = abox(concepts=[("A", "a")])

@@ -14,6 +14,10 @@ reaches it through the names that definitions mention.  The roots are:
 
 Code that only tests reach belongs under ``tests/``.
 
+Every name that an ``import`` in a module of ``src/elhlearn`` binds is
+mentioned in that module (``__init__`` and ``from __future__`` imports
+aside), unless ``IMPORT_ALLOWED`` says why it stays.
+
 Likewise every parameter of every function in ``src/elhlearn``, nested
 functions and methods included, is read in its body; ``self``, ``cls`` and
 names starting with ``_`` are exempt, and so is each entry of
@@ -61,6 +65,12 @@ OPTION_ALLOWED = {
     "learn_aq.learn_aq.on_tree": "acceptance criteria 2-4 count the tree examples through it",
     "learn_cqr.saturate_counterexample.stats": "ROADMAP item 4 turns it into per-phase counters",
     "reasoner.simulation.bundles": "elhlearn.simulation is public",
+}
+
+# ``module.name`` -> why the module imports the name although it never
+# mentions it
+IMPORT_ALLOWED = {
+    "learn_cqr.iq_step": "perfbench/test_perfbench.py reads it (ROADMAP 2b)",
 }
 
 DEFINITION = (ast.FunctionDef, ast.ClassDef)
@@ -147,6 +157,30 @@ def test_allowlist_names_definitions_that_need_it():
     finally:
         ALLOWED.clear()
         ALLOWED.update(saved)
+
+
+def unused_imports(src: Path = SRC) -> list[str]:
+    """``module.name`` for every name an import binds but its module never mentions."""
+    out: list[str] = []
+    for mod, body in _modules(src).items():
+        nodes = [sub for stmt in body for sub in ast.walk(stmt)]
+        mentioned = {sub.id for sub in nodes if isinstance(sub, ast.Name)}
+        for node in nodes:
+            if not isinstance(node, IMPORT) or getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in mentioned:
+                    out.append(f"{mod}.{name}")
+    return out
+
+
+def test_every_import_is_mentioned():
+    assert [i for i in unused_imports() if i not in IMPORT_ALLOWED] == []
+
+
+def test_import_allowlist_names_imports_that_need_it():
+    assert sorted(IMPORT_ALLOWED) == sorted(set(unused_imports()) & set(IMPORT_ALLOWED))
 
 
 def unread_parameters(src: Path = SRC) -> list[str]:

@@ -4,23 +4,28 @@ from genkb import covering_abox, random_abox, random_terminology
 import reference_updates as ref
 from reference_simulation import abox_interpretation
 from reference_updates import in_generalised_closure, linear_derivation
+from test_learner_loop import CLOSURE_CAP, SEEDS, _kb, _learner_run
 from elhlearn.learn_aq import CachedOracle, bootstrap_atomic
 from elhlearn.reasoner import LANG_IQ, bisimilar, build_model, inseparable
 from elhlearn.syntax import (
     ABox,
     Atom,
+    AtomicQuery,
     CI,
     ConfigurationError,
     ContractViolationError,
     Exists,
     RI,
     TBox,
+    TOP,
+    Tree,
     abox,
     canonical,
     conj,
+    normalize,
     terminology,
 )
-from elhlearn.teacher import OracleSession, framework_for
+from elhlearn.teacher import POLICY_MINIMAL, POLICY_RANDOMIZED, OracleSession, framework_for
 from elhlearn.updates import (
     check_bisim_preservation,
     enumerate_closure,
@@ -189,6 +194,47 @@ class TestGeneralise:
         atomic_cis, _ = bootstrap_atomic(oracle)
         g = generalise(oracle, h, atomic_cis)
         assert CI(Exists("s", Atom("A1")), Atom("B")) in g.cis
+
+    def test_name_steps_come_before_role_steps(self, monkeypatch):
+        """Swapping ``r`` for ``s`` in one ``some r`` keeps the set of roles
+        {r, s}, but it is a role step all the same: the first question is
+        the name step ``A`` to top."""
+        t = terminology([CI(Exists("s", TOP), Atom("D"))], [RI("r", "s")])
+        lhs = conj(Exists("r", Atom("A")), Exists("r", Atom("B")), Exists("s", Atom("C")))
+        h = terminology([CI(lhs, Atom("D"))], [RI("r", "s")])
+        a0 = abox(
+            concepts=[("A", "a"), ("B", "b"), ("C", "c"), ("D", "d")],
+            roles=[("r", "a", "b"), ("s", "b", "c")],
+        )
+        session = OracleSession(t, framework_for(t, a0, LANG_IQ))
+        oracle = CachedOracle(session)
+        atomic_cis, _ = bootstrap_atomic(oracle)
+        asked = []
+        ask = session.membership
+        monkeypatch.setattr(session, "membership", lambda a, q: asked.append((a, q)) or ask(a, q))
+        g = generalise(oracle, h, atomic_cis)
+        name_step = normalize(conj(Exists("r", Atom("B")), Exists("r", TOP), Exists("s", Atom("C"))))
+        enc, root = Tree.of_concept(name_step).abox()
+        assert asked[0] == (enc, AtomicQuery("D", (root,)))
+        # every weakening is entailed: the walk ends at ``some s. top`` in 4 questions
+        assert len(asked) == 4
+        assert g.cis == {CI(Exists("s", TOP), Atom("D"))}
+
+
+@pytest.mark.parametrize("policy", [POLICY_MINIMAL, POLICY_RANDOMIZED])
+def test_tagged_weakenings_ask_what_the_filed_ones_asked(policy):
+    """On genkb no role swap keeps its set of roles, so the run with the
+    reference ``generalise`` asks the same questions and learns the same."""
+    for seed in SEEDS:
+        t, _, cover = _kb(seed)
+
+        def run():
+            fw = framework_for(t, cover, LANG_IQ, update_closure=True, closure_cap=CLOSURE_CAP)
+            return _learner_run(learn_with_updates, OracleSession(t, fw, policy, seed))
+
+        learned = run()
+        with ref.patched():
+            assert run() == learned, f"genkb seed {seed}"
 
 
 class TestLinearDerivation:
