@@ -107,17 +107,17 @@ def bootstrap_atomic(oracle: CachedOracle) -> tuple[set[CI], set[RI]]:
     cis: set[CI] = set()
     ris: set[RI] = set()
     for a in sorted(sig.concept_names):
+        ab = ABox(frozenset({(a, "p0")}))
         for b in sorted(sig.concept_names):
             if a == b:
                 continue
-            ab = ABox(frozenset({(a, "p0")}), frozenset(), frozenset())
             if oracle.membership(ab, AtomicQuery(b, ("p0",))):
                 cis.add(CI(Atom(a), Atom(b)))
     for r in sorted(sig.role_names):
+        ab = ABox(role_assertions=frozenset({(r, "p0", "p1")}))
         for s in sorted(sig.role_names):
             if r == s:
                 continue
-            ab = ABox(frozenset(), frozenset({(r, "p0", "p1")}), frozenset())
             if oracle.membership(ab, AtomicQuery(s, ("p0", "p1"))):
                 ris.add(RI(r, s))
     return cis, ris

@@ -694,7 +694,15 @@ def answers_query(t: TBox, a: ABox, q: Query, cache: ModelCache | None = None) -
     if isinstance(q, AtomicQuery):
         if len(q.args) == 2:
             return role_assertion_holds(t, a, q.pred, *q.args)
-        q = ConceptQuery(Atom(q.pred), q.args[0])
+        (ind,) = q.args
+        model = cache.get(t, a) if cache else build_model(t, a)
+        label = model.labels.get(("n", ind))
+        if label is None:
+            # not in the data: read alone, as for a concept query below
+            alone = ABox(declared=frozenset({ind}))
+            model = cache.get(t, alone) if cache else build_model(t, alone)
+            label = model.labels[("n", ind)]
+        return q.pred in label
     if isinstance(q, RoleQuery):
         return role_assertion_holds(t, a, q.role, q.subj, q.obj)
     if isinstance(q, ConceptQuery):

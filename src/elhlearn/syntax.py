@@ -711,6 +711,12 @@ def concept_size(c: Concept) -> int:
 
 def size_of(obj) -> int:
     """Symbol count of the canonical serialization (names count 1)."""
+    # first the two types that most membership questions are made of
+    if isinstance(obj, ABox):
+        # ``declared`` holds only the individuals no assertion mentions
+        return 4 * len(obj.concept_assertions) + 6 * len(obj.role_assertions) + len(obj.declared)
+    if isinstance(obj, AtomicQuery):
+        return 4 if len(obj.args) == 1 else 6
     if isinstance(obj, Concept):
         return concept_size(obj)
     if isinstance(obj, CI):
@@ -719,11 +725,6 @@ def size_of(obj) -> int:
         return 3
     if isinstance(obj, TBox):
         return sum(size_of(ci) for ci in obj.cis) + sum(size_of(ri) for ri in obj.ris)
-    if isinstance(obj, ABox):
-        # ``declared`` holds only the individuals no assertion mentions
-        return 4 * len(obj.concept_assertions) + 6 * len(obj.role_assertions) + len(obj.declared)
-    if isinstance(obj, AtomicQuery):
-        return 4 if len(obj.args) == 1 else 6
     if isinstance(obj, ConceptQuery):
         return concept_size(obj.concept) + 3
     if isinstance(obj, RoleQuery):

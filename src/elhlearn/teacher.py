@@ -201,10 +201,15 @@ class OracleSession:
     # -- membership -------------------------------------------------------
 
     def membership(self, a: ABox, q: Query) -> bool:
-        sig, allowed = signature_of_query(q), self.framework.signature
-        # the ABox's own names are allowed too; most queries need none of them
-        if not allowed.covers(sig) and not allowed.union(signature_of_abox(a)).covers(sig):
-            raise RejectedQueryError("query uses names outside the framework signature")
+        allowed = self.framework.signature
+        # an atomic query whose one name is in the signature, of its kind, passes at once
+        if type(q) is not AtomicQuery or q.pred not in (
+            allowed.concept_names if len(q.args) == 1 else allowed.role_names
+        ):
+            sig = signature_of_query(q)
+            # the ABox's own names are allowed too; most queries need none of them
+            if not allowed.covers(sig) and not allowed.union(signature_of_abox(a)).covers(sig):
+                raise RejectedQueryError("query uses names outside the framework signature")
         answer = reasoner.answers_query(self._target, a, q, self._cache)
         size = size_of(a) + size_of(q)
         self.mq_count += 1

@@ -80,14 +80,19 @@ def parse_json(text: str, line: int = 0):
 
 
 def json_field(obj, key: str, kind: type, line: int = 0):
-    """``obj[key]`` of a JSON object, checked to be a ``kind``."""
+    """``obj[key]`` of a JSON object, checked to be a ``kind``.
+
+    JSON ``true`` and ``false`` are not of kind ``int``, although ``bool``
+    is a subclass of ``int``.
+    """
     if not isinstance(obj, dict):
         raise ParseError("expected a JSON object", line, 1)
     if key not in obj:
         raise ParseError(f"missing key {key!r}", line, 1)
-    if not isinstance(obj[key], kind):
+    value = obj[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ParseError(f"key {key!r} must be of type {kind.__name__}", line, 1)
-    return obj[key]
+    return value
 
 
 _TOKEN = re.compile(rf"\s*(\[=|==|{NAME}|[().,;:])")

@@ -13,6 +13,7 @@ in the reference and a ``ParseError`` at that line here.
 
 from __future__ import annotations
 
+import functools
 import string
 
 from hypothesis import given, settings, strategies as st
@@ -151,12 +152,17 @@ def query_outcome(parse, text: str):
         return (type(exc).__name__, str(exc))
 
 
-def assert_same_queries(text: str) -> None:
-    """Same queries or error, and the pattern takes exactly the AQ and role IQ lines."""
-    want = query_outcome(ref.parse_queries, text)
+def assert_same_queries(
+    text: str, reference=functools.partial(query_outcome, ref.parse_queries)
+) -> None:
+    """Same queries or error, and the pattern takes exactly the AQ and role IQ lines.
+
+    ``reference(text)`` is the reference parser's outcome on ``text``.
+    """
+    want = reference(text)
     assert query_outcome(parse_queries, text) == want, text
     for raw in text.splitlines():
-        result = query_outcome(ref.parse_queries, raw)
+        result = reference(raw)
         read_as_one = (
             isinstance(result, list)
             and len(result) == 1
@@ -185,10 +191,14 @@ QUERY_TEMPLATES = [
 
 def test_single_character_edits_of_query_lines_match_the_tokenizer():
     """Every deletion, insertion and substitution of one character."""
+    # each edited line is checked alone and as a line of its two-line text,
+    # and the prefix line with every edit: the reference parses each
+    # distinct text once
+    reference = functools.cache(functools.partial(query_outcome, ref.parse_queries))
     for template in QUERY_TEMPLATES:
         for text in single_edits(template):
-            assert_same_queries(text)
-            assert_same_queries("Q: AQ C(z)\n" + text)
+            assert_same_queries(text, reference)
+            assert_same_queries("Q: AQ C(z)\n" + text, reference)
 
 
 def test_query_line_pattern_cases():
