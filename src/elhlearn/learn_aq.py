@@ -1,10 +1,15 @@
 """Learning all atomic-query consequences of a hidden terminology.
 
-The loop finds atomic counterexamples over the fixed ABox with membership
-questions alone, shapes the ABox into a tree by alternating minimization
-with cycle unfolding, reads the tree off as a concept ``C``
-(``Tree.of_abox``) and adds ``C [= B`` to the hypothesis.  Every addition is a
-consequence of the target, so the hypothesis is positive bounded throughout.
+``refine`` is the one counterexample loop of every learner: it checks the
+budget, asks its finder for a counterexample, hands it to its step and
+records the iteration, until the finder finds none.  It has two finders.
+The atomic phase here, ``aq_phase``, finds atomic counterexamples over the
+fixed ABox with membership questions alone; ``learn_iq.counterexample_loop``
+asks the inseparability (equivalence) oracle.  The atomic step shapes the
+ABox into a tree by alternating minimization with cycle unfolding, reads the
+tree off as a concept ``C`` (``Tree.of_abox``) and adds ``C [= B`` to the
+hypothesis.  Every addition is a consequence of the target, so the
+hypothesis is positive bounded throughout.
 
 ``find_cycle`` finds the shortest undirected cycle of role assertions and
 returns two things: the assertion to open, one the cycle walks forwards, and
@@ -46,13 +51,14 @@ from .syntax import (
 
 # monitored budget: total oracle input size must stay under
 # COEFF * (|target hypothesis bound| + |fixed abox| + largest counterexample)^DEGREE,
-# with one degree for the atomic phase and one for the counterexample loop
+# checked by the counterexample loop with one degree for each of its finders:
+# membership questions in the atomic phase, the inseparability oracle after it
 BUDGET_DEGREE_AQ = 3
 BUDGET_DEGREE_IQ = 4
 BUDGET_COEFF = 300
 # rounds of tree shaping, of the reduction loop of ``learn_iq``, of
-# ``updates.generalise`` on one inclusion and of the counterexample loop,
-# before any of them gives up
+# ``updates.generalise`` on one inclusion and of the counterexample loop (the
+# atomic phase and the inseparability rounds alike), before any of them gives up
 MAX_ROUNDS = 10_000
 
 
@@ -358,26 +364,41 @@ def tree_inclusion(
     return terminology(set(h.cis) | {CI(concept, Atom(name))}, h.ris), shaped
 
 
+def refine(oracle: CachedOracle, result: LearnResult, h: TBox, find, step, degree: int) -> TBox:
+    """Check the budget, ``find(h)`` a counterexample, ``step(h, *hit)``, record; repeat."""
+    rounds = 0
+    while True:
+        check_budget(oracle, h, degree)
+        rounds += 1
+        if rounds > MAX_ROUNDS:
+            raise BudgetExceededError("counterexample loop exceeded its budget", partial=h)
+        hit = find(h)
+        if hit is None:
+            return h
+        h = step(h, *hit)
+        _record_iteration(result, oracle, h)
+
+
 def aq_phase(
     oracle: CachedOracle,
     h: TBox,
     result: LearnResult,
     on_tree=None,
 ) -> TBox:
-    """Drive the atomic-counterexample loop until none remain."""
+    """Refine ``h`` with the atomic counterexamples membership questions find."""
     fixed = oracle.framework.fixed_abox
-    while True:
-        check_budget(oracle, h, BUDGET_DEGREE_AQ)
-        witness = _first_positive(oracle, h, fixed)
-        if witness is None:
-            return h
-        h, shaped = tree_inclusion(oracle, h, fixed, witness)
-        name, ind = witness
+
+    def step(h: TBox, name: str, ind: str) -> TBox:
+        h, shaped = tree_inclusion(oracle, h, fixed, (name, ind))
         if on_tree is not None:
             on_tree(shaped, name, ind)
-        _record_iteration(result, oracle, h)
         if not oracle.holds_locally(h, fixed, AtomicQuery(name, (ind,))):
             raise StructuralError("new inclusion failed to cover its counterexample")
+        return h
+
+    return refine(
+        oracle, result, h, lambda h: _first_positive(oracle, h, fixed), step, BUDGET_DEGREE_AQ
+    )
 
 
 def learn_aq(session, on_tree=None) -> LearnResult:

@@ -29,17 +29,20 @@ Role names are collapsed to one representative per learned equivalence
 class before any of this runs; learned inclusions use representatives and
 the final hypothesis carries the full set of learned role inclusions.
 
-Every learner past the atomic phase runs the one counterexample loop written
-here.  ``start`` runs the prologue once (bootstrap, role classes, name
-equivalence, the membership-only atomic phase); ``counterexample_loop`` checks
-the budget, asks for a counterexample, hands it to its one hook ``step`` and
-records the iteration, until the hypothesis is inseparable.  The instance
+Every learner runs the one counterexample loop, ``learn_aq.refine``, which
+checks the budget, asks its finder for a counterexample, hands it to its
+step and records the iteration.  ``start`` runs the prologue once
+(bootstrap, role classes, name equivalence) and then the atomic phase, the
+loop with membership questions as its finder; ``counterexample_loop`` runs
+the loop with the inseparability oracle as its finder and its one hook
+``step`` as its step, until the hypothesis is inseparable.  The instance
 step reads an atomic counterexample as a concept query and calls ``iq_step``;
 ``learn_cqr``, ``updates`` and ``batch`` bring their own steps.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -51,7 +54,7 @@ from .learn_aq import (
     LearnResult,
     aq_phase,
     bootstrap_atomic,
-    check_budget,
+    refine,
     saturate_with_hypothesis,
     _record_iteration,
 )
@@ -399,18 +402,10 @@ def start(session, on_tree=None) -> tuple[Run, TBox]:
 def counterexample_loop(run: Run, h: TBox, step) -> LearnResult:
     """Refine ``h`` with ``step(run, h, abox, query)`` until inseparable."""
     oracle, result = run.oracle, run.result
-    iterations = 0
-    while True:
-        check_budget(oracle, h, BUDGET_DEGREE_IQ)
-        iterations += 1
-        if iterations > MAX_ROUNDS:
-            raise BudgetExceededError("counterexample loop exceeded its budget", partial=h)
-        hit = oracle.inseparability(h)
-        if hit is None:
-            result.hypothesis = h
-            return result
-        h = step(run, h, *hit)
-        _record_iteration(result, oracle, h)
+    result.hypothesis = refine(
+        oracle, result, h, oracle.inseparability, functools.partial(step, run), BUDGET_DEGREE_IQ
+    )
+    return result
 
 
 def concept_query(q: Query) -> ConceptQuery:

@@ -8,14 +8,17 @@ Grammar (UTF-8, one statement per line, ``#`` starts a comment)::
     abox-line   ::= 'A:' NAME '(' NAME ')'
                   | 'A:' NAME '(' NAME ',' NAME ')'
                   | 'IND:' NAME                       (declare a bare individual)
-    query-line  ::= 'Q: AQ' NAME '(' NAME [',' NAME] ')'
-                  | 'Q: IQ' NAME '(' NAME ',' NAME ')'
-                  | 'Q: IQ' NAME ':' concept
-                  | 'Q: CQ' [inds] ';' 'exists' [vars] ';' atom {',' atom}
+    query-line  ::= 'Q: AQ' BLANK NAME '(' NAME [',' NAME] ')'
+                  | 'Q: IQ' BLANK NAME '(' NAME ',' NAME ')'
+                  | 'Q: IQ' BLANK NAME ':' concept
+                  | 'Q: CQ' BLANK [inds] ';' 'exists' [vars] ';' atom {',' atom}
+                  | 'Q: CQ;' 'exists' [vars] ';' atom {',' atom}
 
     concept     ::= unit {'and' unit}
     unit        ::= 'top' | NAME | 'some' NAME '.' unit | '(' concept ')'
 
+``BLANK`` is a whitespace character that must be there; the grammar leaves
+other blanks out.
 ``some`` binds tighter than ``and``: ``some r. A and B`` is the conjunction
 of ``some r. A`` with ``B``; a conjunctive filler needs parentheses.  In a
 CQ line the terms listed after ``exists`` are variables, all other terms are
@@ -338,18 +341,32 @@ _QUERY_PREFIX = re.compile(r"Q:\s*")
 # An ``AQ`` or role ``IQ`` query line, read as ``_ASSERTION`` reads an ``A:``
 # line: it accepts only lines that ``_Tokens`` accepts, with the same result.
 _QUERY_LINE = re.compile(
-    rf"\s*Q:\s*(?:AQ\s*{_NAME}\s*\(\s*{_NAME}\s*(?:,\s*{_NAME}\s*)?\)"
-    rf"|IQ\s*{_NAME}\s*\(\s*{_NAME}\s*,\s*{_NAME}\s*\))\s*(?:#.*)?"
+    rf"\s*Q:\s*(?:AQ\s+{_NAME}\s*\(\s*{_NAME}\s*(?:,\s*{_NAME}\s*)?\)"
+    rf"|IQ\s+{_NAME}\s*\(\s*{_NAME}\s*,\s*{_NAME}\s*\))\s*(?:#.*)?"
 )
 _CQ_ATOM = re.compile(rf"{_NAME}\(\s*{_NAME}\s*(?:,\s*{_NAME}\s*)?\)")
 _NOT_SEPARATOR = re.compile(r"[^\s,]")
 
 
 def parse_query(body: str, lineno: int = 0, start: int = 0) -> Query:
-    """The query at ``body[start:]``; error columns count from ``body``'s start."""
+    """The query at ``body[start:]``; error columns count from ``body``'s start.
+
+    The kind needs a blank after it, or for ``CQ`` the ``;`` of an empty
+    answer list.  The rest is read first, so a line with another defect
+    reports that one.
+    """
     if not body.startswith("Q:", start):
         raise ParseError("query line must start with 'Q:'", lineno, start + 1)
     at = _QUERY_PREFIX.match(body, start).end()
+    query = _query_of_kind(body, lineno, at)
+    kind, after = body[at : at + 2], body[at + 2]
+    if not (after.isspace() or (kind == "CQ" and after == ";")):
+        raise ParseError(f"query kind {kind!r} needs a blank after it", lineno, at + 3)
+    return query
+
+
+def _query_of_kind(body: str, lineno: int, at: int) -> Query:
+    """The query whose two-letter kind starts at ``body[at]``."""
     kind = body[at : at + 2]
     pos = at + 2
     if kind == "AQ":

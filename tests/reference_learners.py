@@ -1,4 +1,4 @@
-"""The four learner loops as they were before the single counterexample loop.
+"""The learner loops as they were before the single counterexample loop.
 
 Each of ``learn_iq``, ``learn_cqr``, ``learn_with_updates`` and
 ``build_batch`` wrote out its own "budget check, ask for a counterexample,
@@ -7,9 +7,17 @@ budget function ``_budget_limit_iq``.  They are kept verbatim, apart from the
 imports and the atomic repair, which calls ``learn_aq.tree_inclusion`` with
 the counterexample's witness (the step ``updates._atomic_repair`` was, minus
 its search for one), as the reference that
-``tests/test_learner_loop.py`` compares the one driver in ``elhlearn.learn_iq``
-against.  Everything they call (the phases, the reductions, the conversion,
-the repairs) is the package's own.
+``tests/test_learner_loop.py`` compares the one driver in ``elhlearn.learn_aq``
+against.
+
+The atomic phase ``aq_phase`` and the equivalence loop
+``counterexample_loop`` are kept verbatim too, as each wrote out its own
+loop before both ran through ``learn_aq.refine``.  The learners here call
+this ``aq_phase``, and so do ``learn_aq`` and ``start``, copies of the
+package's; ``looped(step)`` runs a package step through this
+``counterexample_loop``.
+Everything else they call (the bootstrap, the tree shaping, the reductions,
+the conversion, the repairs, the steps) is the package's own.
 
 ``repr_keyed_membership`` is ``CachedOracle.membership`` as it was when the
 memo keyed a question on ``repr(q)``, not on the query value;
@@ -21,16 +29,20 @@ from __future__ import annotations
 from elhlearn import reasoner, teacher
 from elhlearn.batch import BatchItem, _require_signature
 from elhlearn.learn_aq import (
+    BUDGET_DEGREE_AQ,
+    MAX_ROUNDS,
     MAX_ROUNDS as MAX_ITERATIONS,
     CachedOracle,
     LearnResult,
+    _first_positive,
     _record_iteration,
-    aq_phase,
     bootstrap_atomic,
+    check_budget,
     tree_inclusion,
 )
 from elhlearn.learn_cqr import cq_to_iq
 from elhlearn.learn_iq import (
+    Run,
     _atomic_equivalence,
     iq_step,
     role_classes,
@@ -64,6 +76,79 @@ def repr_keyed_membership(self, a: ABox, q: Query) -> bool:
 
 BUDGET_DEGREE_IQ = 4
 BUDGET_COEFF_IQ = 300
+
+
+def aq_phase(
+    oracle: CachedOracle,
+    h: TBox,
+    result: LearnResult,
+    on_tree=None,
+) -> TBox:
+    """Drive the atomic-counterexample loop until none remain."""
+    fixed = oracle.framework.fixed_abox
+    while True:
+        check_budget(oracle, h, BUDGET_DEGREE_AQ)
+        witness = _first_positive(oracle, h, fixed)
+        if witness is None:
+            return h
+        h, shaped = tree_inclusion(oracle, h, fixed, witness)
+        name, ind = witness
+        if on_tree is not None:
+            on_tree(shaped, name, ind)
+        _record_iteration(result, oracle, h)
+        if not oracle.holds_locally(h, fixed, AtomicQuery(name, (ind,))):
+            raise StructuralError("new inclusion failed to cover its counterexample")
+
+
+def counterexample_loop(run: Run, h: TBox, step) -> LearnResult:
+    """Refine ``h`` with ``step(run, h, abox, query)`` until inseparable."""
+    oracle, result = run.oracle, run.result
+    iterations = 0
+    while True:
+        check_budget(oracle, h, BUDGET_DEGREE_IQ)
+        iterations += 1
+        if iterations > MAX_ROUNDS:
+            raise BudgetExceededError("counterexample loop exceeded its budget", partial=h)
+        hit = oracle.inseparability(h)
+        if hit is None:
+            result.hypothesis = h
+            return result
+        h = step(run, h, *hit)
+        _record_iteration(result, oracle, h)
+
+
+def learn_aq(session, on_tree=None) -> LearnResult:
+    """Atomic-query consequences of the target, from membership questions only."""
+    oracle = CachedOracle(session)
+    result = LearnResult(TBox())
+    cis, ris = bootstrap_atomic(oracle)
+    h = terminology(cis, ris)
+    _record_iteration(result, oracle, h)
+    h = aq_phase(oracle, h, result, on_tree=on_tree)
+    result.hypothesis = h
+    return result
+
+
+def start(session, on_tree=None) -> tuple[Run, TBox]:
+    """Bootstrap, then the membership-only atomic phase; the first records."""
+    oracle = CachedOracle(session)
+    result = LearnResult(TBox())
+    atomic_cis, ris = bootstrap_atomic(oracle)
+    classes = role_classes(frozenset(ris), oracle.framework.signature.role_names)
+    run = Run(oracle, result, atomic_cis, classes, _atomic_equivalence(atomic_cis))
+    h = terminology(atomic_cis, ris)
+    _record_iteration(result, oracle, h)
+    return run, aq_phase(oracle, h, result, on_tree=on_tree)
+
+
+def looped(step):
+    """The learner that runs the package's ``step`` through the loop above."""
+
+    def learner(session) -> LearnResult:
+        return counterexample_loop(*start(session), step)
+
+    learner.__name__ = f"looped({step.__name__})"
+    return learner
 
 
 def _budget_limit_iq(oracle: CachedOracle, h: TBox) -> int:

@@ -286,6 +286,21 @@ def _elh(*args: str) -> subprocess.CompletedProcess:
     )
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("Q: AQueen(x)", "query kind 'AQ' needs a blank after it"),
+        ("Q: IQrole(a,b)", "query kind 'IQ' needs a blank after it"),
+        ("Q: CQa ; exists ; A(a)", "query kind 'CQ' needs a blank after it"),
+    ],
+)
+def test_a_query_kind_glued_to_its_query_exits_2_without_a_traceback(workdir, line, message):
+    (workdir / "glued.q").write_text(f"Q: AQ A(a)\n{line}\n")
+    done = _elh("reason", str(workdir / "t.tbox"), str(workdir / "a.abox"), str(workdir / "glued.q"))
+    assert done.returncode == 2
+    assert done.stderr == f"parse error: line 2, col 6: {message}\n"
+
+
 def _chain_batch(workdir, n: int, label: str | None = None) -> list[str]:
     """A batch of one ``tree`` item, an r-chain of ``n`` edges below c0, and its ABox.
 

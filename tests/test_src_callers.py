@@ -29,6 +29,10 @@ matches a function by its bare name, a class by its name for ``__init__``;
 a call with ``*args`` passes every positional option of that name, one with
 ``**kwargs`` every option.  Each entry of ``OPTION_ALLOWED`` says why its
 option stays although no such call passes it.
+
+And there is one counterexample loop: ``learn_aq.check_budget`` is called
+from ``learn_aq.refine`` alone, and neither the atomic phase nor the
+equivalence loop that run through it loops itself.
 """
 
 from __future__ import annotations
@@ -285,3 +289,31 @@ def test_every_option_is_passed_by_some_caller():
 
 def test_option_allowlist_names_options_that_need_it():
     assert sorted(OPTION_ALLOWED) == sorted(set(unpassed_options()) & set(OPTION_ALLOWED))
+
+
+def call_sites(function: str, src: Path = SRC) -> list[str]:
+    """``module.function`` enclosing each call of ``function`` by bare name, innermost."""
+    out: list[str] = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == function:
+                    out.append(where)
+            if isinstance(child, FUNCTION + (ast.ClassDef,)):
+                visit(child, f"{where}.{child.name}")
+            else:
+                visit(child, where)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return out
+
+
+def test_the_budget_is_checked_by_the_one_counterexample_loop():
+    assert call_sites("check_budget") == ["learn_aq.refine"]
+    for module, name in [("learn_aq", "aq_phase"), ("learn_iq", "counterexample_loop")]:
+        (node,) = [n for n in _modules(SRC)[module] if isinstance(n, FUNCTION) and n.name == name]
+        assert not [sub for sub in ast.walk(node) if isinstance(sub, (ast.For, ast.While))], name

@@ -6,14 +6,18 @@ line through ``_Tokens``; ``parse_queries`` also checks each name listed in a
 CQ with ``NAME_RE`` before it tokenizes it.  ``reference_textio`` tokenizes
 every line and every name.  On generated lines and on every single-character
 edit of sample lines both must give the same ``ABox`` or queries, or the
-same ``ParseError`` with the same line and column.  The one intended
-difference: a bad ``IND:`` line is a ``StructuralError`` without a position
-in the reference and a ``ParseError`` at that line here.
+same ``ParseError`` with the same line and column.  The two intended
+differences: a bad ``IND:`` line is a ``StructuralError`` without a position
+in the reference and a ``ParseError`` at that line here; and a query line
+whose kind ``AQ``, ``IQ`` or ``CQ`` has no blank after it (nor, for ``CQ``,
+a ``;``), which the reference reads, is a ``ParseError`` at the column after
+the kind here.
 """
 
 from __future__ import annotations
 
 import functools
+import re
 import string
 
 from hypothesis import given, settings, strategies as st
@@ -152,21 +156,45 @@ def query_outcome(parse, text: str):
         return (type(exc).__name__, str(exc))
 
 
+_KIND = re.compile(r"\s*Q:\s*(AQ|IQ|CQ)")
+
+
+def glued_kind(raw: str, lineno: int):
+    """The parser's error for ``raw`` as line ``lineno`` if its kind has no blank after it."""
+    m = _KIND.match(raw)
+    if not m or raw[m.end() : m.end() + 1].isspace():
+        return None
+    if m.group(1) == "CQ" and raw.startswith(";", m.end()):
+        return None
+    col = m.end() + 1
+    message = f"query kind {m.group(1)!r} needs a blank after it"
+    return ("ParseError", f"line {lineno}, col {col}: {message}", lineno, col)
+
+
 def assert_same_queries(
     text: str, reference=functools.partial(query_outcome, ref.parse_queries)
 ) -> None:
     """Same queries or error, and the pattern takes exactly the AQ and role IQ lines.
 
-    ``reference(text)`` is the reference parser's outcome on ``text``.
+    ``reference(text)`` is the reference parser's outcome on ``text``.  The
+    outcomes may differ only where the reference reads every line up to a
+    line whose kind has no blank after it, and the parser stops there with
+    ``glued_kind``'s error.
     """
     want = reference(text)
-    assert query_outcome(parse_queries, text) == want, text
-    for raw in text.splitlines():
+    got = query_outcome(parse_queries, text)
+    lines = text.splitlines()
+    if got != want:
+        lineno = got[2] if isinstance(got, tuple) and got[0] == "ParseError" else 0
+        assert lineno and got == glued_kind(lines[lineno - 1], lineno), text
+        assert isinstance(reference("\n".join(lines[:lineno])), list), text
+    for lineno, raw in enumerate(lines, start=1):
         result = reference(raw)
         read_as_one = (
             isinstance(result, list)
             and len(result) == 1
             and isinstance(result[0], (AtomicQuery, RoleQuery))
+            and glued_kind(raw, 1) is None
         )
         assert bool(_QUERY_LINE.fullmatch(raw)) == read_as_one, raw
 
@@ -202,18 +230,25 @@ def test_single_character_edits_of_query_lines_match_the_tokenizer():
 
 
 def test_query_line_pattern_cases():
-    """``AQ`` right before its predicate, and ``top`` as a predicate."""
+    """``top`` as a predicate, any blank after the kind, and none at all."""
     for text, want in [
-        ("Q: AQA(a)", AtomicQuery("A", ("a",))),
-        ("Q:AQr(a,b)#", AtomicQuery("r", ("a", "b"))),
         ("Q: AQ top(a)", AtomicQuery("top", ("a",))),
         ("Q: AQ top(a, top)", AtomicQuery("top", ("a", "top"))),
-        ("Q: IQtop(a,b)", RoleQuery("top", "a", "b")),
+        ("Q:\tAQ\u3000r(a,b)#", AtomicQuery("r", ("a", "b"))),
         (" Q: IQ some ( top , and ) # c", RoleQuery("some", "top", "and")),
     ]:
         assert _QUERY_LINE.fullmatch(text), text
         assert parse_queries(text) == ref.parse_queries(text) == [want], text
-    for text in ["Q: IQ top : A", "Q: AQ A(a))", "Q: AQ1(a)", "Q: AQ A(a,b,c)", "Q: IQ r(a)"]:
+    for text in [
+        "Q: IQ top : A",
+        "Q: AQ A(a))",
+        "Q: AQ1(a)",
+        "Q: AQ A(a,b,c)",
+        "Q: IQ r(a)",
+        "Q: AQA(a)",
+        "Q:AQr(a,b)#",
+        "Q: IQtop(a,b)",
+    ]:
         assert not _QUERY_LINE.fullmatch(text), text
         assert_same_queries(text)
 
