@@ -30,6 +30,7 @@ while the membership oracle still confirms the witness.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from . import reasoner
@@ -181,10 +182,11 @@ def find_cycle(a: ABox) -> tuple[tuple[str, str, str], frozenset[str]] | None:
     the shortest path between e's endpoints that avoids e, closed by e.
     There is none exactly when the assertions form a forest, which one pass
     checks first; a self-loop or a second assertion between the same two
-    individuals, in either direction, is a cycle.  Of the shortest cycles the
-    least path of ``(node, assertion, forward)`` steps is chosen, and the
-    assertion opened is that of its first forward step, or its closing
-    assertion when every step runs backwards.
+    individuals, in either direction, is a cycle.  A bridge, an assertion on
+    no cycle, closes none, so the searches start only from the others.  Of
+    the shortest cycles the least path of ``(node, assertion, forward)``
+    steps is chosen, and the assertion opened is that of its first forward
+    step, or its closing assertion when every step runs backwards.
     """
     if _is_forest(a.role_assertions):
         return None
@@ -201,10 +203,10 @@ def find_cycle(a: ABox) -> tuple[tuple[str, str, str], frozenset[str]] | None:
         if src == dst:
             return []
         parent: dict[str, tuple[str, tuple[str, str, str], bool]] = {}
-        queue = [src]
+        queue = deque([src])
         seen = {src}
         while queue:
-            node = queue.pop(0)
+            node = queue.popleft()
             for e, nxt, fwd in adj.get(node, []):
                 if e == banned or nxt in seen:
                     continue
@@ -221,7 +223,10 @@ def find_cycle(a: ABox) -> tuple[tuple[str, str, str], frozenset[str]] | None:
         return None
 
     best: list = []
+    bridges = _bridges(adj)
     for e in edges:
+        if e in bridges:
+            continue
         r, x, y = e
         path = shortest_path(x, y, banned=e)
         if path is None:
@@ -231,6 +236,41 @@ def find_cycle(a: ABox) -> tuple[tuple[str, str, str], frozenset[str]] | None:
             best = cand
     opened = next((e for _, e, fwd in best if fwd), best[-1][1])
     return opened, frozenset(node for node, _, _ in best)
+
+
+def _bridges(adj: dict[str, list]) -> set[tuple[str, str, str]]:
+    """The assertions on no cycle of the undirected graph ``adj``.
+
+    Tarjan's bridge search, one depth-first pass without recursion: the tree
+    assertion into ``node`` is a bridge when nothing below ``node`` reaches
+    back above it by another assertion.
+    """
+    order: dict[str, int] = {}
+    low: dict[str, int] = {}
+    out: set[tuple[str, str, str]] = set()
+    for start in adj:
+        if start in order:
+            continue
+        order[start] = low[start] = len(order)
+        stack = [(start, None, iter(adj[start]))]
+        while stack:
+            node, via, steps = stack[-1]
+            for e, nxt, _ in steps:
+                if e == via:
+                    continue
+                if nxt not in order:
+                    order[nxt] = low[nxt] = len(order)
+                    stack.append((nxt, e, iter(adj[nxt])))
+                    break
+                low[node] = min(low[node], order[nxt])
+            else:
+                stack.pop()
+                if stack:
+                    up = stack[-1][0]
+                    low[up] = min(low[up], low[node])
+                    if low[node] > order[up]:
+                        out.add(via)
+    return out
 
 
 def _is_forest(assertions) -> bool:

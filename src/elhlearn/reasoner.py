@@ -69,7 +69,13 @@ simulations anchored at each individual.  One matcher, ``_cq_holds``,
 answers rooted conjunctive queries: a memoised bottom-up fit of the query's
 tree part on the finite graph (Yannakakis' evaluation of acyclic queries)
 decides queries whose variables form a forest below the individuals, and
-otherwise prunes a backtracking search of the unravelling.
+otherwise prunes a backtracking search of the unravelling.  Its fit and its
+search are module functions that take what they read as arguments; no
+recursive helper of the package closes over itself.  A nested function
+that calls itself holds a reference cycle through its own closure cell,
+and the cell of the fit also held the model's labels and edges, so each
+query's model stayed alive after the query until the cyclic collector
+found it.
 
 All simulations come from one refinement, ``_refine``: it removes pairs
 from a relation between two graphs until the rest is a (bundle) simulation,
@@ -217,21 +223,22 @@ class RegularModel:
 def _existential_fillers(t: TBox) -> dict[str, Concept]:
     """Fillers of existentials nested in right-hand sides of name-lhs CIs."""
     out: dict[str, Concept] = {}
-
-    def walk(c: Concept) -> None:
-        if isinstance(c, Exists):
-            key = canonical(c.filler)
-            if key not in out:
-                out[key] = c.filler
-                walk(c.filler)
-        elif isinstance(c, And):
-            for a in c.args:
-                walk(a)
-
     for ci in t.cis:
         if isinstance(ci.lhs, (Atom, Top)):
-            walk(ci.rhs)
+            _add_fillers(ci.rhs, out)
     return out
+
+
+def _add_fillers(c: Concept, out: dict[str, Concept]) -> None:
+    """Add to ``out`` each existential filler in ``c`` not yet in it, and its own."""
+    if isinstance(c, Exists):
+        key = canonical(c.filler)
+        if key not in out:
+            out[key] = c.filler
+            _add_fillers(c.filler, out)
+    elif isinstance(c, And):
+        for a in c.args:
+            _add_fillers(a, out)
 
 
 def _eval_concept(labels, edges, el, c: Concept) -> bool:
@@ -598,17 +605,17 @@ def _cq_holds(model: RegularModel, q: ConjunctiveQuery) -> bool:
     """Does the rooted CQ ``q`` match into the least model?
 
     A breadth-first walk along role atoms from the individuals gives each
-    variable a parent, the term it is first reached from.  ``fits(t, el)``,
+    variable a parent, the term it is first reached from.  ``_fits(t, el)``,
     memoised, holds when ``el`` has the names of ``t`` and, for each pair
     from ``t`` to an individual or a child, one edge carrying all the pair's
     roles to that individual or to an element where the child fits.  Every
     other pair (a second parent, a cycle, a self-loop) is left over; with
-    none, ``q`` holds when each individual fits at itself.  Otherwise the
-    variables are placed, parents first, into the unravelling, whose
-    anonymous elements are linked paths ``(parent image, roles, type)``
-    with one in-edge, and each left-over pair is checked once, when its
-    later term is placed.  A variable lies one edge below its parent, so
-    no path is longer than the query has variables: no depth bound.
+    none, ``q`` holds when each individual fits at itself.  Otherwise
+    ``_search`` places the variables, parents first, into the unravelling,
+    whose anonymous elements are linked paths ``(parent image, roles,
+    type)`` with one in-edge, and each left-over pair is checked once, when
+    its later term is placed.  A variable lies one edge below its parent,
+    so no path is longer than the query has variables: no depth bound.
     """
     names: dict[Term, set[str]] = {}
     pairs: dict[Term, dict[Term, set[str]]] = {}
@@ -640,23 +647,8 @@ def _cq_holds(model: RegularModel, q: ConjunctiveQuery) -> bool:
     if not all(model.has_individual(i) for i in inds):
         return False
     memo: dict[tuple[Term, Element], bool] = {}
-
-    def fits(t: Term, el: Element) -> bool:
-        # loops, not generators: one stack frame per level of the query
-        hit = memo.get((t, el))
-        if hit is None:
-            hit = names.get(t, set()) <= labels[el]
-            for u, roles in below.get(t, ()) if hit else ():
-                for have, tgt in edges[el]:
-                    if roles <= have and (tgt == ("n", u) if isinstance(u, str) else fits(u, tgt)):
-                        break
-                else:
-                    hit = False
-                    break
-            memo[(t, el)] = hit
-        return hit
-
-    if not all(fits(i, ("n", i)) for i in inds):
+    fit = (names, below, labels, edges, memo)
+    if not all(_fits(i, ("n", i), *fit) for i in inds):
         return False
     if not leftover:
         return True
@@ -666,27 +658,55 @@ def _cq_holds(model: RegularModel, q: ConjunctiveQuery) -> bool:
         checks.setdefault(max(s, o, key=rank.__getitem__), []).append((s, o, roles))
     # a named image is its model element, an anonymous one a linked path
     image: dict[Term, tuple] = {i: ("n", i) for i in inds}
+    return _search(len(inds), order, parent, checks, image, fit)
 
-    def linked(src: tuple, dst: tuple, roles: frozenset[str]) -> bool:
-        if len(dst) == 3:
-            return dst[0] == src and roles <= dst[1]
-        return len(src) == 2 and any(roles <= have and tgt == dst for have, tgt in edges[src])
 
-    def search(k: int) -> bool:
-        if k == len(order):
-            return True
-        v = order[k]
-        p, want = parent[v]
-        src = image[p]
-        for have, tgt in edges[src if len(src) == 2 else src[2]]:
-            if want <= have and fits(v, tgt):
-                image[v] = tgt if tgt[0] == "n" else (src, have, tgt)
-                if all(linked(image[s], image[o], r) for s, o, r in checks.get(v, ())):
-                    if search(k + 1):
-                        return True
-        return False
+def _fits(t: Term, el: Element, names, below, labels, edges, memo) -> bool:
+    """Does the tree part of the query below ``t`` fit at ``el``?  See ``_cq_holds``."""
+    # loops, not generators: one stack frame per level of the query
+    hit = memo.get((t, el))
+    if hit is None:
+        hit = names.get(t, _NO_NAMES) <= labels[el]
+        for u, roles in below.get(t, ()) if hit else ():
+            for have, tgt in edges[el]:
+                if roles <= have and (
+                    tgt == ("n", u)
+                    if isinstance(u, str)
+                    else _fits(u, tgt, names, below, labels, edges, memo)
+                ):
+                    break
+            else:
+                hit = False
+                break
+        memo[(t, el)] = hit
+    return hit
 
-    return search(len(inds))
+
+def _search(k: int, order: list, parent: dict, checks: dict, image: dict, fit: tuple) -> bool:
+    """Place ``order[k:]`` into the unravelling, parents first; see ``_cq_holds``.
+
+    ``fit`` holds the arguments of ``_fits`` after the term and the element.
+    """
+    if k == len(order):
+        return True
+    edges = fit[3]
+    v = order[k]
+    p, want = parent[v]
+    src = image[p]
+    for have, tgt in edges[src if len(src) == 2 else src[2]]:
+        if want <= have and _fits(v, tgt, *fit):
+            image[v] = tgt if tgt[0] == "n" else (src, have, tgt)
+            if all(_linked(image[s], image[o], r, edges) for s, o, r in checks.get(v, ())):
+                if _search(k + 1, order, parent, checks, image, fit):
+                    return True
+    return False
+
+
+def _linked(src: tuple, dst: tuple, roles: frozenset[str], edges) -> bool:
+    """Does an edge carrying ``roles`` join the images ``src`` and ``dst``?"""
+    if len(dst) == 3:
+        return dst[0] == src and roles <= dst[1]
+    return len(src) == 2 and any(roles <= have and tgt == dst for have, tgt in edges[src])
 
 
 def answers_query(t: TBox, a: ABox, q: Query, cache: ModelCache | None = None) -> bool:

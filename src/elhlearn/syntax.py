@@ -566,37 +566,37 @@ class Tree:
                 below.setdefault(atom.subj, []).append((atom.role, atom.obj))
             elif isinstance(atom, ConceptAtom) and isinstance(atom.term, Var):
                 labels.setdefault(atom.term, set()).add(atom.name)
-        on_path: set[Var] = set()
+        return cls._below_var(x, below, labels, set())
 
-        def build(v: Var) -> Tree:
-            if v in on_path:
-                raise StructuralError("variable subquery has a cycle")
-            on_path.add(v)
-            kids = sorted(below.get(v, ()), key=lambda p: (p[0], p[1].name))
-            tree = cls(
-                frozenset(labels.get(v, ())),
-                tuple((frozenset({r}), build(w)) for r, w in kids),
-            )
-            on_path.discard(v)
-            return tree
-
-        return build(x)
+    @classmethod
+    def _below_var(cls, v: Var, below: dict, labels: dict, on_path: set[Var]) -> Tree:
+        """``of_cq``'s tree below ``v``; ``on_path`` holds the variables above it."""
+        if v in on_path:
+            raise StructuralError("variable subquery has a cycle")
+        on_path.add(v)
+        kids = sorted(below.get(v, ()), key=lambda p: (p[0], p[1].name))
+        tree = cls(
+            frozenset(labels.get(v, ())),
+            tuple((frozenset({r}), cls._below_var(w, below, labels, on_path)) for r, w in kids),
+        )
+        on_path.discard(v)
+        return tree
 
     def concept(self) -> Concept | None:
         """The normalized concept; None when some edge carries several roles."""
-
-        def build(node: Tree) -> Concept | None:
-            parts: list[Concept] = [Atom(a) for a in node.labels]
-            for roles, child in node.children:
-                inner = build(child) if len(roles) == 1 else None
-                if inner is None:
-                    return None
-                (role,) = roles
-                parts.append(Exists(role, inner))
-            return conj(*parts)
-
-        c = build(self)
+        c = self._conjunction()
         return None if c is None else normalize(c)
+
+    def _conjunction(self) -> Concept | None:
+        """``concept`` before normalization."""
+        parts: list[Concept] = [Atom(a) for a in self.labels]
+        for roles, child in self.children:
+            inner = child._conjunction() if len(roles) == 1 else None
+            if inner is None:
+                return None
+            (role,) = roles
+            parts.append(Exists(role, inner))
+        return conj(*parts)
 
     def abox(self) -> tuple[ABox, str]:
         """The tree as an ABox over ``x0, x1, ...`` in preorder, and its root ``x0``.
@@ -620,17 +620,17 @@ class Tree:
         labels: list[tuple[str, Term]] = []
         edges: list[tuple[str, Term, Term]] = []
         terms: list[Term] = []
-
-        def walk(node: Tree, term: Term) -> None:
-            labels.extend((a, term) for a in node.labels)
-            for roles, child in node.children:
-                sub = fresh()
-                terms.append(sub)
-                edges.extend((r, term, sub) for r in roles)
-                walk(child, sub)
-
-        walk(self, root)
+        self._add_facts(root, fresh, labels, edges, terms)
         return labels, edges, terms
+
+    def _add_facts(self, term: Term, fresh, labels: list, edges: list, terms: list) -> None:
+        """``_facts`` of this subtree at ``term``, appended to the three lists."""
+        labels.extend((a, term) for a in self.labels)
+        for roles, child in self.children:
+            sub = fresh()
+            terms.append(sub)
+            edges.extend((r, term, sub) for r in roles)
+            child._add_facts(sub, fresh, labels, edges, terms)
 
     def node_count(self) -> int:
         return 1 + sum(child.node_count() for _, child in self.children)

@@ -101,24 +101,6 @@ def generalise(oracle: CachedOracle, h: TBox, atomic_cis: set[CI]) -> TBox:
     role_up = reasoner.role_closure(h.ris)
     roles = sorted(oracle.framework.signature.role_names)
 
-    def weakenings(c: Concept) -> Iterator[tuple[bool, Concept]]:
-        """``(is_role_step, weaker)`` for each replacement of one name or role."""
-        if isinstance(c, Atom):
-            yield False, TOP
-            for b in sorted(name_up[c.name]):
-                if c.name not in name_up[b]:
-                    yield False, Atom(b)
-        elif isinstance(c, Exists):
-            for s in roles:
-                if s in role_up[c.role] and c.role not in role_up[s]:
-                    yield True, Exists(s, c.filler)
-            for is_role_step, inner in weakenings(c.filler):
-                yield is_role_step, Exists(c.role, inner)
-        elif isinstance(c, And):
-            for i, part in enumerate(c.args):
-                for is_role_step, inner in weakenings(part):
-                    yield is_role_step, conj(*c.args[:i], inner, *c.args[i + 1 :])
-
     new_cis: set[CI] = set()
     for ci in sorted(h.cis, key=lambda x: (canonical(x.lhs), canonical(x.rhs))):
         if not isinstance(ci.rhs, Atom) or isinstance(ci.lhs, (Atom, Top)):
@@ -133,7 +115,8 @@ def generalise(oracle: CachedOracle, h: TBox, atomic_cis: set[CI]) -> TBox:
             steps += 1
             if steps > MAX_ROUNDS:
                 raise BudgetExceededError("generalisation did not stabilise")
-            for _, cand in sorted(weakenings(lhs), key=lambda step: step[0]):
+            weaker = _weakenings(lhs, name_up, role_up, roles)
+            for _, cand in sorted(weaker, key=lambda step: step[0]):
                 cand = normalize(cand)
                 if canonical(cand) == canonical(lhs):
                     continue
@@ -145,6 +128,29 @@ def generalise(oracle: CachedOracle, h: TBox, atomic_cis: set[CI]) -> TBox:
                 break
         new_cis.add(CI(lhs, ci.rhs))
     return terminology(new_cis, h.ris)
+
+
+def _weakenings(c: Concept, name_up, role_up, roles) -> Iterator[tuple[bool, Concept]]:
+    """``(is_role_step, weaker)`` for each replacement of one name or role.
+
+    A name goes up to ``top`` or to a strictly larger name of ``name_up``, a
+    role to a strictly larger role of ``roles`` by ``role_up``.
+    """
+    if isinstance(c, Atom):
+        yield False, TOP
+        for b in sorted(name_up[c.name]):
+            if c.name not in name_up[b]:
+                yield False, Atom(b)
+    elif isinstance(c, Exists):
+        for s in roles:
+            if s in role_up[c.role] and c.role not in role_up[s]:
+                yield True, Exists(s, c.filler)
+        for is_role_step, inner in _weakenings(c.filler, name_up, role_up, roles):
+            yield is_role_step, Exists(c.role, inner)
+    elif isinstance(c, And):
+        for i, part in enumerate(c.args):
+            for is_role_step, inner in _weakenings(part, name_up, role_up, roles):
+                yield is_role_step, conj(*c.args[:i], inner, *c.args[i + 1 :])
 
 
 # ---------------------------------------------------------------------------

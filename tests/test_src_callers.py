@@ -33,6 +33,12 @@ option stays although no such call passes it.
 And there is one counterexample loop: ``learn_aq.check_budget`` is called
 from ``learn_aq.refine`` alone, and neither the atomic phase nor the
 equivalence loop that run through it loops itself.
+
+And no function nested in another function refers to its own name.  Such a
+function closes over its own cell, a reference cycle that keeps everything
+else it closes over (a model's labels and edges, say) alive after its call
+until the cyclic collector runs.  A recursive helper is a module function
+or a method that takes what it reads as arguments.
 """
 
 from __future__ import annotations
@@ -317,3 +323,45 @@ def test_the_budget_is_checked_by_the_one_counterexample_loop():
     for module, name in [("learn_aq", "aq_phase"), ("learn_iq", "counterexample_loop")]:
         (node,) = [n for n in _modules(SRC)[module] if isinstance(n, FUNCTION) and n.name == name]
         assert not [sub for sub in ast.walk(node) if isinstance(sub, (ast.For, ast.While))], name
+
+
+def self_referencing_nested(src: Path = SRC) -> list[str]:
+    """``module.outer.inner`` for every nested function that mentions its own name."""
+    out: list[str] = []
+
+    def visit(node: ast.AST, prefix: str, nested: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, FUNCTION + (ast.ClassDef,)):
+                visit(child, prefix, nested)
+                continue
+            name = f"{prefix}.{child.name}"
+            if nested and isinstance(child, FUNCTION):
+                body = [sub for stmt in child.body for sub in ast.walk(stmt)]
+                if any(isinstance(sub, ast.Name) and sub.id == child.name for sub in body):
+                    out.append(name)
+            visit(child, name, nested or isinstance(child, FUNCTION))
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, False)
+    return out
+
+
+def test_no_nested_function_refers_to_itself():
+    assert self_referencing_nested() == []
+
+
+def test_a_nested_recursive_function_is_flagged(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def outer(xs):\n"
+        "    def walk(x):\n"
+        "        return [walk(y) for y in x]\n"
+        "    return walk(xs)\n"
+        "\n"
+        "class C:\n"
+        "    def method(self):\n"
+        "        def gen(n):\n"
+        "            yield from gen(n - 1)\n"
+        "        return self.method\n",
+        encoding="utf-8",
+    )
+    assert self_referencing_nested(tmp_path) == ["mod.outer.walk", "mod.C.method.gen"]
