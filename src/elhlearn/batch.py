@@ -40,7 +40,7 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BatchItem:
     kind: str  # "tree" | "ci" | "ri" | "iq"
     abox: ABox

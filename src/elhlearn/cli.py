@@ -63,6 +63,8 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 at byte {exc.start}")
 
 
 def _write(path: str, text: str, mode: str = "w") -> None:

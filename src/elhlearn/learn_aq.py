@@ -63,7 +63,7 @@ BUDGET_COEFF = 300
 MAX_ROUNDS = 10_000
 
 
-@dataclass
+@dataclass(slots=True)
 class IterationStat:
     mq_count: int
     eq_count: int
@@ -71,7 +71,7 @@ class IterationStat:
     hypothesis_size: int
 
 
-@dataclass
+@dataclass(slots=True)
 class LearnResult:
     hypothesis: TBox
     iterations: list[IterationStat] = field(default_factory=list)

@@ -47,7 +47,7 @@ from .syntax import (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class SaturationStats:
     individual_mqs: int = 0
     merge_mqs: int = 0

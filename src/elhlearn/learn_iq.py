@@ -43,6 +43,7 @@ step reads an atomic counterexample as a concept query and calls ``iq_step``;
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -86,7 +87,7 @@ from .syntax import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class RoleClasses:
     """Equivalence classes of roles under the learned inclusions."""
 
@@ -103,10 +104,13 @@ class RoleClasses:
         return [s for s in sorted(set(self.representative.values())) if s != rep and rep in up[s]]
 
     def rewrite(self, c: Concept) -> Concept:
+        """``c`` with every role replaced by its representative; ``c`` itself if none changes."""
         if isinstance(c, Exists):
-            return Exists(self.rep(c.role), self.rewrite(c.filler))
+            role, filler = self.rep(c.role), self.rewrite(c.filler)
+            return c if role == c.role and filler is c.filler else Exists(role, filler)
         if isinstance(c, And):
-            return normalize(conj(*(self.rewrite(a) for a in c.args)))
+            args = [self.rewrite(a) for a in c.args]
+            return normalize(c if all(map(operator.is_, args, c.args)) else conj(*args))
         return c
 
 
@@ -376,7 +380,7 @@ def iq_step(
     return terminology((h.cis - same) | {CI(ci.lhs, combined)}, h.ris)
 
 
-@dataclass
+@dataclass(slots=True)
 class Run:
     """What the prologue learned, shared by the loop and its step."""
 

@@ -39,7 +39,7 @@ from .syntax import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Distribution:
     """Finite-support distribution over fixed-ABox examples."""
 
@@ -84,7 +84,7 @@ def true_error(h: TBox, t: TBox, a0: ABox, dist: Distribution) -> float:
     return total
 
 
-@dataclass
+@dataclass(slots=True)
 class PacOutcome:
     hypothesis: TBox
     schedule: list[int]

@@ -189,7 +189,7 @@ Element = Union[NamedEl, AnonEl]
 Edge = tuple[frozenset[str], Element]
 
 
-@dataclass
+@dataclass(slots=True)
 class RegularModel:
     """Finite presentation of the least model of a TBox and an ABox.
 
@@ -282,7 +282,7 @@ _NO_NAMES: frozenset[str] = frozenset()
 _target = operator.itemgetter(1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Compiled:
     """What ``build_model`` needs from a TBox, computed once per TBox.
 
@@ -902,7 +902,7 @@ LANG_IQ = "iq"
 LANG_CQR = "cqr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Separation:
     query: Query
     first_entails: bool  # True when the first TBox entails the query

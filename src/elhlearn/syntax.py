@@ -12,8 +12,11 @@ from a CQ below a variable, and written out as a concept, as an ABox over
 ``x0, x1, ...`` (root ``x0``) and as a CQ over ``x0, x1, ...`` below an
 individual, both named in preorder.
 
-Everything here is an immutable value.  ``normalize`` flattens, deduplicates
-and sorts conjunctions; the canonical serialization of a normalized concept
+Everything here is an immutable value: a frozen dataclass with slots and
+no per-instance dict, 40 to 56 bytes when it has fields.  ``normalize``
+flattens, deduplicates and sorts conjunctions, and shares the parts it
+leaves unchanged, so ``normalize(c) is c`` can hold: compare values with
+``==``, never ``is``.  The canonical serialization of a normalized concept
 fixes the symbol counts reported by ``size_of``:
 
 * names (concept, role, individual) count 1,
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterable, Union
@@ -93,10 +97,8 @@ class Concept:
     __slots__ = ()
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class Top(Concept):
-    __slots__ = ()
-
     def __repr__(self) -> str:
         return "TOP"
 
@@ -104,7 +106,7 @@ class Top(Concept):
 TOP = Top()
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class Atom(Concept):
     name: str
 
@@ -112,7 +114,7 @@ class Atom(Concept):
         return f"Atom({self.name})"
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class Exists(Concept):
     role: str
     filler: Concept
@@ -121,7 +123,7 @@ class Exists(Concept):
         return f"Exists({self.role}, {self.filler!r})"
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class And(Concept):
     """Flattened conjunction with at least two arguments.
 
@@ -174,11 +176,15 @@ def canonical(concept: Concept) -> str:
 
 
 def normalize(concept: Concept) -> Concept:
-    """Flatten, drop redundant top, deduplicate and sort conjuncts."""
+    """Flatten, drop redundant top, deduplicate and sort conjuncts.
+
+    A part that is already normal is returned as is, the whole concept too.
+    """
     if isinstance(concept, (Top, Atom)):
         return concept
     if isinstance(concept, Exists):
-        return Exists(concept.role, normalize(concept.filler))
+        filler = normalize(concept.filler)
+        return concept if filler is concept.filler else Exists(concept.role, filler)
     if isinstance(concept, And):
         parts: list[Concept] = []
         for a in concept.args:
@@ -190,6 +196,8 @@ def normalize(concept: Concept) -> Concept:
         for p in parts:
             seen.setdefault(canonical(p), p)
         ordered = [seen[k] for k in sorted(seen)]
+        if len(ordered) == len(concept.args) and all(map(operator.is_, ordered, concept.args)):
+            return concept
         return conj(*ordered)
     raise TypeError(f"not a concept: {concept!r}")
 
@@ -234,7 +242,7 @@ def concept_depth(concept: Concept) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ABox:
     """Assertions ``(name, ind)`` and ``(role, x, y)``, and declared individuals.
 
@@ -297,19 +305,19 @@ def abox(
     return ABox(frozenset(concepts), frozenset(roles), frozenset(declared))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CI:
     lhs: Concept
     rhs: Concept
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RI:
     lhs: str
     rhs: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TBox:
     cis: frozenset[CI] = frozenset()
     ris: frozenset[RI] = frozenset()
@@ -333,10 +341,11 @@ def terminology(cis: Iterable[CI], ris: Iterable[RI] = ()) -> TBox:
     """Build a terminology, merging inclusions with one name on the left.
 
     Two inclusions ``A [= C`` and ``A [= D``, one of them with a complex
-    right side, combine into ``A [= C and D``.
+    right side, combine into ``A [= C and D``.  An inclusion that is
+    already normal and merges with none is kept as the very same value.
     """
     simple: list[CI] = []
-    by_name: dict[str, list[Concept]] = {}
+    by_name: dict[str, list[CI]] = {}
     for ci in cis:
         lhs = normalize(ci.lhs)
         rhs = normalize(ci.rhs)
@@ -344,25 +353,26 @@ def terminology(cis: Iterable[CI], ris: Iterable[RI] = ()) -> TBox:
             raise TerminologyError(
                 f"inclusion needs a concept name on one side: {canonical(lhs)} [= {canonical(rhs)}"
             )
+        if lhs is not ci.lhs or rhs is not ci.rhs:
+            ci = CI(lhs, rhs)
         if isinstance(lhs, Atom):
-            by_name.setdefault(lhs.name, []).append(rhs)
+            by_name.setdefault(lhs.name, []).append(ci)
         else:
-            simple.append(CI(lhs, rhs))
+            simple.append(ci)
     merged: list[CI] = []
     for name in sorted(by_name):
-        rhss = by_name[name]
-        uniq: list[Concept] = []
+        uniq: list[CI] = []
         seen: set[str] = set()
-        for r in rhss:
-            k = canonical(r)
+        for ci in by_name[name]:
+            k = canonical(ci.rhs)
             if k not in seen:
                 seen.add(k)
-                uniq.append(r)
-        complex_rhss = [r for r in uniq if not isinstance(r, (Atom, Top))]
-        if len(complex_rhss) > 1 or (complex_rhss and len(uniq) > 1):
-            merged.append(CI(Atom(name), normalize(conj(*uniq))))
+                uniq.append(ci)
+        complex_cis = [ci for ci in uniq if not isinstance(ci.rhs, (Atom, Top))]
+        if len(complex_cis) > 1 or (complex_cis and len(uniq) > 1):
+            merged.append(CI(Atom(name), normalize(conj(*(ci.rhs for ci in uniq)))))
         else:
-            merged.extend(CI(Atom(name), r) for r in uniq)
+            merged.extend(uniq)
     return TBox(frozenset(simple + merged), frozenset(ris))
 
 
@@ -371,7 +381,7 @@ def terminology(cis: Iterable[CI], ris: Iterable[RI] = ()) -> TBox:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
 
@@ -379,13 +389,13 @@ class Var:
 Term = Union[str, Var]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConceptAtom:
     name: str
     term: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoleAtom:
     role: str
     subj: Term
@@ -395,7 +405,7 @@ class RoleAtom:
 QueryAtom = Union[ConceptAtom, RoleAtom]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AtomicQuery:
     """Assertion-shaped query: ``pred`` over one individual or two."""
 
@@ -407,20 +417,20 @@ class AtomicQuery:
             raise StructuralError("atomic query takes one or two individuals")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConceptQuery:
     concept: Concept
     ind: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoleQuery:
     role: str
     subj: str
     obj: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConjunctiveQuery:
     answer_inds: tuple[str, ...] = ()
     exist_vars: frozenset[Var] = frozenset()
@@ -482,7 +492,7 @@ def is_existential_atom_query(q: ConjunctiveQuery) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tree:
     """A rooted tree with a set of names at each node and a set of roles on each edge.
 
@@ -640,7 +650,7 @@ class Tree:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Signature:
     concept_names: frozenset[str] = frozenset()
     role_names: frozenset[str] = frozenset()

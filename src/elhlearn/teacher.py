@@ -59,7 +59,7 @@ POLICY_RANDOMIZED = "randomized"
 POLICY_ADVERSARIAL_CQ = "adversarial-cq"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Framework:
     """Learning setup: fixed ABox, query language, shared signature.
 
@@ -100,7 +100,7 @@ def query_in_language(q: Query, lang: str) -> bool:
     return isinstance(q, ConjunctiveQuery) and is_rooted(q)
 
 
-@dataclass
+@dataclass(slots=True)
 class TranscriptEntry:
     kind: str
     input_size: int

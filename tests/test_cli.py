@@ -659,6 +659,29 @@ def _one_error_line(err: str, message: str) -> None:
     assert err.count("\n") == 1 and message in err and "Traceback" not in err
 
 
+# a file with one byte that is not UTF-8 at offset 5, and the command line reading it
+NOT_UTF8 = {
+    "reason": (b"A: A(\xff)\n", ["reason", "{t}", "{bad}", "{q}"]),
+    "learn": (b"CI: A\xff [= B\n", ["learn", "--mode", "iq", "{bad}", "{a}"]),
+    "batch-learn": (b'{"kin\xffd": "ci"}\n', ["batch", "learn", "--mode", "iq", "{bad}", "{a}"]),
+    "pac-dist": (b'{"exa\xffmples": []}', ["pac", "run", "--mode", "aq", "{t}", "{a}", "--dist", "{bad}"]),
+    "pac-queries": (b"Q: AQ\xff A(a)\n", ["pac", "run", "--mode", "aq", "{t}", "{a}", "--queries", "{bad}"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(NOT_UTF8))
+def test_a_file_that_is_not_utf8_exits_2_without_a_traceback(workdir, capsys, command):
+    data, template = NOT_UTF8[command]
+    (workdir / "bad").write_bytes(data)
+    (workdir / "q.q").write_text("Q: AQ A(a)\n")
+    files = {"t": "t.tbox", "a": "a.abox", "q": "q.q", "bad": "bad"}
+    argv = [arg.format(**{k: str(workdir / v) for k, v in files.items()}) for arg in template]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    _one_error_line(out.err, f"parse error: cannot read {workdir / 'bad'}: not UTF-8 at byte 5")
+
+
 def test_pac_run_without_a_distribution_exits_2(workdir, capsys):
     args = ["pac", "run", "--mode", "aq", str(workdir / "t.tbox"), str(workdir / "a.abox")]
     assert main(args) == 2

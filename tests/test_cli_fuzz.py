@@ -6,6 +6,9 @@ of every statement kind, bad names and stray characters), and runs
 ``cli.main`` in-process.  The property: it returns an exit code from 0 to
 4 and raises nothing.  JSON inputs are mutated inside their text fields,
 so that most of them still reach the parsers and the learners.
+
+A byte-level mutation inserts one byte that cannot stand there in UTF-8
+into one file of a subcommand; the run must exit 2 and name the offset.
 """
 
 from __future__ import annotations
@@ -122,15 +125,17 @@ def mutate_json(text: str, steps) -> str:
     return "\n".join(json.dumps(walk(json.loads(line))) for line in text.splitlines()) + "\n"
 
 
-def run(command: str, files: dict[str, str]) -> int:
+def run(command: str, files: dict[str, str | bytes], err: io.StringIO | None = None) -> int:
+    """Exit code of ``command`` on ``files``, text or raw bytes; its standard error goes to ``err``."""
     template, _ = COMMANDS[command]
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
         for name, text in files.items():
             paths[name] = str(Path(tmp) / name)
-            Path(paths[name]).write_text(text, encoding="utf-8")
+            data = text if isinstance(text, bytes) else text.encode("utf-8")
+            Path(paths[name]).write_bytes(data)
         argv = [arg.format(**paths) if arg.startswith("{") else arg for arg in template]
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err or io.StringIO()):
             return main(argv)
 
 
@@ -144,6 +149,26 @@ def test_every_subcommand_exits_with_a_code(command, which, steps):
     name = sorted(files)[which % len(files)]
     files[name] = (mutate_json if name in ("b", "d") else mutate)(files[name], steps)
     assert 0 <= run(command, files) <= 4
+
+
+# bytes that are never valid UTF-8 before an ASCII byte or at the end:
+# continuation bytes, lead bytes of 2, 3 and 4 bytes, and bytes no sequence uses
+NOT_UTF8 = [0x80, 0xBF, 0xC2, 0xDF, 0xE0, 0xEF, 0xF0, 0xF4, 0xC0, 0xF5, 0xFF]
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@given(which=st.integers(0, 3), at=st.integers(0, 10_000), byte=st.sampled_from(NOT_UTF8))
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+def test_an_invalid_utf8_byte_exits_2_with_its_offset(command, which, at, byte):
+    _, files = COMMANDS[command]
+    files = dict(files)
+    name = sorted(files)[which % len(files)]
+    data = files[name].encode("ascii")
+    k = at % (len(data) + 1)
+    files[name] = data[:k] + bytes([byte]) + data[k:]
+    err = io.StringIO()
+    assert run(command, files, err) == 2
+    assert f": not UTF-8 at byte {k}\n" in err.getvalue()
 
 
 @pytest.mark.parametrize("n", ["-1", "0", "1", "2", "3"])

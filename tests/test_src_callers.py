@@ -39,6 +39,9 @@ function closes over its own cell, a reference cycle that keeps everything
 else it closes over (a model's labels and edges, say) alive after its call
 until the cyclic collector runs.  A recursive helper is a module function
 or a method that takes what it reads as arguments.
+
+And every ``@dataclass`` passes ``slots=True``: the package holds many
+small values, and a slotted one has no per-instance dict.
 """
 
 from __future__ import annotations
@@ -365,3 +368,51 @@ def test_a_nested_recursive_function_is_flagged(tmp_path):
         encoding="utf-8",
     )
     assert self_referencing_nested(tmp_path) == ["mod.outer.walk", "mod.C.method.gen"]
+
+
+def unslotted_dataclasses(src: Path = SRC) -> list[str]:
+    """``module.Class`` for every class whose ``@dataclass`` does not pass ``slots=True``."""
+    out: list[str] = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for deco in node.decorator_list:
+                call = deco if isinstance(deco, ast.Call) else None
+                func = call.func if call else deco
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name != "dataclass":
+                    continue
+                slots = [k.value for k in call.keywords if k.arg == "slots"] if call else []
+                if not (slots and isinstance(slots[0], ast.Constant) and slots[0].value is True):
+                    out.append(f"{path.stem}.{node.name}")
+    return out
+
+
+def test_every_dataclass_has_slots():
+    assert unslotted_dataclasses() == []
+
+
+def test_a_dataclass_without_slots_is_flagged(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "\n"
+        "@dataclass\n"
+        "class A:\n"
+        "    x: int\n"
+        "\n"
+        "@dataclass(frozen=True, slots=False)\n"
+        "class B:\n"
+        "    x: int\n"
+        "\n"
+        "@dataclasses.dataclass(frozen=True)\n"
+        "class C:\n"
+        "    x: int\n"
+        "\n"
+        "@dataclass(frozen=True, slots=True)\n"
+        "class D:\n"
+        "    x: int\n",
+        encoding="utf-8",
+    )
+    assert unslotted_dataclasses(tmp_path) == ["mod.A", "mod.B", "mod.C"]

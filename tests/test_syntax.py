@@ -1,3 +1,6 @@
+import dataclasses
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +16,8 @@ from elhlearn.syntax import (
     Exists,
     RI,
     RoleAtom,
+    RoleQuery,
+    Signature,
     StructuralError,
     TBox,
     TOP,
@@ -218,3 +223,42 @@ class TestNamespaces:
     def test_clean(self):
         t = terminology([CI(Atom("A"), Atom("B"))], [RI("r", "s")])
         assert check_namespaces([t], [abox(declared=["a"])]) == signature_of_tbox(t)
+
+
+class TestCompactValues:
+    """Values are slotted frozen dataclasses: no per-instance dict, a few words each."""
+
+    VALUES = [
+        TOP,
+        Atom("A"),
+        Exists("r", Atom("A")),
+        And((Atom("A"), Atom("B"))),
+        CI(Atom("A"), Atom("B")),
+        RI("r", "s"),
+        TBox(),
+        abox(concepts=[("A", "a")]),
+        Var("x"),
+        ConceptAtom("A", Var("x")),
+        RoleAtom("r", "a", Var("x")),
+        AtomicQuery("A", ("a",)),
+        ConceptQuery(Atom("A"), "a"),
+        RoleQuery("r", "a", "b"),
+        ConjunctiveQuery(("a",), frozenset({Var("x")}), frozenset({RoleAtom("r", "a", Var("x"))})),
+        Tree(frozenset({"A"})),
+        Signature(),
+    ]
+
+    @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+    def test_no_dict_and_no_new_attribute(self, value):
+        assert not hasattr(value, "__dict__")
+        # Python 3.11's frozen ``__setattr__`` names the class from before
+        # ``slots=True`` rebuilt it, so a new name fails in its ``super()`` call
+        with pytest.raises((AttributeError, TypeError)):
+            value.extra = 1
+        assert sys.getsizeof(value) <= 64
+
+    @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+    def test_assignment_to_a_field_raises_frozen_instance_error(self, value):
+        for f in dataclasses.fields(value):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, f.name, getattr(value, f.name))
