@@ -88,7 +88,8 @@ class CachedOracle:
         self.session = session
         # keyed on the ABox and query values
         self._mq: dict[tuple[ABox, Query], bool] = {}
-        self.cache = reasoner.ModelCache()
+        # this session's store of models of the learner's own TBoxes
+        self.cache = session.hypothesis_models
 
     @property
     def framework(self):

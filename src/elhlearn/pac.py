@@ -107,7 +107,6 @@ class SampledEqOracle:
         self.round = 0
         self.schedule: list[int] = []
         self.samples_used = 0
-        self._cache = reasoner.ModelCache()
 
     def __getattr__(self, name: str):
         return getattr(self.session, name)
@@ -119,7 +118,8 @@ class SampledEqOracle:
         for _ in range(m):
             (a, q), label = self.session.example(self.dist)
             self.samples_used += 1
-            predicted = reasoner.answers_query(hypothesis, a, q, self._cache)
+            # the samples stay hidden: their models go to the teacher's private store
+            predicted = reasoner.answers_query(hypothesis, a, q, self.session._hypotheses)
             if predicted != bool(label):
                 return a, q
         return None

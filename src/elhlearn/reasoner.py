@@ -505,11 +505,13 @@ class ModelCache:
     The pair of objects asked for last, and its model, are kept aside: asked
     for again, they are answered without any key work.  That pair is already
     the most recently used in the store, so skipping the lookup leaves the
-    store as it would be.
+    store as it would be.  A store made with a ``backing`` store takes its
+    misses from it, so it holds only the models asked of it.
     """
 
-    def __init__(self, limit: int = 512):
+    def __init__(self, limit: int = 512, backing: ModelCache | None = None):
         self.limit = limit
+        self._backing = backing
         self._store: OrderedDict[tuple, RegularModel] = OrderedDict()
         self._last: tuple[TBox | None, ABox | None, RegularModel | None] = (None, None, None)
 
@@ -520,7 +522,7 @@ class ModelCache:
         key = (kb_key(t), abox_key(a))
         model = self._store.get(key)
         if model is None:
-            model = build_model(t, a)
+            model = build_model(t, a) if self._backing is None else self._backing.get(t, a)
             if len(self._store) >= self.limit:
                 self._store.popitem(last=False)
             self._store[key] = model
@@ -931,13 +933,16 @@ def inseparability_gap(
     lang: str,
     cache: ModelCache | None = None,
     limit: int | None = None,
+    h_cache: ModelCache | None = None,
 ) -> list[Separation]:
     """Deterministically ordered separating queries; empty means inseparable.
 
     Instance-query separations are detected per individual via mutual
     simulations between the two regular models; rooted-CQ separations use
     bundle matching, which also catches several roles forced on one edge.
+    The models of ``h`` come from ``h_cache``, by default ``cache``.
     """
+    h_cache = h_cache or cache
     sig = signature_of_tbox(t).union(signature_of_tbox(h)).union(signature_of_abox(a))
     out: list[Separation] = []
 
@@ -946,7 +951,7 @@ def inseparability_gap(
         return limit is not None and len(out) >= limit
 
     tc, tr = _aq_closure(t, a, sig, cache)
-    hc, hr = _aq_closure(h, a, sig, cache)
+    hc, hr = _aq_closure(h, a, sig, h_cache)
     for name, i in sorted(tc ^ hc):
         q: Query = AtomicQuery(name, (i,))
         if push(Separation(q, (name, i) in tc)):
@@ -960,7 +965,7 @@ def inseparability_gap(
 
     bundles = lang == LANG_CQR
     mt = cache.get(t, a) if cache else build_model(t, a)
-    mh = cache.get(h, a) if cache else build_model(h, a)
+    mh = h_cache.get(h, a) if h_cache else build_model(h, a)
     anchors = [("n", ind) for ind in sorted(a.individuals())]
     # each direction is refined once, when the loop first needs it
     witnesses: dict[bool, dict] = {}

@@ -5,11 +5,15 @@ language, answers queries through the reasoner, and keeps full accounting:
 counts, summed input sizes, the largest counterexample handed out, and an
 append-only transcript.
 
-Consecutive sessions on one target share one ``reasoner.ModelCache``: the
-teacher keeps the cache of the target asked about last, at most 512 models,
-until a session on another target starts.  The cache is a memo of the
-reasoner, so sharing it changes no answer, count or transcript.  Sessions
-and the shared cache are not thread-safe; use them from one thread.
+Consecutive sessions on one target share two private ``reasoner.ModelCache``
+stores, of target and of hypothesis models, at most 512 models each, kept
+for the target asked about last until a session on another target starts.
+The learner gets ``OracleSession.hypothesis_models``, a fresh store per
+session that takes its misses from the private one of hypothesis models.
+It holds only the models its own session asked it for, each of a TBox and
+ABox the learner passed in, so nothing it could not build itself.  The
+stores are memos of the reasoner, so sharing them changes no answer, count
+or transcript.  Sessions and stores are not thread-safe; use one thread.
 
 The counterexample policy is pluggable because a learner must work no matter
 which separating query the oracle picks:
@@ -122,26 +126,28 @@ class TranscriptEntry:
         }
 
 
-# the target asked about last and its cache, reused by the next session on
-# an equal target
-_last_target: tuple[TBox | None, reasoner.ModelCache | None] = (None, None)
+# the target asked about last and its two stores, of target models and of
+# hypothesis models, reused by the next session on an equal target
+_last_target: tuple[TBox | None, tuple[reasoner.ModelCache, ...]] = (None, ())
 
 
-def _target_cache(target: TBox) -> reasoner.ModelCache:
+def _target_cache(target: TBox) -> tuple[reasoner.ModelCache, reasoner.ModelCache]:
     global _last_target
-    last, cache = _last_target
+    last, caches = _last_target
     if target != last:
-        cache = reasoner.ModelCache()
-        _last_target = (target, cache)
-    return cache
+        caches = (reasoner.ModelCache(), reasoner.ModelCache())
+        _last_target = (target, caches)
+    return caches
 
 
 class OracleSession:
     """Query interface to a hidden target; the target never leaks.
 
-    Consecutive sessions on one target share one model cache.  The cache
-    of the last target, at most 512 models, stays until a session on
-    another target starts.  Use sessions from one thread.
+    Consecutive sessions on one target share the teacher's two private
+    model stores, of target and of hypothesis models, which stay until a
+    session on another target starts.  ``hypothesis_models`` is the
+    learner's store for this session alone, filled from the private store
+    of hypothesis models.  Use sessions from one thread.
     """
 
     def __init__(
@@ -168,7 +174,8 @@ class OracleSession:
         self.eq_input_size_sum = 0
         self.largest_counterexample = 0
         self.transcript: list[TranscriptEntry] = []
-        self._cache = _target_cache(target)
+        self._cache, self._hypotheses = _target_cache(target)
+        self.hypothesis_models = reasoner.ModelCache(backing=self._hypotheses)
         # fixed for the session: the update closure of the fixed ABox, made
         # on first use, and the distributions whose support was checked
         self._closure: list[ABox] | None = None
@@ -236,22 +243,24 @@ class OracleSession:
         """None for inseparable, else a verified counterexample ``(abox, q)``."""
         if not self.framework.signature.covers(signature_of_tbox(hypothesis)):
             raise RejectedQueryError("hypothesis uses names outside the signature")
+        size = size_of(hypothesis)
         self.eq_count += 1
-        self.eq_input_size_sum += size_of(hypothesis)
+        self.eq_input_size_sum += size
         # only the randomized policy reads more of the gap than its first query
         limit = None if self.policy == POLICY_RANDOMIZED else 1
+        lang = self.framework.query_lang
         for a in self._counterexample_aboxes():
             gap = reasoner.inseparability_gap(
-                self._target, hypothesis, a, self.framework.query_lang, self._cache, limit
+                self._target, hypothesis, a, lang, self._cache, limit, self._hypotheses
             )
             if gap:
                 query = self._pick(gap, a, hypothesis)
                 self.largest_counterexample = max(
                     self.largest_counterexample, size_of(a) + size_of(query)
                 )
-                self._log("EQ", size_of(hypothesis), "counterexample")
+                self._log("EQ", size, "counterexample")
                 return a, query
-        self._log("EQ", size_of(hypothesis), "yes")
+        self._log("EQ", size, "yes")
         return None
 
     def _pick(self, gap: list[reasoner.Separation], a: ABox, hypothesis: TBox) -> Query:
@@ -267,7 +276,7 @@ class OracleSession:
                 else:
                     query = Tree.of_concept(query.concept).cq(query.ind)
         tv = reasoner.answers_query(self._target, a, query, self._cache)
-        hv = reasoner.answers_query(hypothesis, a, query, self._cache)
+        hv = reasoner.answers_query(hypothesis, a, query, self._hypotheses)
         if tv == hv:
             raise ContractViolationError("internal: unverified counterexample")
         return query

@@ -1,5 +1,6 @@
 """``tools/bench_record.py`` reads the benchmark's report and keeps runs per label;
-``tools/bench_compare.py`` pairs the runs of two labels and applies the gain rule.
+``tools/bench_compare.py`` pairs the runs of two labels, applies the gain rule
+and lists the runs that failed and the pairs whose digest or oracle cost differ.
 
 The outputs and the run files below are canned: no benchmark runs here.
 """
@@ -173,7 +174,49 @@ def test_main_prints_every_metric_and_leaves_the_benchmark_file_as_it_was(tmp_pa
     assert "wins 10/10" in lines[1] and "gain rule does not hold" in lines[1]
     assert lines[2].startswith("  peak_rss_mb (MB, lower is better): parent 54.45 (q ")
     assert "-> change 49.45" in lines[2] and "gain rule holds" in lines[2] and "within bound 10%" in lines[2]
-    assert len(lines) == 3
+    assert lines[3] == (
+        "  every run correct with no failed ops; digest and oracle cost equal in all 10 pairs"
+        " (digest None)"
+    )
+    assert len(lines) == 4
+
+
+def _checked(run: dict, correct=True, failed=0, digest="87c3f4c5", mq=52679) -> dict:
+    return dict(run, correct=correct, failed=failed, digest=digest, oracle_cost={"mq_count": mq})
+
+
+def test_failed_runs_and_pairs_that_disagree_are_listed_per_group():
+    parent = [_checked(_run("corpus", 1, 100, 50)) for _ in range(3)]
+    parent.append(_checked(_run("stream", 1, 100, 50), digest="5f6cb3da", mq=0))
+    change = [
+        _checked(_run("corpus", 1, 110, 50)),
+        _checked(_run("corpus", 1, 110, 50), correct=False, failed=2, digest="00000000"),
+        _checked(_run("corpus", 1, 110, 50), mq=52680),
+        _checked(_run("stream", 1, 110, 50), digest="5f6cb3da", mq=0),
+    ]
+    pairs = bench_compare.pair_runs(parent, change)
+    assert bench_compare.faults(pairs[("corpus", 1, 0)]) == [
+        "pair 2 change: correct False, 2 failed ops",
+        "pair 2: digest 87c3f4c5 -> 00000000",
+        "pair 3: oracle_cost {'mq_count': 52679} -> {'mq_count': 52680}",
+    ]
+    # a failed op alone marks a run, on the parent's side too
+    failed = [_checked(_run("corpus", 1, 100, 50), failed=1)]
+    assert bench_compare.faults(bench_compare.pair_runs(failed, change[:1])[("corpus", 1, 0)]) == [
+        "pair 1 parent: correct True, 1 failed ops"
+    ]
+    lines = bench_compare.report(parent, change, METRICS[:1]).splitlines()
+    assert lines == [
+        "corpus seed 1: 3 pairs",
+        lines[1],
+        "  pair 2 change: correct False, 2 failed ops",
+        "  pair 2: digest 87c3f4c5 -> 00000000",
+        "  pair 3: oracle_cost {'mq_count': 52679} -> {'mq_count': 52680}",
+        "stream seed 1: 1 pairs",
+        lines[6],
+        "  every run correct with no failed ops; digest and oracle cost equal in all 1 pairs"
+        " (digest 5f6cb3da)",
+    ]
 
 
 def test_the_default_benchmark_file_is_the_repositorys():

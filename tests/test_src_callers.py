@@ -34,6 +34,11 @@ And there is one counterexample loop: ``learn_aq.check_budget`` is called
 from ``learn_aq.refine`` alone, and neither the atomic phase nor the
 equivalence loop that run through it loops itself.
 
+And a ``reasoner.ModelCache`` is made only where ``MODEL_CACHE_SITES``
+says: the teacher's private per-target stores, the learner's store that
+each session backs with one of them, and the few calls that own a cache
+for their own length.
+
 And no function nested in another function refers to its own name.  Such a
 function closes over its own cell, a reference cycle that keeps everything
 else it closes over (a model's labels and edges, say) alive after its call
@@ -326,6 +331,21 @@ def test_the_budget_is_checked_by_the_one_counterexample_loop():
     for module, name in [("learn_aq", "aq_phase"), ("learn_iq", "counterexample_loop")]:
         (node,) = [n for n in _modules(SRC)[module] if isinstance(n, FUNCTION) and n.name == name]
         assert not [sub for sub in ast.walk(node) if isinstance(sub, (ast.For, ast.While))], name
+
+
+# ``module.function`` -> why it makes a ``ModelCache`` of its own
+MODEL_CACHE_SITES = {
+    "teacher._target_cache": "the two private stores of the target asked about last",
+    "teacher.OracleSession.__init__": "the learner's store of one session, backed by a private one",
+    "cli.cmd_reason": "elh reason opens no session; its queries share one cache",
+    "reasoner.inseparable": "perfbench fixes its signature; the gap and its check share one cache",
+    "pac.true_error": "perfbench fixes its signature; it has no session",
+    "pac.ring_shattered": "one model of the ring, with no session",
+}
+
+
+def test_model_caches_are_made_only_at_the_listed_sites():
+    assert sorted(set(call_sites("ModelCache"))) == sorted(MODEL_CACHE_SITES)
 
 
 def self_referencing_nested(src: Path = SRC) -> list[str]:

@@ -19,6 +19,11 @@ It also says whether the change's median is within the metric's bound of
 the parent's.  The direction in which a metric is better and its bound
 are read from ``BENCHMARK.json``, which is not written.
 
+After the metrics of a group it lists each paired run, of either side,
+that is not correct or has failed ops, and each pair whose digest or
+oracle cost differ; when there is none, one line says so and gives the
+digest.
+
 Standard library only.
 """
 
@@ -94,6 +99,22 @@ def compare(pairs: list[tuple[dict, dict]], metric: dict) -> dict | None:
     }
 
 
+def faults(pairs: list[tuple[dict, dict]]) -> list[str]:
+    """One line per run that is not correct or failed ops, and per pair whose
+    digest or oracle cost differ; empty when every run is clean."""
+    out = []
+    for i, pair in enumerate(pairs, 1):
+        for side, run in zip(("parent", "change"), pair):
+            if run.get("correct") is False or run.get("failed"):
+                out.append(
+                    f"pair {i} {side}: correct {run.get('correct')}, {run.get('failed')} failed ops"
+                )
+        for key in ("digest", "oracle_cost"):
+            if pair[0].get(key) != pair[1].get(key):
+                out.append(f"pair {i}: {key} {pair[0].get(key)} -> {pair[1].get(key)}")
+    return out
+
+
 def _fmt(x: float) -> str:
     return f"{x:.4g}"
 
@@ -119,6 +140,15 @@ def report(parent: list[dict], change: list[dict], metrics: list[dict]) -> str:
                 f" {r['relative']:+.1%}, wins {r['wins']}/{r['pairs']},"
                 f" gap {_fmt(r['gap'])} vs parent IQR {_fmt(r['parent_iqr'])}, {rule},"
                 f" {'within' if r['within_bound'] else 'OUTSIDE'} bound {metric['bound']:.0%}"
+            )
+        found = faults(pairs)
+        if found:
+            lines.extend(f"  {line}" for line in found)
+        else:
+            digests = " ".join(sorted({str(run.get("digest")) for pair in pairs for run in pair}))
+            lines.append(
+                f"  every run correct with no failed ops; digest and oracle cost equal in"
+                f" all {len(pairs)} pairs (digest {digests})"
             )
     return "\n".join(lines)
 
